@@ -32,21 +32,17 @@ from .surgery import (
     AttachmentSite,
     CaseGap,
     ChordsCross,
-    DecoratedDisassemblyMap,
     Decomposition,
-    DisassemblyMap,
     NoConjugacyFound,
     NotAVertexAnchor,
     RoundTripReport,
     SurgeryError,
     arrange_piece_cycles,
     assemble,
-    assembly_map,
     attachment_site,
     check_decomposition,
-    decorated_disassembly_map,
+    decomposition_at,
     disassemble,
-    disassembly_map,
     extract,
     find_decompositions,
     round_trip_check,

@@ -21,7 +21,7 @@ from .census import (
     upper_bound,
     write_census,
 )
-from .filling import FillingError, FillingPermutation, opposite, validate
+from .filling import FillingError, FillingPermutation, validate
 from .perm import CycleParseError, Permutation
 from .surgery import (
     AttachmentSite,
@@ -29,12 +29,11 @@ from .surgery import (
     SurgeryError,
     assemble,
     attachment_site,
-    check_decomposition,
+    decomposition_at,
     disassemble,
     extract,
     find_decompositions,
     round_trip_check,
-    _CyclePositions,
 )
 from .twist import GroupTooLarge, are_equivalent
 
@@ -182,30 +181,16 @@ def cmd_extract(args) -> tuple[int, str, dict]:
     fp = load_valid(args.file)
     if not fp.is_minimal():
         raise CLIInputError("extraction requires a minimal filling permutation")
-    cp = _CyclePositions(fp)
-    n = fp.n
-    g = fp.genus()
-    if not 1 <= args.k <= g - 1:
-        raise CLIInputError(f"piece genus {args.k} out of range for genus {g}")
-    anchors = (args.x, args.a, args.y, args.b)
-    for sym in anchors:
-        if not 1 <= sym <= 4 * n:
-            raise CLIInputError(f"anchor {sym} out of range 1..{4 * n}")
-    quad = tuple(
-        cp.distance(anchors[idx], opposite(anchors[(idx + 1) % 4], n)) + 1
-        for idx in range(4)
-    )
-    well_formed = all(r >= 4 and r % 2 == 0 for r in quad) and sum(quad) == 8 * args.k + 8
-    if not (well_formed and check_decomposition(fp, *anchors, args.k, quad)):
+    try:
+        dec = decomposition_at(fp, args.x, args.a, args.y, args.b, args.k)
+    except SurgeryError as exc:
+        raise CLIInputError(str(exc)) from exc
+    if dec is None:
         return 1, "NOT-A-DECOMPOSITION", {"valid": False}
-    dec = Decomposition(
-        k=args.k, l=fp.genus() - args.k,
-        x=args.x, a=args.a, y=args.y, b=args.b, type=quad,
-    )
     cut_cycles, remainder_cycle = extract(fp, dec)
     piece, remainder = disassemble(fp, dec)
     lines = [
-        f"type=({','.join(map(str, quad))})",
+        f"type=({','.join(map(str, dec.type))})",
         "cut cycles: " + _cycles_text(cut_cycles),
         "remainder cycle: (" + ",".join(map(str, remainder_cycle)) + ")",
         f"piece: n={piece.n}\n{piece.sigma.cycle_string()}",
@@ -213,7 +198,7 @@ def cmd_extract(args) -> tuple[int, str, dict]:
     ]
     payload = {
         "valid": True,
-        "type": list(quad),
+        "type": list(dec.type),
         "cut_cycles": [
             [{"symbol": s, "decorated": d} for s, d in cyc] for cyc in cut_cycles
         ],
@@ -274,7 +259,10 @@ def cmd_equivalent(args) -> tuple[int, str, dict]:
 def cmd_census(args) -> tuple[int, str, dict]:
     env_max = os.environ.get("FILLPERM_MAX_N")
     if env_max is not None:
-        max_n = int(env_max)
+        try:
+            max_n = int(env_max)
+        except ValueError:
+            raise CLIInputError(f"FILLPERM_MAX_N must be an integer, got {env_max!r}") from None
     else:
         max_n = SINGLE_CYCLE_MAX_N if args.single_cycle else GENERAL_MAX_N
     try:

@@ -6,9 +6,12 @@ minimal filling permutation of the summed genus.  Decomposition runs the other
 way: a minimal filling permutation of genus g splits as (genus l) + (genus k
 piece) exactly when four anchor edges x, a, y, b satisfy six equations tying
 sigma, the opposite-edge shift, and the arc-order rotation together, plus a
-non-nesting side condition.  Both directions work purely on labels, via the
-explicit case-defined relabeling maps `AssemblyMap`, `DisassemblyMap` and
-`DecoratedDisassemblyMap`.
+non-nesting side condition.  Both directions work purely on labels, through
+one arc-shift relabeling, `AssemblyMap`: on each curve the piece's inner arcs
+form one cyclic block right after the site arc and the host's arcs fill the
+rest in order; piece orientations are reversed, except on the piece's second
+curve when the two crossings have opposite chirality.  Disassembly runs the
+same map backwards.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ class NoConjugacyFound(SurgeryError):
 
 
 class CaseGap(RuntimeError):
-    """A relabeling case list failed to cover a symbol; internal consistency bug."""
+    """The relabeling map missed a symbol or produced a malformed splice; an
+    internal consistency bug."""
 
 
 @dataclass(frozen=True)
@@ -74,69 +78,102 @@ def attachment_site(host: FillingPermutation, i: int) -> AttachmentSite:
     return AttachmentSite(i, j)
 
 
-class AssemblyMap:
-    """Relabels host (genus l) and piece (genus k) symbols into {1..8(k+l)-4}.
+def _arc_of(label: int, n: int) -> tuple[int, bool, bool]:
+    """(arc, even, negative) of a label on a pair with n crossings."""
+    if not 1 <= label <= 4 * n:
+        raise CaseGap(f"symbol {label} out of range 1..{4 * n}")
+    negative = label > 2 * n
+    base = label - 2 * n if negative else label
+    return (base + 1) // 2, base % 2 == 0, negative
 
-    Host orientations are preserved and piece orientations reversed,
-    reflecting the opposite orientations the two sides inherit from the curve
-    along which they are glued.  When l = 1, or when the site sits at the last
-    positive edges (i = 4l-3 or j = 4l-2), images past the top label wrap
-    around modulo 8(k+l)-4.
+
+def _label_of(arc: int, even: bool, negative: bool, n: int) -> int:
+    label = 2 * arc if even else 2 * arc - 1
+    return label + 2 * n if negative else label
+
+
+class AssemblyMap:
+    """The relabeling that splices a genus-k piece into a genus-l host, and its
+    preimage.
+
+    Odd label 2c-1 is arc c of the first curve, even label 2c arc c of the
+    second; adding 2n reverses the arc.  Each result curve has n = n_h + n_p - 2
+    arcs (host n_h = 2l-1, piece n_p = 2k+2).  The site (i, j) is in result
+    labels, with site arcs a = (i+1)/2 and b = j/2.  On each curve the piece's
+    arcs run cyclically forward from the site arc, so its n_p - 2 inner arcs
+    form one block right after it; the host's arcs fill the rest in order,
+    ending at the site arc, so host arc 1 lands on result arc max(1, a-n_h+1).
+    Host orientations are kept and piece orientations reversed, except that
+    with `forward` false the piece's even arc p lands on b + n_p - p and keeps
+    its orientation.
+
+    When l = 1 the piece's first and last arcs share the site arc, so each of
+    i, j, opp(i), opp(j) has two piece preimages: a decorated entry takes the
+    one in {4k+3, 4k+4, 8k+7, 8k+8}, an undecorated entry the other.
     """
 
-    def __init__(self, k: int, l: int, i: int, j: int):
+    def __init__(self, k: int, l: int, i: int, j: int, forward: bool = True):
         if k < 1 or l < 1:
             raise SurgeryError("both genera must be >= 1")
-        if l == 1 and (i, j) != (1, 2):
-            raise SurgeryError("a genus-1 host admits only the site (1, 2)")
-        self.k, self.l, self.i, self.j = k, l, i, j
-        self.result_size = 8 * (k + l) - 4
+        self.k, self.l, self.i, self.j, self.forward = k, l, i, j, forward
+        self.n_host, self.n_piece = 2 * l - 1, 2 * k + 2
+        self.n = self.n_host + self.n_piece - 2
+        if not (i % 2 == 1 and 1 <= i < 2 * self.n and j % 2 == 0 and 2 <= j <= 2 * self.n):
+            raise SurgeryError(f"({i}, {j}) is not a positive odd/even site for n={self.n}")
+        self._site_arc = ((i + 1) // 2, j // 2)  # indexed by `even`
 
-    def _reduce(self, x: int) -> int:
-        return (x - 1) % self.result_size + 1
+    @classmethod
+    def for_site(
+        cls, host: FillingPermutation, piece: FillingPermutation, site: AttachmentSite
+    ) -> AssemblyMap:
+        """The map `assemble` splices with: forward when the host crossing and
+        the piece's green crossing have the same chirality (a left-edge orbit
+        stepping from the odd in-edge straight to the even one), or when the
+        host is a chirality-neutral torus."""
+        n_p = piece.n
+        forward = host.n == 1 or (
+            (host.vertex_orbit(site.i)[1] == site.j)
+            == (piece.vertex_orbit(2 * n_p - 1)[1] == 2 * n_p)
+        )
+        return cls(piece.genus(), host.genus(), site.i, site.j, forward)
 
     def host(self, v: int) -> int:
-        k, l, i, j = self.k, self.l, self.i, self.j
-        if not 1 <= v <= 8 * l - 4:
-            raise CaseGap(f"host symbol {v} out of range")
-        if v > 4 * l - 2:
-            return self.host(v - (4 * l - 2)) + (4 * (k + l) - 2)
-        if v % 2 == 1:
-            if v <= i:
-                return v
-            if i + 2 <= v <= 4 * l - 3:
-                return v + 4 * k
-        else:
-            if v <= j:
-                return v
-            if j + 2 <= v <= 4 * l - 2:
-                return v + 4 * k
-        raise CaseGap(f"host symbol {v} matched no case")
+        arc, even, negative = _arc_of(v, self.n_host)
+        a = self._site_arc[even]
+        back = (min(a, self.n_host) - arc) % self.n_host
+        return _label_of((a - back - 1) % self.n + 1, even, negative, self.n)
 
     def piece(self, w: int) -> int:
-        k, l, i, j = self.k, self.l, self.i, self.j
-        m4 = 4 * (k + l)
-        if not 1 <= w <= 8 * k + 8:
-            raise CaseGap(f"piece symbol {w} out of range")
-        if w % 2 == 1:
-            if w <= 4 * k + 3:
-                if l == 1 and w == 4 * k + 3:
-                    return m4 - 1
-                return self._reduce(w + i + m4 - 3)
-            if l == 1 and w == 8 * k + 7:
-                return 1
-            return w + i - 4 * k - 5
-        if w <= 4 * k + 4:
-            if l == 1 and w == 4 * k + 4:
-                return m4
-            return self._reduce(w + j + m4 - 4)
-        if l == 1 and w == 8 * k + 8:
-            return 2
-        return w + j - 4 * k - 6
+        arc, even, negative = _arc_of(w, self.n_piece)
+        a = self._site_arc[even]
+        backward = even and not self.forward
+        c = a + self.n_piece - arc if backward else a + arc - 1
+        # piece arcs reverse orientation unless traversed backward
+        return _label_of((c - 1) % self.n + 1, even, negative == backward, self.n)
 
+    def host_preimage(self, r: int) -> int:
+        c, even, negative = _arc_of(r, self.n)
+        a = self._site_arc[even]
+        back = (a - c) % self.n
+        if back >= self.n_host:
+            raise CaseGap(f"symbol {r} is not on the host side of site ({self.i}, {self.j})")
+        arc = (min(a, self.n_host) - back - 1) % self.n_host + 1
+        return _label_of(arc, even, negative, self.n_host)
 
-def assembly_map(k: int, l: int, i: int, j: int) -> AssemblyMap:
-    return AssemblyMap(k, l, i, j)
+    def piece_preimage(self, r: int, decorated: bool = False) -> int:
+        c, even, negative = _arc_of(r, self.n)
+        a = self._site_arc[even]
+        ahead = (c - a) % self.n
+        if ahead >= self.n_piece:
+            raise CaseGap(f"symbol {r} is not on the piece side of site ({self.i}, {self.j})")
+        backward = even and not self.forward
+        if self.l == 1 and ahead == 0:
+            arc = self.n_piece if decorated else 1
+        elif decorated:
+            raise CaseGap(f"decorated symbol {r} is not a site label of a genus-1 host")
+        else:
+            arc = self.n_piece - ahead if backward else ahead + 1
+        return _label_of(arc, even, negative == backward, self.n_piece)
 
 
 def arrange_piece_cycles(piece: FillingPermutation) -> list[list[int]]:
@@ -172,26 +209,16 @@ def arrange_piece_cycles(piece: FillingPermutation) -> list[list[int]]:
     return [list(reversed(c)) for c in arranged]
 
 
-def _crossing_turns_to_even_in(fp: FillingPermutation, odd_in: int, even_in: int) -> bool:
-    """Chirality of a crossing: does the left-edge orbit step from the odd
-    in-edge directly to the even in-edge (rather than to its opposite pair)?"""
-    return fp.vertex_orbit(odd_in)[1] == even_in
-
-
 def assemble(
     host: FillingPermutation, piece: FillingPermutation, site: AttachmentSite
 ) -> FillingPermutation:
     """Connected sum of a minimal genus-l host and a genus-k piece at `site`.
 
-    Both crossings are drilled out and the label maps are built from the arc
-    merges this induces: the host's in-arcs fuse with the piece's first arcs
-    and its out-arcs with the piece's last arcs, with all piece labels taking
-    the reversed orientation.  Every surviving region adjacency of either side
-    carries over; the opened corners reconnect through the merged arcs.  When
-    the two crossings have opposite chirality the piece's second curve is
-    traversed backward instead (the same surface with one curve re-oriented),
-    which flips which ends fuse; a genus-1 host is chirality-neutral and takes
-    the forward gluing.
+    Both crossings are drilled out and both sides are relabeled by
+    `AssemblyMap.for_site`, so the host's in-arcs fuse with the piece's first
+    arcs and its out-arcs with the piece's last arcs.  Every surviving region
+    adjacency of either side carries over; the opened corners reconnect
+    through the merged arcs.
     """
     l = host.genus()
     k = piece.genus()
@@ -207,54 +234,16 @@ def assemble(
             f"edge {site.j} is not the positive even edge at the crossing of {site.i}"
         )
 
-    n_h, n_p = host.n, piece.n
-    n_res = n_h + n_p - 2
-    result_size = 4 * n_res
-    a_i, b_j = (site.i + 1) // 2, site.j // 2
+    amap = AssemblyMap.for_site(host, piece, site)
+    result_size = 4 * amap.n
     orbit = set(host.vertex_orbit(site.i))
-    green = set(piece.vertex_orbit(2 * n_p - 1))
-    beta_forward = n_h == 1 or (
-        _crossing_turns_to_even_in(host, site.i, site.j)
-        == _crossing_turns_to_even_in(piece, 2 * n_p - 1, 2 * n_p)
-    )
+    green = set(piece.vertex_orbit(2 * piece.n - 1))
 
-    def host_label(e: int) -> int:
-        negative = e > 2 * n_h
-        base = e - 2 * n_h if negative else e
-        if base % 2:
-            arc = (base + 1) // 2
-            idx = arc if arc <= a_i else arc + n_p - 2
-            lab = 2 * ((idx - 1) % n_res + 1) - 1
-        else:
-            arc = base // 2
-            idx = arc if arc <= b_j else arc + n_p - 2
-            lab = 2 * ((idx - 1) % n_res + 1)
-        return lab + 2 * n_res if negative else lab
-
-    def piece_label(w: int) -> int:
-        negative = w > 2 * n_p
-        base = w - 2 * n_p if negative else w
-        if base % 2:
-            arc = (base + 1) // 2
-            idx = a_i + arc - 1
-            lab = 2 * ((idx - 1) % n_res + 1) - 1
-            flipped = True
-        else:
-            arc = base // 2
-            idx = b_j + (arc - 1 if beta_forward else n_p - arc)
-            lab = 2 * ((idx - 1) % n_res + 1)
-            flipped = beta_forward
-        positive = negative if flipped else not negative
-        return lab if positive else lab + 2 * n_res
-
-    merged: dict[int, int] = {}
+    hmap = {e: amap.host(e) for e in range(1, host.size + 1)}
+    pmap = {u: amap.piece(u) for u in range(1, piece.size + 1)}
     sigma_h, sigma_p = host.sigma, piece.sigma
-    for e in range(1, host.size + 1):
-        if e not in orbit:
-            merged[host_label(e)] = host_label(sigma_h(e))
-    for u in range(1, piece.size + 1):
-        if u not in green:
-            merged[piece_label(sigma_p(u))] = piece_label(u)
+    merged = {hmap[e]: hmap[sigma_h(e)] for e in hmap if e not in orbit}
+    merged.update({pmap[sigma_p(u)]: pmap[u] for u in pmap if u not in green})
 
     if len(merged) != result_size:
         raise CaseGap(f"splice covered {len(merged)} of {result_size} labels")
@@ -401,6 +390,33 @@ def check_decomposition(
     if k == g - 1:
         return True
     return _condition2(cp, (x, a, y, b), quad)
+
+
+def decomposition_at(
+    fp: FillingPermutation, x: int, a: int, y: int, b: int, k: int
+) -> Decomposition | None:
+    """The decomposition with anchors x, a, y, b and piece genus k, or None.
+
+    The type is read off the anchors: each piece region runs from an anchor
+    to the opposite of the next one.  None means the derived type is
+    malformed or `check_decomposition` rejects it.
+    """
+    g = fp.genus()
+    if not 1 <= k <= g - 1:
+        raise SurgeryError(f"piece genus {k} out of range for genus {g}")
+    cp = _CyclePositions(fp)
+    n = fp.n
+    anchors = (x, a, y, b)
+    for sym in anchors:
+        if not 1 <= sym <= 4 * n:
+            raise SurgeryError(f"anchor {sym} out of range 1..{4 * n}")
+    quad = tuple(
+        cp.distance(anchors[idx], opposite(anchors[(idx + 1) % 4], n)) + 1
+        for idx in range(4)
+    )
+    if not (_quad_ok(quad, k) and check_decomposition(fp, *anchors, k, quad)):
+        return None
+    return Decomposition(k=k, l=g - k, x=x, a=a, y=y, b=b, type=quad)
 
 
 def _even_quads(total: int):
@@ -632,125 +648,21 @@ def extract(
     return cut_cycles, surviving[at_min:] + surviving[:at_min]
 
 
-class DisassemblyMap:
-    """Inverse relabeling for k < g-1: remainder symbols to genus-l labels and
-    piece-side symbols to piece labels (with orientation reversal built into
-    the splitting convention, so the piece permutation is the inverse of the
-    relabeled cut cycles)."""
-
-    def __init__(self, k: int, g: int, i: int, j: int):
-        if not 1 <= k < g - 1:
-            raise SurgeryError(f"map defined for 1 <= k < g-1, got k={k}, g={g}")
-        self.k, self.g, self.i, self.j = k, g, i, j
-        self.l = g - k
-
-    def host(self, v: int) -> int:
-        k, g, l, i, j = self.k, self.g, self.l, self.i, self.j
-        if not 1 <= v <= 8 * g - 4:
-            raise CaseGap(f"symbol {v} out of range")
-        if v > 4 * g - 2:
-            return self.host(v - (4 * g - 2)) + (4 * l - 2)
-        if v % 2 == 1:
-            if max(1, i - 4 * l + 4) <= v <= i:
-                return v - max(0, i - 4 * l + 3)
-            if i + 4 * k + 2 <= v <= 4 * g - 3:
-                return v - 4 * k
-        else:
-            if max(2, j - 4 * l + 4) <= v <= j:
-                return v - max(0, j - 4 * l + 2)
-            if j + 4 * k + 2 <= v <= 4 * g - 2:
-                return v - 4 * k
-        raise CaseGap(f"remainder symbol {v} matched no case")
-
-    def piece(self, w: int) -> int:
-        k, g, l, i, j = self.k, self.g, self.l, self.i, self.j
-        if not 1 <= w <= 8 * g - 4:
-            raise CaseGap(f"symbol {w} out of range")
-        if w > 4 * g - 2:
-            return self.piece(w - (4 * g - 2)) - (4 * k + 4)
-        if w % 2 == 1:
-            if i <= w <= min(i + 4 * k + 2, 4 * g - 3):
-                return w - i + 4 * k + 5
-            if 1 <= w <= i - 4 * l + 4:
-                return w - i + 4 * (k + g) + 3
-        else:
-            if j <= w <= min(j + 4 * k + 2, 4 * g - 2):
-                return w - j + 4 * k + 6
-            if 2 <= w <= j - 4 * l + 4:
-                return w - j + 4 * (k + g) + 4
-        raise CaseGap(f"piece symbol {w} matched no case")
-
-
-class DecoratedDisassemblyMap:
-    """Relabeling for k = g-1, defined on symbols plus decorated anchor copies."""
-
-    def __init__(self, k: int, i: int, j: int):
-        if k < 1:
-            raise SurgeryError("piece genus must be >= 1")
-        self.k, self.i, self.j = k, i, j
-        self.n_host = 2 * k + 1  # host crossing count at genus g = k+1
-
-    def piece(self, entry: Entry) -> int:
-        k, i, j = self.k, self.i, self.j
-        sym, flag = entry
-        if flag:
-            if sym == i:
-                return 8 * k + 7
-            if sym == j:
-                return 8 * k + 8
-            if sym == opposite(i, self.n_host):
-                return 4 * k + 3
-            if sym == opposite(j, self.n_host):
-                return 4 * k + 4
-            raise CaseGap(f"unexpected decorated symbol {sym}")
-        if sym % 2 == 1:
-            if i <= sym <= 4 * k + 1:
-                return sym - i + 4 * k + 5
-            if 1 <= sym <= i - 2:
-                return sym - i + 8 * k + 7
-            if i + 4 * k + 2 <= sym <= 8 * k + 3:
-                return sym - i - 4 * k - 1
-            if 4 * k + 3 <= sym <= i + 4 * k:
-                return sym - i + 1
-        else:
-            if j <= sym <= 4 * k + 2:
-                return sym - j + 4 * k + 6
-            if 2 <= sym <= j - 2:
-                return sym - j + 8 * k + 8
-            if j + 4 * k + 2 <= sym <= 8 * k + 4:
-                return sym - j - 4 * k
-            if 4 * k + 4 <= sym <= j + 4 * k:
-                return sym - j + 2
-        raise CaseGap(f"piece symbol {sym} matched no case")
-
-
-def disassembly_map(k: int, g: int, i: int, j: int) -> DisassemblyMap:
-    return DisassemblyMap(k, g, i, j)
-
-
-def decorated_disassembly_map(k: int, i: int, j: int) -> DecoratedDisassemblyMap:
-    return DecoratedDisassemblyMap(k, i, j)
-
-
 def disassemble(
     fp: FillingPermutation, dec: Decomposition
 ) -> tuple[FillingPermutation, FillingPermutation]:
-    """Recover (piece, remainder) filling permutations from a decomposition."""
-    g = fp.genus()
-    n = fp.n
+    """Recover (piece, remainder) filling permutations from a decomposition.
+
+    The cut cycles and the remainder cycle are pulled back through the
+    forward `AssemblyMap` at the decomposition's site.
+    """
     cut_cycles, remainder_cycle = extract(fp, dec)
-    i, j = _site_labels(dec.anchors, n)
     k, l = dec.k, dec.l
-    if k == g - 1:
-        dmap = DecoratedDisassemblyMap(k, i, j)
-        piece_cycles = [[dmap.piece(e) for e in cyc] for cyc in cut_cycles]
-        remainder_perm = Permutation.from_cycles([[1, 2, 3, 4]], 4)
-    else:
-        hmap = DisassemblyMap(k, g, i, j)
-        piece_cycles = [[hmap.piece(sym) for sym, _ in cyc] for cyc in cut_cycles]
-        remainder_perm = Permutation.from_cycles(
-            [[hmap.host(v) for v in remainder_cycle]], 8 * l - 4
-        )
+    amap = AssemblyMap(k, l, *_site_labels(dec.anchors, fp.n))
+    piece_cycles = [[amap.piece_preimage(*entry) for entry in cyc] for cyc in cut_cycles]
+    if l > 1:  # a torus remainder comes back from `extract` already as [1, 2, 3, 4]
+        remainder_cycle = [amap.host_preimage(v) for v in remainder_cycle]
+    remainder_perm = Permutation.from_cycles([remainder_cycle], 8 * l - 4)
     piece_perm = Permutation.from_cycles(piece_cycles, 8 * k + 8).inverse()
     piece = validate(piece_perm, 2 * k + 2)
     remainder = validate(remainder_perm, 2 * l - 1)
@@ -782,20 +694,17 @@ class RoundTripReport:
 def round_trip_check(fp: FillingPermutation, dec: Decomposition) -> RoundTripReport:
     """Disassemble, reassemble at the induced site, and locate the conjugacy.
 
-    Reassembly at a genus-1 remainder is forced to site (1, 2), which may
-    differ from the even anchor used during disassembly; the result is then
-    only conjugate to the original by label cycling.  Searches kappa^p delta^q
+    The site is the host preimage of the anchors (i, j) under the forward
+    `AssemblyMap`.  On a genus-1 remainder that is always (1, 2), which may
+    differ from the anchors used during disassembly; the result is then only
+    conjugate to the original by label cycling.  Searches kappa^p delta^q
     with 0 <= p, q < 2g-1 for t with t^{-1} * sigma' * t == sigma.
     """
-    g = fp.genus()
     n = fp.n
     piece, remainder = disassemble(fp, dec)
     i, j = _site_labels(dec.anchors, n)
-    if dec.k == g - 1:
-        site = AttachmentSite(1, 2)
-    else:
-        hmap = DisassemblyMap(dec.k, g, i, j)
-        site = AttachmentSite(hmap.host(i), hmap.host(j))
+    amap = AssemblyMap(dec.k, dec.l, i, j)
+    site = AttachmentSite(amap.host_preimage(i), amap.host_preimage(j))
     reassembled = assemble(remainder, piece, site)
     kappa, delta, _, _ = generators(n)
     target = fp.sigma

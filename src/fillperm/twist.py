@@ -93,7 +93,7 @@ class TwistGroup:
         return len(self.elements)
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in set(self.elements)
+        return p in self.elements
 
 
 def twist_group(n: int, max_n: int = MAX_N, max_elements: int = MAX_ELEMENTS) -> TwistGroup:
@@ -114,6 +114,8 @@ def are_equivalent(
     """
     if fp1.n != fp2.n:
         raise ValueError(f"crossing counts differ: {fp1.n} vs {fp2.n}")
+    if fp1.n > max_n:
+        raise GroupTooLarge(f"n={fp1.n} exceeds the configured bound {max_n}")
     s1 = fp1.sigma.one_line()
     s2 = fp2.sigma.one_line()
     for t in _closure(fp1.n, MAX_ELEMENTS):

@@ -180,6 +180,9 @@ def test_census_bound_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FILLPERM_MAX_N", "3")
     code, _, err = run(capsys, "census", "--n", "5", "--single-cycle")
     assert code == 2 and "exceeds" in err
+    monkeypatch.setenv("FILLPERM_MAX_N", "abc")
+    code, _, err = run(capsys, "census", "--n", "3")
+    assert code == 2 and err.startswith("error:")
     monkeypatch.setenv("FILLPERM_MAX_N", "5")
     code, _, _ = run(capsys, "census", "--n", "5", "--single-cycle")
     assert code == 0

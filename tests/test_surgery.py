@@ -6,6 +6,7 @@ import pytest
 
 from fillperm import (
     ArrangementImpossible,
+    AssemblyMap,
     AttachmentSite,
     Decomposition,
     NotAVertexAnchor,
@@ -13,11 +14,9 @@ from fillperm import (
     SurgeryError,
     arrange_piece_cycles,
     assemble,
-    assembly_map,
     attachment_site,
     big_q,
     check_decomposition,
-    decorated_disassembly_map,
     disassemble,
     extract,
     find_decompositions,
@@ -87,14 +86,14 @@ def test_attachment_site_rejects_bad_anchor(sigma_f, zeta):
 
 
 def test_assembly_map_on_host(sigma_f):
-    amap = assembly_map(3, 3, 3, 2)
+    amap = AssemblyMap(3, 3, 3, 2)
     expected = perm(A_SIGMA_F, 44)
     for v in range(1, 21):
         assert expected(amap.host(v)) == amap.host(sigma_f.sigma(v))
 
 
 def test_assembly_map_on_piece(sigma_z):
-    amap = assembly_map(3, 3, 3, 2)
+    amap = AssemblyMap(3, 3, 3, 2)
     expected = perm(A_SIGMA_Z_INV, 44)
     inv = sigma_z.sigma.inverse()
     for w in range(1, 33):
@@ -103,7 +102,7 @@ def test_assembly_map_on_piece(sigma_z):
 
 def test_assembly_map_injective_off_anchor_coincidences():
     for k, l, i, j in [(3, 3, 3, 2), (2, 1, 1, 2), (2, 3, 9, 8), (1, 3, 5, 2)]:
-        amap = assembly_map(k, l, i, j)
+        amap = AssemblyMap(k, l, i, j)
         host_images = {amap.host(v) for v in range(1, 8 * l - 4 + 1)}
         piece_images = [amap.piece(w) for w in range(1, 8 * k + 8 + 1)]
         assert len(host_images) == 8 * l - 4
@@ -111,6 +110,58 @@ def test_assembly_map_injective_off_anchor_coincidences():
         collisions = len(piece_images) - len(set(piece_images))
         collisions += len(set(piece_images) & host_images)
         assert collisions == 8
+
+
+def test_assembly_map_matches_assemble_at_every_site(sigma_f, f4, zeta, sigma_z):
+    # Site (1, 10) on sigma_f is a wrap-around site (j = 4l-2): the piece's
+    # last arcs wrap to the start of the result's curves and keep their
+    # reversed orientation there.
+    assert AssemblyMap(3, 3, 1, 10).piece(32) == 2
+    for host in (sigma_f, f4):
+        for piece in (zeta, sigma_z):
+            green = set(piece.vertex_orbit(2 * piece.n - 1))
+            for i in range(1, 2 * host.n, 2):
+                site = attachment_site(host, i)
+                sigma = assemble(host, piece, site).sigma
+                amap = AssemblyMap.for_site(host, piece, site)
+                orbit = set(host.vertex_orbit(i))
+                for v in range(1, host.size + 1):
+                    if v not in orbit:
+                        assert sigma(amap.host(v)) == amap.host(host.sigma(v)), (i, v)
+                for w in range(1, piece.size + 1):
+                    if w not in green:
+                        assert sigma(amap.piece(piece.sigma(w))) == amap.piece(w), (i, w)
+
+
+@pytest.mark.parametrize("l", [1, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_assembly_map_preimage_is_inverse(k, l):
+    n_host, n_piece = 2 * l - 1, 2 * k + 2
+    n = n_host + n_piece - 2
+    last_arc = {2 * n_piece - 1, 2 * n_piece, 4 * n_piece - 1, 4 * n_piece}
+    for i in range(1, 2 * n, 2):
+        for j in range(2, 2 * n + 1, 2):
+            for forward in (True, False):
+                amap = AssemblyMap(k, l, i, j, forward)
+                host_images = set()
+                for v in range(1, 4 * n_host + 1):
+                    r = amap.host(v)
+                    assert amap.host_preimage(r) == v
+                    host_images.add(r)
+                piece_images = set()
+                for w in range(1, 4 * n_piece + 1):
+                    r = amap.piece(w)
+                    decorated = l == 1 and w in last_arc
+                    assert amap.piece_preimage(r, decorated) == w
+                    piece_images.add(r)
+                assert host_images | piece_images == set(range(1, 4 * n + 1))
+                for r in range(1, 4 * n + 1):
+                    if r in host_images:
+                        assert amap.host(amap.host_preimage(r)) == r
+                    if r in piece_images:
+                        assert amap.piece(amap.piece_preimage(r)) == r
+                        if l == 1 and r in (i, j, opposite(i, n), opposite(j, n)):
+                            assert amap.piece(amap.piece_preimage(r, True)) == r
 
 
 def test_arrange_piece_cycles_zeta(zeta):
@@ -126,7 +177,7 @@ def test_arrange_piece_cycles_zeta(zeta):
 
 def test_arrange_piece_cycles_sigma_z(sigma_z):
     arranged = arrange_piece_cycles(sigma_z)
-    amap = assembly_map(3, 3, 3, 2)
+    amap = AssemblyMap(3, 3, 3, 2)
     relabeled = ["(" + ",".join(str(amap.piece(w)) for w in c) + ")" for c in arranged]
     assert perm("".join(relabeled), 44) == perm(A_SIGMA_Z_INV, 44)
 
@@ -282,11 +333,11 @@ def test_extract_k3_remainder_is_relabeled_host(sigma_f6):
 
 
 def test_decorated_map_fixed_values():
-    dmap = decorated_disassembly_map(5, 1, 16)
-    assert dmap.piece((1, True)) == 8 * 5 + 7
-    assert dmap.piece((16, True)) == 8 * 5 + 8
-    assert dmap.piece((opposite(1, 11), True)) == 4 * 5 + 3
-    assert dmap.piece((opposite(16, 11), True)) == 4 * 5 + 4
+    amap = AssemblyMap(5, 1, 1, 16)
+    assert amap.piece_preimage(1, decorated=True) == 8 * 5 + 7
+    assert amap.piece_preimage(16, decorated=True) == 8 * 5 + 8
+    assert amap.piece_preimage(opposite(1, 11), decorated=True) == 4 * 5 + 3
+    assert amap.piece_preimage(opposite(16, 11), decorated=True) == 4 * 5 + 4
 
 
 def test_disassemble_k5_bit_exact(sigma_f6, z5, f1):

@@ -92,11 +92,15 @@ def test_elements_preserve_or_swap_parity_classes(n):
         )
 
 
-def test_bound_checks():
+def test_bound_checks(zeta):
     with pytest.raises(GroupTooLarge):
         twist_group(17)
     with pytest.raises(GroupTooLarge):
         twist_group(6, max_elements=10)
+    with pytest.raises(GroupTooLarge):
+        canonical_form(zeta, max_n=3)
+    with pytest.raises(GroupTooLarge):
+        are_equivalent(zeta, zeta, max_n=3)
 
 
 def test_conjugation_preserves_validity_full_group(zeta, sigma_f, f1):
