@@ -213,7 +213,10 @@ def cmd_roundtrip(args) -> tuple[int, str, dict]:
     fp = load_valid(args.file)
     if not fp.is_minimal():
         raise CLIInputError("round trips require a minimal filling permutation")
-    decs = find_decompositions(fp, k=args.k)
+    try:
+        decs = find_decompositions(fp, k=args.k)
+    except SurgeryError as exc:
+        raise CLIInputError(str(exc)) from exc
     if not decs:
         return 1, "NO-DECOMPOSITION", {"roundtrips": []}
     lines = []

@@ -357,6 +357,26 @@ def _condition2(cp: _CyclePositions, anchors, quad) -> bool:
     return True
 
 
+def _anchored_type(cp: _CyclePositions, n: int, t_power: Permutation, k: int, g: int, anchors):
+    """The type of the genus-k decomposition anchored at x, a, y, b, or None.
+
+    Each piece region runs from an anchor to the opposite of the next one, so
+    reading the type off the anchors makes the four span equations hold by
+    construction.  The type must then be well formed, the tau^(2k+1)
+    equations opp(tau^(2k+1)(x)) = y and opp(tau^(2k+1)(a)) = b must hold, and
+    unless the piece takes all but a torus the spans must not cross.
+    """
+    x, a, y, b = anchors
+    quad = tuple(cp.distance(v, opposite(w, n)) + 1 for v, w in zip(anchors, (a, y, b, x)))
+    if not _quad_ok(quad, k):
+        return None
+    if opposite(t_power(x), n) != y or opposite(t_power(a), n) != b:
+        return None
+    if k < g - 1 and not _condition2(cp, anchors, quad):
+        return None
+    return quad
+
+
 def check_decomposition(
     fp: FillingPermutation,
     x: int,
@@ -373,23 +393,8 @@ def check_decomposition(
     quad = tuple(quad)
     if not _quad_ok(quad, k):
         raise SurgeryError(f"malformed type {quad} for piece genus {k}")
-    cp = _CyclePositions(fp)
-    n = fp.n
-    r, s, t, u = quad
-    t_power = tau(n) ** (2 * k + 1)
-    eqs = (
-        opposite(cp.power(x, r - 1), n) == a
-        and opposite(cp.power(a, s - 1), n) == y
-        and opposite(cp.power(y, t - 1), n) == b
-        and opposite(cp.power(b, u - 1), n) == x
-        and opposite(t_power(x), n) == y
-        and opposite(t_power(a), n) == b
-    )
-    if not eqs:
-        return False
-    if k == g - 1:
-        return True
-    return _condition2(cp, (x, a, y, b), quad)
+    dec = decomposition_at(fp, x, a, y, b, k)
+    return dec is not None and dec.type == quad
 
 
 def decomposition_at(
@@ -399,7 +404,7 @@ def decomposition_at(
 
     The type is read off the anchors: each piece region runs from an anchor
     to the opposite of the next one.  None means the derived type is
-    malformed or `check_decomposition` rejects it.
+    malformed or the anchors fail the remaining equations.
     """
     g = fp.genus()
     if not 1 <= k <= g - 1:
@@ -410,37 +415,26 @@ def decomposition_at(
     for sym in anchors:
         if not 1 <= sym <= 4 * n:
             raise SurgeryError(f"anchor {sym} out of range 1..{4 * n}")
-    quad = tuple(
-        cp.distance(anchors[idx], opposite(anchors[(idx + 1) % 4], n)) + 1
-        for idx in range(4)
-    )
-    if not (_quad_ok(quad, k) and check_decomposition(fp, *anchors, k, quad)):
+    quad = _anchored_type(cp, n, tau(n) ** (2 * k + 1), k, g, anchors)
+    if quad is None:
         return None
     return Decomposition(k=k, l=g - k, x=x, a=a, y=y, b=b, type=quad)
-
-
-def _even_quads(total: int):
-    for r in range(4, total - 11, 2):
-        for s in range(4, total - r - 7, 2):
-            for t in range(4, total - r - s - 3, 2):
-                u = total - r - s - t
-                if u >= 4:
-                    yield (r, s, t, u)
 
 
 def find_decompositions(fp: FillingPermutation, k: int | None = None) -> list[Decomposition]:
     """Exhaustive search for all single-step splittings of a minimal pair.
 
-    Anchors a, y, b are forced from x by the span equations, so the search
-    runs over piece genus, type, and x only.  Results are deduplicated by
-    canonical rotation and each is confirmed by the separating-curve check.
+    The anchors determine the type, so the search runs over piece genus k,
+    x and the first region size r only: a = opp(sigma^(r-1)(x)),
+    y = opp(tau^(2k+1)(x)) and b = opp(tau^(2k+1)(a)) are forced.  Results
+    are deduplicated by canonical rotation and each is confirmed by the
+    separating-curve check.
     """
     g = fp.genus()
     if g <= 1:
         return []
     cp = _CyclePositions(fp)
     n = fp.n
-    length = cp.length
     t_full = tau(n)
     found: dict[tuple, Decomposition] = {}
     piece_genera = range(1, g) if k is None else [k]
@@ -448,22 +442,15 @@ def find_decompositions(fp: FillingPermutation, k: int | None = None) -> list[De
         if not 1 <= kk <= g - 1:
             raise SurgeryError(f"piece genus {kk} out of range for genus {g}")
         t_power = t_full ** (2 * kk + 1)
-        for quad in _even_quads(8 * kk + 8):
-            r, s, t, u = quad
-            for x in range(1, length + 1):
+        for x in cp.cycle:
+            y = opposite(t_power(x), n)
+            for r in range(4, 8 * kk - 3, 2):
                 a = opposite(cp.power(x, r - 1), n)
-                y = opposite(cp.power(a, s - 1), n)
-                if opposite(t_power(x), n) != y:
-                    continue
-                b = opposite(cp.power(y, t - 1), n)
-                if opposite(cp.power(b, u - 1), n) != x:
-                    continue
-                if opposite(t_power(a), n) != b:
-                    continue
-                if kk < g - 1 and not _condition2(cp, (x, a, y, b), quad):
-                    continue
-                dec = _canonical_decomposition(kk, g - kk, (x, a, y, b), quad)
-                found.setdefault((dec.k, dec.anchors, dec.type), dec)
+                anchors = (x, a, y, opposite(t_power(a), n))
+                quad = _anchored_type(cp, n, t_power, kk, g, anchors)
+                if quad is not None:
+                    dec = _canonical_decomposition(kk, g - kk, anchors, quad)
+                    found.setdefault((dec.k, dec.anchors, dec.type), dec)
     results = [d for d in found.values() if verify_separating(fp, d)]
     results.sort(key=lambda d: (d.k, d.type, d.x))
     return results
@@ -697,18 +684,19 @@ class RoundTripReport:
 
 
 def round_trip_check(fp: FillingPermutation, dec: Decomposition) -> RoundTripReport:
-    """Disassemble, reassemble at the induced site, and locate the conjugacy.
+    """Disassemble, reassemble at the induced site, and check the conjugacy.
 
     The site is the host preimage of the anchors (i, j) under the forward
     `AssemblyMap`.  On a genus-1 remainder that is always (1, 2), which may
     differ from the anchors used during disassembly; the result is then only
-    conjugate to the original by label cycling.  Searches kappa^p delta^q
-    with 0 <= p, q < 2g-1 for t with t^{-1} * sigma' * t == sigma.
+    conjugate to the original by label cycling.
 
-    The powers found are those that carry the cut's site arcs a = (i+1)/2 and
+    The powers are those that carry the cut's site arcs a = (i+1)/2 and
     b = j/2 back to arc 1: (p, q) = ((1 - a) mod n, (1 - b) mod n) for l = 1,
     and (0, 0) for l > 1, where the rebuild is exact.  For the k = 5 witness
-    of sigma_F6 (site (1, 16), n = 11) that is (0, 4).
+    of sigma_F6 (site (1, 16), n = 11) that is (0, 4).  Raises
+    `NoConjugacyFound` unless t = kappa^p delta^q gives
+    t^{-1} * sigma' * t == sigma.
     """
     n = fp.n
     piece, remainder = disassemble(fp, dec)
@@ -716,13 +704,11 @@ def round_trip_check(fp: FillingPermutation, dec: Decomposition) -> RoundTripRep
     amap = AssemblyMap(dec.k, dec.l, i, j)
     site = AttachmentSite(amap.host_preimage(i), amap.host_preimage(j))
     reassembled = assemble(remainder, piece, site)
+    p, q = ((1 - (i + 1) // 2) % n, (1 - j // 2) % n) if dec.l == 1 else (0, 0)
     kappa, delta, _, _ = generators(n)
-    target = fp.sigma
-    sigma_prime = reassembled.sigma
-    for p in range(n):
-        kp = kappa**p
-        for q in range(n):
-            t = kp * delta**q
-            if sigma_prime.conjugated_by(t.inverse()) == target:
-                return RoundTripReport(p=p, q=q, reassembled=reassembled)
-    raise NoConjugacyFound("no label-cycling conjugacy carries the rebuild to the original")
+    t = kappa**p * delta**q
+    if reassembled.sigma.conjugated_by(t.inverse()) != fp.sigma:
+        raise NoConjugacyFound(
+            f"kappa^{p} delta^{q} does not carry the rebuild at site ({i}, {j}) to the original"
+        )
+    return RoundTripReport(p=p, q=q, reassembled=reassembled)

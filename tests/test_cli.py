@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fillperm
 from fillperm.cli import main, read_filling_file, write_filling_file
 from fillperm import validate
 
@@ -161,6 +164,13 @@ def test_roundtrip(files, capsys):
     assert "p=0 q=0 (exact)" in out
 
 
+@pytest.mark.parametrize("command", ["decompose", "roundtrip"])
+def test_piece_genus_out_of_range_exits_2(files, capsys, command):
+    code, out, err = run(capsys, command, files["sigma_f"], "--k", "9")
+    assert code == 2 and out == ""
+    assert err == "error: piece genus 9 out of range for genus 3\n"
+
+
 def test_census_stdout(files, capsys):
     code, out, _ = run(capsys, "census", "--n", "1", "--single-cycle")
     assert code == 0
@@ -203,9 +213,13 @@ def test_deterministic_output(files, capsys):
 
 
 def test_subprocess_entry_point(files):
+    # the child imports the same fillperm as this process, installed or not
+    src = str(Path(fillperm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     result = subprocess.run(
         [sys.executable, "-m", "fillperm.cli", "validate", files["zeta"]],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "valid, n=6, c=4, genus=2"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from fillperm import (
@@ -9,6 +11,7 @@ from fillperm import (
     AssemblyMap,
     AttachmentSite,
     Decomposition,
+    NoConjugacyFound,
     NotAVertexAnchor,
     Permutation,
     SurgeryError,
@@ -23,13 +26,18 @@ from fillperm import (
     generators,
     opposite,
     parse_cycles,
+    read_census,
     round_trip_check,
     tau,
     validate,
     verify_separating,
 )
 
+from fillperm.surgery import _condition2, _CyclePositions
+
 from conftest import SIGMA_PRIME, perm
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 A_SIGMA_F = "(1,2,25,44,19,18,43,38,17,22,23,40,21,20,39,24,3,16,41,42)"
 A_SIGMA_Z_INV = (
@@ -239,6 +247,11 @@ def test_check_decomposition_malformed(sigma_f6):
         check_decomposition(sigma_f6, 3, 38, 39, 2, 3, (12, 4, 12, 6))
     with pytest.raises(SurgeryError):
         check_decomposition(sigma_f6, 3, 38, 39, 2, 9, (30, 30, 10, 10))
+    # anchors outside 1..4n
+    with pytest.raises(SurgeryError, match="anchor 99 out of range"):
+        check_decomposition(sigma_f6, 99, 38, 39, 2, 3, (12, 4, 12, 4))
+    with pytest.raises(SurgeryError, match="anchor 0 out of range"):
+        check_decomposition(sigma_f6, 3, 38, 39, 0, 3, (12, 4, 12, 4))
 
 
 def test_find_decompositions_f6(sigma_f6):
@@ -260,6 +273,55 @@ def test_find_decompositions_k_filter(sigma_f6):
     only_k3 = find_decompositions(sigma_f6, k=3)
     assert all(d.k == 3 for d in only_k3)
     assert len(only_k3) == 1
+
+
+def _reference_decompositions(fp):
+    # Independent of the anchor-derived search: every even type summing to
+    # 8k+8, every x, the six equations written out, then the non-nesting and
+    # separating-curve checks and the canonical rotation.
+    g, n = fp.genus(), fp.n
+    cp = _CyclePositions(fp)
+    found = set()
+    for k in range(1, g):
+        t_power = tau(n) ** (2 * k + 1)
+        total = 8 * k + 8
+        for r in range(4, total, 2):
+            for s in range(4, total - r, 2):
+                for t in range(4, total - r - s, 2):
+                    u = total - r - s - t
+                    if u < 4:
+                        continue
+                    quad = (r, s, t, u)
+                    for x in cp.cycle:
+                        a = opposite(cp.power(x, r - 1), n)
+                        y = opposite(cp.power(a, s - 1), n)
+                        b = opposite(cp.power(y, t - 1), n)
+                        if not (
+                            opposite(cp.power(b, u - 1), n) == x
+                            and opposite(t_power(x), n) == y
+                            and opposite(t_power(a), n) == b
+                        ):
+                            continue
+                        anchors = (x, a, y, b)
+                        if k < g - 1 and not _condition2(cp, anchors, quad):
+                            continue
+                        rotations = [
+                            (quad[i:] + quad[:i], -anchors[i], anchors[i:] + anchors[:i])
+                            for i in range(4)
+                        ]
+                        rq, _, (rx, ra, ry, rb) = max(rotations)
+                        found.add(Decomposition(k, g - k, rx, ra, ry, rb, rq))
+    results = [d for d in found if verify_separating(fp, d)]
+    return sorted(results, key=lambda d: (d.k, d.type, d.x))
+
+
+def test_find_decompositions_matches_reference(sigma_f6, sigma_f, f4, zeta):
+    pairs = [sigma_f6, sigma_f, f4]
+    for host in (sigma_f, f4):
+        for i in range(1, 2 * host.n, 2):
+            pairs.append(assemble(host, zeta, attachment_site(host, i)))
+    for fp in pairs:
+        assert find_decompositions(fp) == _reference_decompositions(fp)
 
 
 def test_no_genus_two_remainder(sigma_f6, sigma_f, f4):
@@ -378,6 +440,21 @@ def test_round_trip_k5_conjugate(sigma_f6):
     assert report.reassembled.sigma.conjugated_by(t.inverse()) == sigma_f6.sigma
 
 
+def test_round_trip_rejects_rebuild_off_the_site_powers(sigma_f6, monkeypatch):
+    # a rebuild the site's kappa^p delta^q does not carry back is an error,
+    # even when another relabeling would
+    import fillperm.surgery as surgery
+
+    kappa = generators(11)[0]
+    rebuild = surgery.assemble
+    monkeypatch.setattr(
+        surgery, "assemble", lambda *args: validate(rebuild(*args).sigma.conjugated_by(kappa))
+    )
+    dec = Decomposition(k=3, l=3, x=3, a=38, y=39, b=2, type=(12, 4, 12, 4))
+    with pytest.raises(NoConjugacyFound, match=r"kappa\^0 delta\^0"):
+        round_trip_check(sigma_f6, dec)
+
+
 def _site_powers(dec, n):
     # the closed form round_trip_check promises: the powers that carry the
     # cut's site arcs back to arc 1 on a torus remainder, none otherwise
@@ -396,6 +473,25 @@ def test_round_trip_all_found(sigma_f6, sigma_f, f4):
             t = kappa**report.p * delta**report.q
             assert report.reassembled.sigma.conjugated_by(t.inverse()) == fp.sigma
             assert (report.p, report.q) == _site_powers(dec, fp.n), dec
+
+
+def test_genus_4_census_decomposes_and_round_trips():
+    # every genus-4 orbit representative splits as a genus-3 piece on a torus
+    # and comes back by the label cycling its cut site forces, never exactly
+    records = read_census(GOLDEN / "census_single_n7.jsonl")
+    assert len(records) == 168
+    total = 0
+    for rec in records:
+        fp = validate(Permutation(rec.canonical_form), rec.n)
+        decs = find_decompositions(fp)
+        assert rec.decomposable and decs, rec.canonical_form
+        total += len(decs)
+        for dec in decs:
+            assert (dec.k, dec.l) == (3, 1)
+            report = round_trip_check(fp, dec)
+            assert (report.p, report.q) == _site_powers(dec, fp.n)
+            assert not report.exact
+    assert total == 1400
 
 
 def test_assemble_then_decompose_round_trip(sigma_f, zeta, sigma_z):
