@@ -136,6 +136,8 @@ def enumerate_filling(
             undo(trail)
 
     search()
+    # search's closure refers to itself; the cycle would keep `solutions` alive
+    del search
     return solutions
 
 
@@ -176,18 +178,31 @@ def census_records(
     """Enumerate, group into relabeling orbits, and describe each orbit.
 
     Returns (number of raw solutions, per-orbit records sorted by canonical
-    form).  The decomposable flag is computed on each orbit representative
-    (only minimal representatives can decompose).
+    form).  Each orbit is expanded once, from any of its unclassified
+    members, and every conjugate must itself be an enumerated solution: a
+    solution set not closed under relabeling raises RuntimeError.  The
+    decomposable flag is computed on each orbit representative (only
+    minimal representatives can decompose).
     """
-    solutions = enumerate_filling(n, single_cycle=single_cycle, max_n=max_n)
+    unseen = {
+        p.one_line() for p in enumerate_filling(n, single_cycle=single_cycle, max_n=max_n)
+    }
+    total = len(unseen)
     group = _closure(n, MAX_ELEMENTS)
-    orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for sol in solutions:
-        one = sol.one_line()
-        canon = min(_conjugate_oneline(one, t) for t in group)
-        orbits.setdefault(canon, []).append(one)
+    orbits: list[tuple[tuple[int, ...], int]] = []  # (least conjugate, orbit size)
+    while unseen:
+        one = next(iter(unseen))
+        orbit = {_conjugate_oneline(one, t) for t in group}
+        if not orbit <= unseen:
+            missing = min(orbit - unseen)
+            raise RuntimeError(
+                f"solution set for n={n} is not closed under relabeling: "
+                f"{missing} is a conjugate of the solution {one} but was not enumerated"
+            )
+        unseen -= orbit
+        orbits.append((min(orbit), len(orbit)))
     records = []
-    for canon in sorted(orbits):
+    for canon, size in sorted(orbits):
         rep = validate(Permutation(canon), n)
         records.append(
             CensusRecord(
@@ -195,11 +210,11 @@ def census_records(
                 c=rep.region_count,
                 genus=rep.genus(),
                 canonical_form=canon,
-                orbit_size_raw=len(orbits[canon]),
+                orbit_size_raw=size,
                 decomposable=rep.is_minimal() and bool(find_decompositions(rep)),
             )
         )
-    return len(solutions), records
+    return total, records
 
 
 def count_orbits(n: int, max_n: int | None = None) -> tuple[int, list[CensusRecord]]:

@@ -431,16 +431,15 @@ def find_decompositions(fp: FillingPermutation, k: int | None = None) -> list[De
     separating-curve check.
     """
     g = fp.genus()
+    if k is not None and not 1 <= k <= g - 1:
+        raise SurgeryError(f"piece genus {k} out of range for genus {g}")
     if g <= 1:
         return []
     cp = _CyclePositions(fp)
     n = fp.n
     t_full = tau(n)
     found: dict[tuple, Decomposition] = {}
-    piece_genera = range(1, g) if k is None else [k]
-    for kk in piece_genera:
-        if not 1 <= kk <= g - 1:
-            raise SurgeryError(f"piece genus {kk} out of range for genus {g}")
+    for kk in range(1, g) if k is None else [k]:
         t_power = t_full ** (2 * kk + 1)
         for x in cp.cycle:
             y = opposite(t_power(x), n)
@@ -511,7 +510,6 @@ def verify_separating(fp: FillingPermutation, dec: Decomposition) -> bool:
     num_faces = next_face  # root face 0 plus one per chord
 
     coords = [coord for coord, _ in points]
-    circumference = 6 * cp.length
 
     def face_at(coord2x: int) -> int:
         # locate by doubled coordinate to keep interval midpoints integral

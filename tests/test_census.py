@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+from pathlib import Path
 
 import pytest
 
+import fillperm.census
 from fillperm import (
     BoundExceeded,
     Permutation,
@@ -20,6 +23,8 @@ from fillperm import (
     upper_bound,
     write_census,
 )
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 
 def brute_force_solutions(n):
@@ -69,6 +74,16 @@ def test_enumerate_n5_nonempty_and_valid():
     for p in sols[::37]:
         assert is_valid(p, 5)
         assert p.num_cycles() == 1
+
+
+def test_enumerate_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_filling(5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumeration_closed_under_relabeling():
@@ -168,3 +183,25 @@ def test_census_canonical_forms_validate():
     _, records = count_orbits(5)
     for rec in records:
         assert is_valid(Permutation(rec.canonical_form), 5)
+
+
+@pytest.mark.parametrize(
+    "n,single_cycle",
+    [(5, True), (7, True)] + [(n, False) for n in range(1, 6)],
+)
+def test_census_matches_golden(tmp_path, n, single_cycle):
+    golden = GOLDEN / f"census_{'single' if single_cycle else 'general'}_n{n}.jsonl"
+    path = tmp_path / golden.name
+    write_census(census_records(n, single_cycle=single_cycle)[1], path)
+    assert path.read_bytes() == golden.read_bytes()
+
+
+def test_census_rejects_solutions_not_closed_under_relabeling(monkeypatch):
+    enumerate_all = fillperm.census.enumerate_filling
+    monkeypatch.setattr(
+        fillperm.census, "enumerate_filling", lambda *a, **kw: enumerate_all(*a, **kw)[1:]
+    )
+    # an internal error, not a ValueError the CLI would report as bad input
+    with pytest.raises(RuntimeError, match="not closed under relabeling") as info:
+        census_records(5)
+    assert not isinstance(info.value, ValueError)

@@ -166,9 +166,11 @@ def test_roundtrip(files, capsys):
 
 @pytest.mark.parametrize("command", ["decompose", "roundtrip"])
 def test_piece_genus_out_of_range_exits_2(files, capsys, command):
-    code, out, err = run(capsys, command, files["sigma_f"], "--k", "9")
-    assert code == 2 and out == ""
-    assert err == "error: piece genus 9 out of range for genus 3\n"
+    # a torus has no piece genus in range, so every --k is an input error
+    for pair, genus in (("sigma_f", 3), ("f1", 1)):
+        code, out, err = run(capsys, command, files[pair], "--k", "9")
+        assert code == 2 and out == ""
+        assert err == f"error: piece genus 9 out of range for genus {genus}\n"
 
 
 def test_census_stdout(files, capsys):
