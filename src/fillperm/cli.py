@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 negative-but-valid answer (not equivalent, no
-decomposition, failed validation), 2 input or usage error.
+decomposition, failed validation), 2 input or usage error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -272,6 +272,8 @@ def cmd_census(args) -> tuple[int, str, dict]:
         total, records = census_records(
             args.n, single_cycle=args.single_cycle, max_n=max_n
         )
+    except SurgeryError:
+        raise  # the decomposable flag failed on an enumerated pair
     except (BoundExceeded, ValueError) as exc:
         raise CLIInputError(str(exc)) from exc
     record_dicts = [r.to_record() for r in records]
@@ -363,6 +365,10 @@ def main(argv: list[str] | None = None) -> int:
     except CLIInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, SurgeryError) as exc:
+        # input checks raise CLIInputError, so these are faults of the program
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     if args.format == "record":
         print(json.dumps(payload, separators=(",", ":")))
     elif text:

@@ -137,9 +137,6 @@ class Permutation:
             out.append(cyc)
         return out
 
-    def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted(len(c) for c in self.cycles()))
-
     def num_cycles(self) -> int:
         return len(self.cycles())
 

@@ -16,10 +16,9 @@ same map backwards.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
-from .filling import FillingPermutation, ZType, opposite, tau, validate
+from .filling import FillingPermutation, opposite, validate
 from .perm import Permutation
 from .twist import generators
 
@@ -318,63 +317,88 @@ def _site_labels(anchors: tuple[int, int, int, int], n: int) -> tuple[int, int]:
     return i, j
 
 
-class _CyclePositions:
-    """O(1) powers of a single-cycle permutation via position lookup."""
+class _CycleTables:
+    """Flat lookup tables for the single region cycle of a minimal pair.
+
+    `cycle` is the region's labels in sigma order.  The lists are indexed by
+    label, index 0 unused: `pos[e]` is e's index in `cycle`, `opp[e]` the
+    opposite label and `opos[e] = pos[opp[e]]`.
+    """
 
     def __init__(self, fp: FillingPermutation):
         if not fp.is_minimal():
             raise SurgeryError("decomposition requires a minimal filling permutation")
-        self.cycle = list(fp.regions[0])
-        self.length = len(self.cycle)
-        self.pos = {sym: idx for idx, sym in enumerate(self.cycle)}
+        self.cycle = cycle = fp.regions[0]
+        self.m = m = len(cycle)
+        self.pos = pos = [0] * (m + 1)
+        for idx, sym in enumerate(cycle):
+            pos[sym] = idx
+        self.opp = opp = [0, *range(m // 2 + 1, m + 1), *range(1, m // 2 + 1)]
+        self.opos = [pos[e] for e in opp]
 
-    def power(self, e: int, m: int) -> int:
-        return self.cycle[(self.pos[e] + m) % self.length]
+    def flip(self, k: int) -> list[int]:
+        """opp o tau^(2k+1) by label, the involution with y = flip[x] and
+        b = flip[a]: tau^(2k+1) moves a positive label 4k + 2 places forward
+        along its curve's 2n labels and a negative one as far back, and opp
+        adds or subtracts 2n."""
+        two_n, shift = self.m // 2, 4 * k + 2
+        up = (two_n + (e - 1 + shift) % two_n + 1 for e in range(1, two_n + 1))
+        down = ((e - 1 - shift) % two_n + 1 for e in range(two_n + 1, 2 * two_n + 1))
+        return [0, *up, *down]
 
-    def distance(self, e: int, f: int) -> int:
-        return (self.pos[f] - self.pos[e]) % self.length
+    def check_anchors(self, anchors) -> None:
+        for sym in anchors:
+            if not 1 <= sym <= self.m:
+                raise SurgeryError(f"anchor {sym} out of range 1..{self.m}")
 
 
-def _quad_ok(quad, k) -> bool:
-    return (
-        len(quad) == 4
-        and all(isinstance(r, int) and r >= 4 and r % 2 == 0 for r in quad)
-        and sum(quad) == 8 * k + 8
-    )
-
-
-def _condition2(cp: _CyclePositions, anchors, quad) -> bool:
+def _condition2(tables: _CycleTables, anchors, quad) -> bool:
     """No anchor span may start inside another unless it nests strictly within it."""
-    pairs = list(zip(anchors, quad))
-    for v, p in pairs:
-        for w, q in pairs:
-            if w == v:
-                continue
-            if cp.distance(v, w) < p - 1:
-                end_of_v = cp.power(v, p - 1)
-                if not cp.distance(w, end_of_v) > q - 1:
-                    return False
+    pos, m = tables.pos, tables.m
+    for v, p in zip(anchors, quad):
+        for w, q in zip(anchors, quad):
+            # w's span starts d labels into v's and must end before v's does
+            d = (pos[w] - pos[v]) % m
+            if w != v and d < p - 1 and d + q >= p:
+                return False
     return True
 
 
-def _anchored_type(cp: _CyclePositions, n: int, t_power: Permutation, k: int, g: int, anchors):
-    """The type of the genus-k decomposition anchored at x, a, y, b, or None.
+def _anchored_types(
+    tables: _CycleTables, k: int, g: int, starts
+) -> list[tuple[tuple[int, int, int, int], tuple[int, int, int, int]]]:
+    """(anchors, type) of every genus-k decomposition whose x is in `starts`.
 
-    Each piece region runs from an anchor to the opposite of the next one, so
-    reading the type off the anchors makes the four span equations hold by
-    construction.  The type must then be well formed, the tau^(2k+1)
-    equations opp(tau^(2k+1)(x)) = y and opp(tau^(2k+1)(a)) = b must hold, and
-    unless the piece takes all but a torus the spans must not cross.
+    The first region size r forces the rest: a = opp(sigma^(r-1)(x)),
+    y = flip[x] and b = flip[a].  Each piece region runs from an anchor to
+    the opposite of the next one, so reading the type off the anchors makes
+    the four span equations and the two tau^(2k+1) equations hold by
+    construction.  Every region size must be even and at least 4, the sizes
+    must sum to 8k + 8, and unless the piece takes all but a torus the spans
+    must not cross.
     """
-    x, a, y, b = anchors
-    quad = tuple(cp.distance(v, opposite(w, n)) + 1 for v, w in zip(anchors, (a, y, b, x)))
-    if not _quad_ok(quad, k):
-        return None
-    if opposite(t_power(x), n) != y or opposite(t_power(a), n) != b:
-        return None
-    if k < g - 1 and not _condition2(cp, anchors, quad):
-        return None
-    return quad
+    cycle, pos, opp, opos, m = tables.cycle, tables.pos, tables.opp, tables.opos, tables.m
+    flip = tables.flip(k)
+    found = []
+    for x in starts:
+        y = flip[x]
+        px, py, ox, oy = pos[x], pos[y], opos[x], opos[y]
+        for r in range(4, 8 * k - 3, 2):
+            a = opp[cycle[(px + r - 1) % m]]
+            s = (oy - pos[a]) % m + 1
+            if s & 1 or s < 4:
+                continue
+            b = flip[a]
+            t = (opos[b] - py) % m + 1
+            if t & 1 or t < 4:
+                continue
+            u = (ox - pos[b]) % m + 1
+            if u & 1 or u < 4 or r + s + t + u != 8 * k + 8:
+                continue
+            anchors, quad = (x, a, y, b), (r, s, t, u)
+            if k == g - 1 or _condition2(tables, anchors, quad):
+                found.append((anchors, quad))
+    return found
 
 
 def check_decomposition(
@@ -391,7 +415,11 @@ def check_decomposition(
     if g < 2 or not 1 <= k <= g - 1:
         raise SurgeryError(f"piece genus {k} out of range for genus {g}")
     quad = tuple(quad)
-    if not _quad_ok(quad, k):
+    if not (
+        len(quad) == 4
+        and all(isinstance(r, int) and r >= 4 and r % 2 == 0 for r in quad)
+        and sum(quad) == 8 * k + 8
+    ):
         raise SurgeryError(f"malformed type {quad} for piece genus {k}")
     dec = decomposition_at(fp, x, a, y, b, k)
     return dec is not None and dec.type == quad
@@ -409,16 +437,12 @@ def decomposition_at(
     g = fp.genus()
     if not 1 <= k <= g - 1:
         raise SurgeryError(f"piece genus {k} out of range for genus {g}")
-    cp = _CyclePositions(fp)
-    n = fp.n
-    anchors = (x, a, y, b)
-    for sym in anchors:
-        if not 1 <= sym <= 4 * n:
-            raise SurgeryError(f"anchor {sym} out of range 1..{4 * n}")
-    quad = _anchored_type(cp, n, tau(n) ** (2 * k + 1), k, g, anchors)
-    if quad is None:
-        return None
-    return Decomposition(k=k, l=g - k, x=x, a=a, y=y, b=b, type=quad)
+    tables = _CycleTables(fp)
+    tables.check_anchors((x, a, y, b))
+    for anchors, quad in _anchored_types(tables, k, g, [x]):
+        if anchors == (x, a, y, b):
+            return Decomposition(k=k, l=g - k, x=x, a=a, y=y, b=b, type=quad)
+    return None
 
 
 def find_decompositions(fp: FillingPermutation, k: int | None = None) -> list[Decomposition]:
@@ -435,21 +459,12 @@ def find_decompositions(fp: FillingPermutation, k: int | None = None) -> list[De
         raise SurgeryError(f"piece genus {k} out of range for genus {g}")
     if g <= 1:
         return []
-    cp = _CyclePositions(fp)
-    n = fp.n
-    t_full = tau(n)
+    tables = _CycleTables(fp)
     found: dict[tuple, Decomposition] = {}
     for kk in range(1, g) if k is None else [k]:
-        t_power = t_full ** (2 * kk + 1)
-        for x in cp.cycle:
-            y = opposite(t_power(x), n)
-            for r in range(4, 8 * kk - 3, 2):
-                a = opposite(cp.power(x, r - 1), n)
-                anchors = (x, a, y, opposite(t_power(a), n))
-                quad = _anchored_type(cp, n, t_power, kk, g, anchors)
-                if quad is not None:
-                    dec = _canonical_decomposition(kk, g - kk, anchors, quad)
-                    found.setdefault((dec.k, dec.anchors, dec.type), dec)
+        for anchors, quad in _anchored_types(tables, kk, g, tables.cycle):
+            dec = _canonical_decomposition(kk, g - kk, anchors, quad)
+            found.setdefault((dec.k, dec.anchors, dec.type), dec)
     results = [d for d in found.values() if verify_separating(fp, d)]
     results.sort(key=lambda d: (d.k, d.type, d.x))
     return results
@@ -464,62 +479,54 @@ def verify_separating(fp: FillingPermutation, dec: Decomposition) -> bool:
     exactly when two connected components remain and one of them consists of
     the four cordoned faces.
     """
-    n = fp.n
-    g = fp.genus()
-    cp = _CyclePositions(fp)
+    tables = _CycleTables(fp)
     anchors = dec.anchors
-    shared = dec.k == g - 1  # each anchor edge carries two chord attachments
+    tables.check_anchors(anchors)
+    pos, opos, m = tables.pos, tables.opos, tables.m
+    shared = dec.k == fp.genus() - 1  # each anchor edge carries two chord attachments
 
     # chord c: from anchors[c] to opposite(anchors[c+1]); coordinates scale
     # each edge to width 6 so attachment points land on integers.
-    points: list[tuple[int, int]] = []  # (coord, chord)
-    chord_init_coord: list[int] = []
+    points: list[tuple[int, int, bool]] = []  # (coord, chord, initial)
     for c in range(4):
-        init_edge = anchors[c]
-        term_edge = opposite(anchors[(c + 1) % 4], n)
-        init_coord = 6 * cp.pos[init_edge] + (4 if shared else 3)
-        term_coord = 6 * cp.pos[term_edge] + (2 if shared else 3)
-        if any(coord in (init_coord, term_coord) for coord, _ in points):
+        init_coord = 6 * pos[anchors[c]] + (4 if shared else 3)
+        term_coord = 6 * opos[anchors[(c + 1) % 4]] + (2 if shared else 3)
+        if any(coord in (init_coord, term_coord) for coord, _, _ in points):
             raise ChordsCross("chord attachment points collide")
-        points.append((init_coord, c))
-        points.append((term_coord, c))
-        chord_init_coord.append(init_coord)
+        points.append((init_coord, c, True))
+        points.append((term_coord, c, False))
     points.sort()
 
-    # walk the circle once; non-crossing chords nest like parentheses
-    face_of_arc: list[int] = []  # arc idx -> face; arc idx starts at points[idx]
+    # walk the boundary once; non-crossing chords nest like parentheses.
+    # faces_of_edge[p] lists the faces of edge p's pieces (the edge split at
+    # its attachment points) in order.
+    faces_of_edge: list[list[int]] = []
     opened_at: dict[int, int] = {}  # chord -> face it opened
-    parent_of: dict[int, int] = {}
+    cordon_faces = [0] * 4  # chord -> face just past its initial point
     current = 0
     next_face = 1
     stack: list[int] = []
-    for coord, chord in points:
+    for coord, chord, initial in points:
+        while len(faces_of_edge) <= coord // 6:
+            faces_of_edge.append([current])
         if chord not in opened_at:
             stack.append(current)
             opened_at[chord] = next_face
-            parent_of[next_face] = current
             current = next_face
             next_face += 1
         else:
             if opened_at[chord] != current:
                 raise ChordsCross("anchor chords cross inside the polygon")
             current = stack.pop()
-        face_of_arc.append(current)
+        faces_of_edge[-1].append(current)
+        if initial:
+            cordon_faces[chord] = current
     if stack or current != 0:
         raise ChordsCross("unbalanced chord endpoints")
     num_faces = next_face  # root face 0 plus one per chord
+    faces_of_edge += [[0] for _ in range(len(faces_of_edge), m)]
 
-    coords = [coord for coord, _ in points]
-
-    def face_at(coord2x: int) -> int:
-        # locate by doubled coordinate to keep interval midpoints integral
-        idx = bisect_right(coords, coord2x / 2) - 1
-        return face_of_arc[idx if idx >= 0 else len(coords) - 1]
-
-    cordon_faces = [face_at(2 * c + 1) for c in chord_init_coord]
-
-    # glue: edge pieces (split at attachment coords) pair reversed with the
-    # opposite edge's pieces
+    # glue: edge pieces pair reversed with the opposite edge's pieces
     parent = list(range(num_faces))
 
     def find(i: int) -> int:
@@ -533,24 +540,11 @@ def verify_separating(fp: FillingPermutation, dec: Decomposition) -> bool:
         if ri != rj:
             parent[ri] = rj
 
-    cuts_of_edge: dict[int, list[int]] = {}
-    for coord, _ in points:
-        cuts_of_edge.setdefault(coord // 6, []).append(coord)
-    for sym in range(1, 4 * n + 1):
-        opp = opposite(sym, n)
-        if sym > opp:
-            continue
-        p1, p2 = cp.pos[sym], cp.pos[opp]
-        cuts1 = sorted(cuts_of_edge.get(p1, []))
-        cuts2 = sorted(cuts_of_edge.get(p2, []))
-        if len(cuts1) != len(cuts2):
+    for sym in range(1, m // 2 + 1):
+        pieces1, pieces2 = faces_of_edge[pos[sym]], faces_of_edge[opos[sym]]
+        if len(pieces1) != len(pieces2):
             raise ChordsCross("attachment points are not mirrored on opposite edges")
-        bounds1 = [6 * p1] + cuts1 + [6 * p1 + 6]
-        bounds2 = [6 * p2] + cuts2 + [6 * p2 + 6]
-        m = len(bounds1) - 1
-        for piece_idx in range(m):
-            f1 = face_at(bounds1[piece_idx] + bounds1[piece_idx + 1])
-            f2 = face_at(bounds2[m - 1 - piece_idx] + bounds2[m - piece_idx])
+        for f1, f2 in zip(pieces1, reversed(pieces2)):
             union(f1, f2)
 
     components = {find(f) for f in range(num_faces)}

@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import fillperm
+import fillperm.census
+import fillperm.surgery
 from fillperm.cli import main, read_filling_file, write_filling_file
-from fillperm import validate
+from fillperm import FillingPermutation, generators, validate
 
 from conftest import FIXTURE_TEXTS, SIGMA_F6, perm
 
@@ -225,3 +227,70 @@ def test_subprocess_entry_point(files):
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "valid, n=6, c=4, genus=2"
+
+
+# Internal errors exit 3 with one line on stderr: exit 1 would read as a
+# valid negative answer and exit 2 as bad input.
+
+
+def test_census_closure_failure_exits_3(capsys, monkeypatch):
+    enumerate_all = fillperm.census.enumerate_filling
+    monkeypatch.setattr(
+        fillperm.census, "enumerate_filling", lambda *a, **kw: enumerate_all(*a, **kw)[1:]
+    )
+    code, out, err = run(capsys, "census", "--n", "5", "--single-cycle")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: solution set for n=5 is not closed under relabeling")
+    assert err.count("\n") == 1
+
+
+def test_census_decomposition_failure_exits_3(capsys, monkeypatch):
+    # a SurgeryError is a ValueError, but here it is not bad input
+    def fail(fp, k=None):
+        raise fillperm.SurgeryError("decomposition requires a minimal filling permutation")
+
+    monkeypatch.setattr(fillperm.census, "find_decompositions", fail)
+    code, out, err = run(capsys, "census", "--n", "5", "--single-cycle")
+    assert code == 3 and out == ""
+    assert err == "internal error: decomposition requires a minimal filling permutation\n"
+
+
+def test_case_gap_exits_3(files, capsys, monkeypatch):
+    def reject(*args):
+        raise ValueError("not a bijection")
+
+    # the splice is checked with the validate surgery imported
+    monkeypatch.setattr(fillperm.surgery, "validate", reject)
+    code, out, err = run(
+        capsys, "assemble", "--host", files["sigma_f"], "--piece", files["sigma_z"], "--i", "3"
+    )
+    assert code == 3 and out == ""
+    assert err == (
+        "internal error: spliced permutation is not a filling permutation: not a bijection\n"
+    )
+
+
+def test_disassembly_failure_after_extract_accepts_exits_3(files, capsys, monkeypatch):
+    # the anchors pass decomposition_at; the recovered piece then fails its check
+    monkeypatch.setattr(FillingPermutation, "is_z_piece", lambda self, k: False)
+    code, out, err = run(
+        capsys, "extract", files["sigma_f6"],
+        "--x", "23", "--a", "38", "--y", "1", "--b", "16", "--k", "5",
+    )
+    assert code == 3 and out == ""
+    assert err == "internal error: recovered piece is not an attachable piece\n"
+
+
+def test_round_trip_failure_exits_3(files, capsys, monkeypatch):
+    kappa = generators(11)[0]
+    rebuild = fillperm.surgery.assemble
+    monkeypatch.setattr(
+        fillperm.surgery, "assemble",
+        lambda *args: validate(rebuild(*args).sigma.conjugated_by(kappa)),
+    )
+    code, out, err = run(capsys, "roundtrip", files["sigma_f6"], "--k", "3")
+    assert code == 3 and out == ""
+    assert err == (
+        "internal error: kappa^0 delta^0 does not carry the rebuild"
+        " at site (3, 2) to the original\n"
+    )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from fillperm import (
     ArrangementImpossible,
     AssemblyMap,
     AttachmentSite,
+    ChordsCross,
     Decomposition,
     NoConjugacyFound,
     NotAVertexAnchor,
@@ -33,7 +36,7 @@ from fillperm import (
     verify_separating,
 )
 
-from fillperm.surgery import _condition2, _CyclePositions
+from fillperm.surgery import _CycleTables
 
 from conftest import SIGMA_PRIME, perm
 
@@ -275,15 +278,139 @@ def test_find_decompositions_k_filter(sigma_f6):
     assert len(only_k3) == 1
 
 
+def _reference_nesting(pos, cycle, anchors, quad):
+    # no anchor span may start inside another unless it nests strictly within it
+    m = len(cycle)
+    pairs = list(zip(anchors, quad))
+    for v, p in pairs:
+        for w, q in pairs:
+            if w == v:
+                continue
+            if (pos[w] - pos[v]) % m < p - 1:
+                end_of_v = cycle[(pos[v] + p - 1) % m]
+                if not (pos[end_of_v] - pos[w]) % m > q - 1:
+                    return False
+    return True
+
+
+def _reference_separating(fp, dec):
+    # an independent copy of the separating-curve check on its own position
+    # dictionary: a bisect per edge piece and opposite() per label
+    n = fp.n
+    g = fp.genus()
+    pos = {sym: idx for idx, sym in enumerate(fp.regions[0])}
+    anchors = dec.anchors
+    shared = dec.k == g - 1  # each anchor edge carries two chord attachments
+
+    # chord c: from anchors[c] to opposite(anchors[c+1]); coordinates scale
+    # each edge to width 6 so attachment points land on integers.
+    points: list[tuple[int, int]] = []  # (coord, chord)
+    chord_init_coord: list[int] = []
+    for c in range(4):
+        init_edge = anchors[c]
+        term_edge = opposite(anchors[(c + 1) % 4], n)
+        init_coord = 6 * pos[init_edge] + (4 if shared else 3)
+        term_coord = 6 * pos[term_edge] + (2 if shared else 3)
+        if any(coord in (init_coord, term_coord) for coord, _ in points):
+            raise ChordsCross("chord attachment points collide")
+        points.append((init_coord, c))
+        points.append((term_coord, c))
+        chord_init_coord.append(init_coord)
+    points.sort()
+
+    # walk the circle once; non-crossing chords nest like parentheses
+    face_of_arc: list[int] = []  # arc idx -> face; arc idx starts at points[idx]
+    opened_at: dict[int, int] = {}  # chord -> face it opened
+    parent_of: dict[int, int] = {}
+    current = 0
+    next_face = 1
+    stack: list[int] = []
+    for coord, chord in points:
+        if chord not in opened_at:
+            stack.append(current)
+            opened_at[chord] = next_face
+            parent_of[next_face] = current
+            current = next_face
+            next_face += 1
+        else:
+            if opened_at[chord] != current:
+                raise ChordsCross("anchor chords cross inside the polygon")
+            current = stack.pop()
+        face_of_arc.append(current)
+    if stack or current != 0:
+        raise ChordsCross("unbalanced chord endpoints")
+    num_faces = next_face  # root face 0 plus one per chord
+
+    coords = [coord for coord, _ in points]
+
+    def face_at(coord2x: int) -> int:
+        # locate by doubled coordinate to keep interval midpoints integral
+        idx = bisect_right(coords, coord2x / 2) - 1
+        return face_of_arc[idx if idx >= 0 else len(coords) - 1]
+
+    cordon_faces = [face_at(2 * c + 1) for c in chord_init_coord]
+
+    # glue: edge pieces (split at attachment coords) pair reversed with the
+    # opposite edge's pieces
+    parent = list(range(num_faces))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i: int, j: int) -> None:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+
+    cuts_of_edge: dict[int, list[int]] = {}
+    for coord, _ in points:
+        cuts_of_edge.setdefault(coord // 6, []).append(coord)
+    for sym in range(1, 4 * n + 1):
+        opp = opposite(sym, n)
+        if sym > opp:
+            continue
+        p1, p2 = pos[sym], pos[opp]
+        cuts1 = sorted(cuts_of_edge.get(p1, []))
+        cuts2 = sorted(cuts_of_edge.get(p2, []))
+        if len(cuts1) != len(cuts2):
+            raise ChordsCross("attachment points are not mirrored on opposite edges")
+        bounds1 = [6 * p1] + cuts1 + [6 * p1 + 6]
+        bounds2 = [6 * p2] + cuts2 + [6 * p2 + 6]
+        m = len(bounds1) - 1
+        for piece_idx in range(m):
+            f1 = face_at(bounds1[piece_idx] + bounds1[piece_idx + 1])
+            f2 = face_at(bounds2[m - 1 - piece_idx] + bounds2[m - piece_idx])
+            union(f1, f2)
+
+    components = {find(f) for f in range(num_faces)}
+    if len(components) != 2:
+        return False
+    cordon_roots = {find(f) for f in cordon_faces}
+    if len(set(cordon_faces)) != 4 or len(cordon_roots) != 1:
+        return False
+    other = [f for f in range(num_faces) if f not in set(cordon_faces)]
+    return all(find(f) not in cordon_roots for f in other)
+
+
 def _reference_decompositions(fp):
-    # Independent of the anchor-derived search: every even type summing to
-    # 8k+8, every x, the six equations written out, then the non-nesting and
-    # separating-curve checks and the canonical rotation.
+    # Shares no code with the anchor-derived search: every even type summing
+    # to 8k+8, every x, the six equations written out on a position
+    # dictionary, then its own non-nesting and separating-curve checks and
+    # the canonical rotation.
     g, n = fp.genus(), fp.n
-    cp = _CyclePositions(fp)
+    cycle = fp.regions[0]
+    pos = {sym: idx for idx, sym in enumerate(cycle)}
+
+    def power(e, m):  # sigma^m(e) on the single region cycle
+        return cycle[(pos[e] + m) % len(cycle)]
+
     found = set()
     for k in range(1, g):
         t_power = tau(n) ** (2 * k + 1)
+        flip = {e: opposite(t_power(e), n) for e in cycle}
         total = 8 * k + 8
         for r in range(4, total, 2):
             for s in range(4, total - r, 2):
@@ -292,18 +419,16 @@ def _reference_decompositions(fp):
                     if u < 4:
                         continue
                     quad = (r, s, t, u)
-                    for x in cp.cycle:
-                        a = opposite(cp.power(x, r - 1), n)
-                        y = opposite(cp.power(a, s - 1), n)
-                        b = opposite(cp.power(y, t - 1), n)
-                        if not (
-                            opposite(cp.power(b, u - 1), n) == x
-                            and opposite(t_power(x), n) == y
-                            and opposite(t_power(a), n) == b
-                        ):
+                    for x in cycle:
+                        a = opposite(power(x, r - 1), n)
+                        y = opposite(power(a, s - 1), n)
+                        if flip[x] != y:
+                            continue
+                        b = opposite(power(y, t - 1), n)
+                        if not (opposite(power(b, u - 1), n) == x and flip[a] == b):
                             continue
                         anchors = (x, a, y, b)
-                        if k < g - 1 and not _condition2(cp, anchors, quad):
+                        if k < g - 1 and not _reference_nesting(pos, cycle, anchors, quad):
                             continue
                         rotations = [
                             (quad[i:] + quad[:i], -anchors[i], anchors[i:] + anchors[:i])
@@ -311,17 +436,54 @@ def _reference_decompositions(fp):
                         ]
                         rq, _, (rx, ra, ry, rb) = max(rotations)
                         found.add(Decomposition(k, g - k, rx, ra, ry, rb, rq))
-    results = [d for d in found if verify_separating(fp, d)]
+    results = [d for d in found if _reference_separating(fp, d)]
     return sorted(results, key=lambda d: (d.k, d.type, d.x))
 
 
-def test_find_decompositions_matches_reference(sigma_f6, sigma_f, f4, zeta):
+@pytest.fixture(scope="module")
+def reference_pairs(sigma_f6, sigma_f, f4, zeta, sigma_z):
+    # the fixtures, sigma_f and F4 # zeta at every site (genus 5 and 6), and
+    # the five genus-3 census representatives # sigma_z at every site (genus 6)
     pairs = [sigma_f6, sigma_f, f4]
     for host in (sigma_f, f4):
         for i in range(1, 2 * host.n, 2):
             pairs.append(assemble(host, zeta, attachment_site(host, i)))
-    for fp in pairs:
+    for rec in read_census(GOLDEN / "census_single_n5.jsonl"):
+        host = validate(Permutation(rec.canonical_form), rec.n)
+        for i in range(1, 2 * host.n, 2):
+            pairs.append(assemble(host, sigma_z, attachment_site(host, i)))
+    return pairs
+
+
+def test_find_decompositions_matches_reference(reference_pairs):
+    for fp in reference_pairs:
         assert find_decompositions(fp) == _reference_decompositions(fp)
+
+
+def _separating_outcome(check, fp, dec):
+    try:
+        return check(fp, dec)
+    except ChordsCross as exc:
+        return f"ChordsCross: {exc}"
+
+
+def test_verify_separating_matches_reference(reference_pairs):
+    # every witness, and its anchors rotated (the same chords) and with two
+    # of them swapped (crossing or mismatched chords)
+    outcomes = set()
+    for fp in reference_pairs:
+        for dec in find_decompositions(fp):
+            orders = [dec.anchors[i:] + dec.anchors[:i] for i in range(4)]
+            for i, j in itertools.combinations(range(4), 2):
+                swapped = list(dec.anchors)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                orders.append(tuple(swapped))
+            for anchors in orders:
+                moved = Decomposition(dec.k, dec.l, *anchors, dec.type)
+                outcome = _separating_outcome(verify_separating, fp, moved)
+                assert outcome == _separating_outcome(_reference_separating, fp, moved)
+                outcomes.add(outcome if isinstance(outcome, bool) else "ChordsCross")
+    assert outcomes == {True, False, "ChordsCross"}
 
 
 def test_no_genus_two_remainder(sigma_f6, sigma_f, f4):
@@ -344,6 +506,10 @@ def test_anchor_involution_property(sigma_f6, sigma_f):
     for fp in (sigma_f6, sigma_f):
         n = fp.n
         q_n = big_q(n) ** (2 * n)
+        tables = _CycleTables(fp)
+        for k in range(1, fp.genus()):
+            flip = q_n * tau(n) ** (2 * k + 1)
+            assert tables.flip(k) == [0, *flip.one_line()]
         for dec in find_decompositions(fp):
             flip = q_n * tau(n) ** (2 * dec.k + 1)
             assert (flip * flip).is_identity()
@@ -356,13 +522,16 @@ def test_anchor_involution_property(sigma_f6, sigma_f):
 
 def test_verify_separating_rejects_crossing_chords(sigma_f6):
     # swap two anchors to force crossing chords; spans no longer nest
-    from fillperm import ChordsCross
-
     good = Decomposition(k=5, l=1, x=23, a=38, y=1, b=16, type=(28, 6, 10, 4))
     assert verify_separating(sigma_f6, good)
     bad = Decomposition(k=5, l=1, x=23, a=16, y=1, b=38, type=(28, 6, 10, 4))
     with pytest.raises((ChordsCross, SurgeryError, KeyError)):
         verify_separating(sigma_f6, bad)
+    # an anchor off the label range is named, not read as a table index
+    for sym in (0, 45):
+        off = Decomposition(k=5, l=1, x=sym, a=38, y=1, b=16, type=(28, 6, 10, 4))
+        with pytest.raises(SurgeryError, match=f"anchor {sym} out of range 1..44"):
+            verify_separating(sigma_f6, off)
 
 
 def test_extract_k5_printed(sigma_f6):
