@@ -3,7 +3,6 @@
 from .perm import CycleParseError, Permutation, format_cycles, parse_cycles
 from .filling import (
     AlternationViolation,
-    EdgeInfo,
     EquationViolation,
     FillingError,
     FillingPermutation,
@@ -11,8 +10,6 @@ from .filling import (
     SurfaceInfo,
     ZType,
     big_q,
-    edge_info,
-    edge_number,
     is_valid,
     opposite,
     tau,
@@ -20,7 +17,6 @@ from .filling import (
 )
 from .twist import (
     GroupTooLarge,
-    TwistGroup,
     are_equivalent,
     canonical_form,
     generators,
@@ -37,7 +33,6 @@ from .surgery import (
     NotAVertexAnchor,
     RoundTripReport,
     SurgeryError,
-    arrange_piece_cycles,
     assemble,
     attachment_site,
     check_decomposition,

@@ -17,7 +17,7 @@ from pathlib import Path
 from .filling import tau, validate
 from .perm import Permutation
 from .surgery import find_decompositions
-from .twist import _closure, _conjugate_oneline, MAX_ELEMENTS
+from .twist import _conjugate_oneline, _group
 
 SINGLE_CYCLE_MAX_N = 7
 GENERAL_MAX_N = 5
@@ -188,7 +188,7 @@ def census_records(
         p.one_line() for p in enumerate_filling(n, single_cycle=single_cycle, max_n=max_n)
     }
     total = len(unseen)
-    group = _closure(n, MAX_ELEMENTS)
+    group = _group(n)
     orbits: list[tuple[tuple[int, ...], int]] = []  # (least conjugate, orbit size)
     while unseen:
         one = next(iter(unseen))

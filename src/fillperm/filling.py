@@ -73,35 +73,6 @@ def opposite(e: int, n: int) -> int:
 
 
 @dataclass(frozen=True)
-class EdgeInfo:
-    """Decoded label: which curve, which arc, and its orientation."""
-
-    curve: str  # "alpha" or "beta"
-    index: int  # arc number in 1..n
-    positive: bool
-
-
-def edge_info(e: int, n: int) -> EdgeInfo:
-    m = 4 * n
-    if not 1 <= e <= m:
-        raise ValueError(f"symbol {e} out of range 1..{m}")
-    positive = e <= 2 * n
-    base = e if positive else e - 2 * n
-    if base % 2 == 1:
-        return EdgeInfo("alpha", (base + 1) // 2, positive)
-    return EdgeInfo("beta", base // 2, positive)
-
-
-def edge_number(info: EdgeInfo, n: int) -> int:
-    if info.curve not in ("alpha", "beta"):
-        raise ValueError(f"unknown curve {info.curve!r}")
-    if not 1 <= info.index <= n:
-        raise ValueError(f"arc index {info.index} out of range 1..{n}")
-    base = 2 * info.index - 1 if info.curve == "alpha" else 2 * info.index
-    return base if info.positive else base + 2 * n
-
-
-@dataclass(frozen=True)
 class ZType:
     """Region sizes of an attachable piece, in cyclic order around its green vertex.
 

@@ -175,39 +175,6 @@ class AssemblyMap:
         return _label_of(arc, even, negative == backward, self.n_piece)
 
 
-def arrange_piece_cycles(piece: FillingPermutation) -> list[list[int]]:
-    """Cycles of the piece's inverse, chained for splicing.
-
-    The piece's own region cycles are ordered so the first starts at 1 and
-    each next one starts at the opposite of the previous cycle's last entry;
-    each is then reversed to present the inverse permutation.  Requires the
-    green-normalized labeling; otherwise the chain cannot be completed.
-    """
-    if not piece.green_normalized():
-        raise ArrangementImpossible("piece labeling is not green-normalized")
-    cycles = [list(c) for c in piece.sigma.cycles()]
-    if len(cycles) != 4:
-        raise ArrangementImpossible(f"expected four regions, found {len(cycles)}")
-    n = piece.n
-    owner = {sym: idx for idx, c in enumerate(cycles) for sym in c}
-    arranged: list[list[int]] = []
-    used: set[int] = set()
-    start = 1
-    for _ in range(4):
-        ci = owner.get(start)
-        if ci is None or ci in used:
-            raise ArrangementImpossible(f"no unused cycle available to start at {start}")
-        used.add(ci)
-        cyc = cycles[ci]
-        at = cyc.index(start)
-        rotated = cyc[at:] + cyc[:at]
-        arranged.append(rotated)
-        start = opposite(rotated[-1], n)
-    if start != 1:
-        raise ArrangementImpossible("cycle chain does not close back at 1")
-    return [list(reversed(c)) for c in arranged]
-
-
 def assemble(
     host: FillingPermutation, piece: FillingPermutation, site: AttachmentSite
 ) -> FillingPermutation:
@@ -322,12 +289,13 @@ class _CycleTables:
 
     `cycle` is the region's labels in sigma order.  The lists are indexed by
     label, index 0 unused: `pos[e]` is e's index in `cycle`, `opp[e]` the
-    opposite label and `opos[e] = pos[opp[e]]`.
+    opposite label and `opos[e] = pos[opp[e]]`.  `genus` is the pair's genus.
     """
 
     def __init__(self, fp: FillingPermutation):
         if not fp.is_minimal():
             raise SurgeryError("decomposition requires a minimal filling permutation")
+        self.genus = fp.genus()
         self.cycle = cycle = fp.regions[0]
         self.m = m = len(cycle)
         self.pos = pos = [0] * (m + 1)
@@ -465,7 +433,7 @@ def find_decompositions(fp: FillingPermutation, k: int | None = None) -> list[De
         for anchors, quad in _anchored_types(tables, kk, g, tables.cycle):
             dec = _canonical_decomposition(kk, g - kk, anchors, quad)
             found.setdefault((dec.k, dec.anchors, dec.type), dec)
-    results = [d for d in found.values() if verify_separating(fp, d)]
+    results = [d for d in found.values() if _separates(tables, d)]
     results.sort(key=lambda d: (d.k, d.type, d.x))
     return results
 
@@ -480,10 +448,15 @@ def verify_separating(fp: FillingPermutation, dec: Decomposition) -> bool:
     the four cordoned faces.
     """
     tables = _CycleTables(fp)
+    tables.check_anchors(dec.anchors)
+    return _separates(tables, dec)
+
+
+def _separates(tables: _CycleTables, dec: Decomposition) -> bool:
+    """`verify_separating` on tables already built, with anchors in range."""
     anchors = dec.anchors
-    tables.check_anchors(anchors)
     pos, opos, m = tables.pos, tables.opos, tables.m
-    shared = dec.k == fp.genus() - 1  # each anchor edge carries two chord attachments
+    shared = dec.k == tables.genus - 1  # each anchor edge carries two chord attachments
 
     # chord c: from anchors[c] to opposite(anchors[c+1]); coordinates scale
     # each edge to width 6 so attachment points land on integers.

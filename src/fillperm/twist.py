@@ -2,26 +2,26 @@
 
 Relabeling an oriented filling pair (cycling either curve's arc labels,
 reversing an orientation, or swapping the two curves) conjugates its filling
-permutation by an element of the group generated by kappa, delta, eta, mu
-below.  For minimally-intersecting pairs, conjugacy under this group is
-exactly homeomorphism equivalence; for non-minimal pairs it is sufficient but
-not known to be necessary.
+permutation by an element of the group G generated by kappa, delta, eta, mu
+below.  G is written in closed form, G = {kappa^p delta^q h : 0 <= p, q < n,
+h in <eta, mu>}, with <eta, mu> of order 8, so |G| = 8n^2; it is built once per
+n as sorted one-line tuples.  For minimally-intersecting pairs, conjugacy
+under G is exactly homeomorphism equivalence; for non-minimal pairs it is
+sufficient but not known to be necessary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .filling import FillingPermutation
 from .perm import Permutation
 
 MAX_N = 16
-MAX_ELEMENTS = 10**6
 
 
 class GroupTooLarge(ValueError):
-    """Closure exceeded the configured bound."""
+    """The crossing count exceeds the configured bound max_n."""
 
 
 def generators(n: int) -> tuple[Permutation, Permutation, Permutation, Permutation]:
@@ -62,45 +62,45 @@ def _conjugate_oneline(sigma: tuple[int, ...], t: tuple[int, ...]) -> tuple[int,
     return tuple(out)
 
 
+def _compose(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
+    """One-line images of s o t: apply t, then s."""
+    return tuple(s[v - 1] for v in t)
+
+
+def _powers(g: tuple[int, ...], count: int) -> list[tuple[int, ...]]:
+    """g^0, g^1, ..., g^(count-1) as one-line tuples."""
+    out = [tuple(range(1, len(g) + 1))]
+    for _ in range(count - 1):
+        out.append(_compose(g, out[-1]))
+    return out
+
+
 @lru_cache(maxsize=None)
-def _closure(n: int, max_elements: int) -> tuple[tuple[int, ...], ...]:
-    gens = [g.one_line() for g in generators(n)]
-    identity = tuple(range(1, 4 * n + 1))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for t in frontier:
-            for g in gens:
-                prod = tuple(g[v - 1] for v in t)
-                if prod not in seen:
-                    seen.add(prod)
-                    new.append(prod)
-                    if len(seen) > max_elements:
-                        raise GroupTooLarge(
-                            f"relabeling-group closure exceeded {max_elements} elements"
-                        )
-        frontier = new
-    return tuple(sorted(seen))
+def _group(n: int) -> tuple[tuple[int, ...], ...]:
+    """The relabeling group as sorted one-line tuples.
+
+    kappa and delta cycle disjoint label sets, so they commute and generate
+    n^2 elements kappa^p delta^q; eta and mu are involutions whose product
+    has order 4, so they generate the dihedral group of order 8; every
+    element is kappa^p delta^q h for exactly one such pair and h.
+    """
+    kappa, delta, eta, mu = (g.one_line() for g in generators(n))
+    rotations = _powers(_compose(eta, mu), 4)
+    dihedral = rotations + [_compose(r, eta) for r in rotations]
+    shifts = [_compose(kp, dq) for kp in _powers(kappa, n) for dq in _powers(delta, n)]
+    return tuple(sorted(_compose(s, h) for s in shifts for h in dihedral))
 
 
-@dataclass(frozen=True)
-class TwistGroup:
-    n: int
-    elements: tuple[Permutation, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, p: Permutation) -> bool:
-        return p in self.elements
-
-
-def twist_group(n: int, max_n: int = MAX_N, max_elements: int = MAX_ELEMENTS) -> TwistGroup:
-    """Full closure of the four generators, breadth-first, deduplicated."""
+def _bounded_group(n: int, max_n: int) -> tuple[tuple[int, ...], ...]:
     if n > max_n:
         raise GroupTooLarge(f"n={n} exceeds the configured bound {max_n}")
-    return TwistGroup(n, tuple(Permutation(t) for t in _closure(n, max_elements)))
+    return _group(n)
+
+
+def twist_group(n: int, max_n: int = MAX_N) -> tuple[Permutation, ...]:
+    """Every relabeling kappa^p delta^q h (0 <= p, q < n, h in <eta, mu>),
+    8n^2 elements in sorted one-line order."""
+    return tuple(Permutation(t) for t in _bounded_group(n, max_n))
 
 
 def are_equivalent(
@@ -114,11 +114,10 @@ def are_equivalent(
     """
     if fp1.n != fp2.n:
         raise ValueError(f"crossing counts differ: {fp1.n} vs {fp2.n}")
-    if fp1.n > max_n:
-        raise GroupTooLarge(f"n={fp1.n} exceeds the configured bound {max_n}")
+    group = _bounded_group(fp1.n, max_n)
     s1 = fp1.sigma.one_line()
     s2 = fp2.sigma.one_line()
-    for t in _closure(fp1.n, MAX_ELEMENTS):
+    for t in group:
         if _conjugate_oneline(s1, t) == s2:
             return Permutation(t)
     return None
@@ -129,8 +128,6 @@ def canonical_form(fp: FillingPermutation, max_n: int = MAX_N) -> Permutation:
 
     Equal for two filling permutations exactly when `are_equivalent` succeeds.
     """
-    if fp.n > max_n:
-        raise GroupTooLarge(f"n={fp.n} exceeds the configured bound {max_n}")
     s = fp.sigma.one_line()
-    best = min(_conjugate_oneline(s, t) for t in _closure(fp.n, MAX_ELEMENTS))
+    best = min(_conjugate_oneline(s, t) for t in _bounded_group(fp.n, max_n))
     return Permutation(best)

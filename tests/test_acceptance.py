@@ -121,7 +121,7 @@ def test_criterion_4_extraction_bit_exact(sigma_f6, sigma_f, z5, zeta_prime, f1)
 
 def test_criterion_5_non_homeomorphic_pieces(zeta, zeta_prime):
     t0 = time.perf_counter()
-    twist_group(6)  # include the closure cost in the budget
+    twist_group(6)  # include the cost of building the group in the budget
     witness = are_equivalent(zeta, zeta_prime)
     elapsed = time.perf_counter() - t0
     ok = witness is None and elapsed < 60.0
@@ -175,7 +175,7 @@ def test_criterion_6_single_delta_step_as_stated(sigma_f6):
     q = (1 - 16 // 2) % 11
     holds = delta**-q * sigma_prime * delta**q == sigma_f6.sigma
     carriers = [
-        t for t in twist_group(11).elements
+        t for t in twist_group(11)
         if t.inverse() * sigma_prime * t == sigma_f6.sigma
     ]
     ok = q == 4 and holds and carriers == [delta**q]
@@ -243,7 +243,7 @@ def test_criterion_8_property_suites(zeta, sigma_f, sigma_f6, f4, f1):
 
     # relabeling-group conjugation preserves validity (full groups)
     for fp in (f1, sigma_f, zeta):
-        for t in twist_group(fp.n).elements:
+        for t in twist_group(fp.n):
             if not is_valid(fp.sigma.conjugated_by(t), fp.n):
                 failures.append(f"validity lost under {t!r}")
             cases += 1

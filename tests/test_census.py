@@ -99,7 +99,7 @@ def test_symmetry_reduced_meets_every_orbit():
     assert len(reduced) < len(full)
     from fillperm import twist_group, validate
 
-    group = twist_group(5).elements
+    group = twist_group(5)
     reduced_canon = {
         min(p.conjugated_by(t).one_line() for t in group) for p in reduced
     }

@@ -6,19 +6,17 @@ import pytest
 
 from fillperm import (
     AlternationViolation,
-    EdgeInfo,
     EquationViolation,
     Permutation,
     SizeNotMultipleOf4,
     ZType,
     big_q,
-    edge_info,
-    edge_number,
     opposite,
     parse_cycles,
     tau,
     validate,
 )
+from fillperm.surgery import _arc_of, _label_of
 
 
 def naive_vertex_orbit(sigma, n, e):
@@ -117,15 +115,16 @@ def test_genus_values(zeta, f1, f4, sigma_f6):
     ],
 )
 def test_edge_info(e, n, curve, index, positive):
-    info = edge_info(e, n)
-    assert info == EdgeInfo(curve, index, positive)
-    assert edge_number(info, n) == e
+    # a label decodes to (arc, on the second curve, reversed copy)
+    decoded = (index, curve == "beta", not positive)
+    assert _arc_of(e, n) == decoded
+    assert _label_of(*decoded, n) == e
 
 
 def test_edge_info_round_trip_all():
     for n in (1, 5, 6):
         for e in range(1, 4 * n + 1):
-            assert edge_number(edge_info(e, n), n) == e
+            assert _label_of(*_arc_of(e, n), n) == e
 
 
 def test_vertex_orbit_zeta(zeta):

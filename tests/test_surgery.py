@@ -18,7 +18,6 @@ from fillperm import (
     NotAVertexAnchor,
     Permutation,
     SurgeryError,
-    arrange_piece_cycles,
     assemble,
     attachment_site,
     big_q,
@@ -175,29 +174,19 @@ def test_assembly_map_preimage_is_inverse(k, l):
                             assert amap.piece(amap.piece_preimage(r, True)) == r
 
 
-def test_arrange_piece_cycles_zeta(zeta):
-    arranged = arrange_piece_cycles(zeta)
-    assert len(arranged) == 4
-    # reversed chaining: each cycle ends where the inverse chain started
-    assert arranged[0][-1] == 1
-    inv = zeta.sigma.inverse()
-    for cyc in arranged:
-        for at in range(len(cyc) - 1):
-            assert inv(cyc[at]) == cyc[at + 1]
-
-
 def test_arrange_piece_cycles_sigma_z(sigma_z):
-    arranged = arrange_piece_cycles(sigma_z)
+    cycles = sigma_z.sigma.inverse().cycles()
     amap = AssemblyMap(3, 3, 3, 2)
-    relabeled = ["(" + ",".join(str(amap.piece(w)) for w in c) + ")" for c in arranged]
+    relabeled = ["(" + ",".join(str(amap.piece(w)) for w in c) + ")" for c in cycles]
     assert perm("".join(relabeled), 44) == perm(A_SIGMA_Z_INV, 44)
 
 
-def test_arrange_piece_cycles_needs_normalization(zeta):
+def test_arrange_piece_cycles_needs_normalization(sigma_f, zeta):
+    # assembly needs the piece's green-normalized labeling
     kappa = generators(6)[0]
     moved = validate(zeta.sigma.conjugated_by(kappa), 6)
     with pytest.raises(ArrangementImpossible):
-        arrange_piece_cycles(moved)
+        assemble(sigma_f, moved, AttachmentSite(3, 2))
 
 
 def test_assemble_worked_example(sigma_f, sigma_z, sigma_f6):

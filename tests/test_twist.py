@@ -1,4 +1,4 @@
-"""Relabeling group: generators, closure, equivalence, canonical forms."""
+"""Relabeling group: generators, closed form, equivalence, canonical forms."""
 
 from __future__ import annotations
 
@@ -60,17 +60,43 @@ def test_twist_group_n1_contains_expected():
     assert parse_cycles("(1,2)(3,4)", 4) in group
 
 
+def _closure_search(n):
+    """Breadth-first closure of the four generators: the reference the closed
+    form is checked against."""
+    gens = [g.one_line() for g in generators(n)]
+    identity = tuple(range(1, 4 * n + 1))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for t in frontier:
+            for g in gens:
+                prod = tuple(g[v - 1] for v in t)
+                if prod not in seen:
+                    seen.add(prod)
+                    new.append(prod)
+        frontier = new
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_twist_group_matches_closure_search(n):
+    group = twist_group(n)
+    assert [t.one_line() for t in group] == _closure_search(n)
+    assert len(group) == 8 * n * n
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
 def test_twist_group_closure_properties(n):
     group = twist_group(n)
-    elements = set(group.elements)
+    elements = set(group)
     assert Permutation.identity(4 * n) in elements
     for g in generators(n):
         assert g in elements
     # closed under inverse and sampled products
-    for t in group.elements:
+    for t in group:
         assert t.inverse() in elements
-    sample = group.elements[:: max(1, len(group.elements) // 12)]
+    sample = group[:: max(1, len(group) // 12)]
     for t1 in sample:
         for t2 in sample:
             assert t1 * t2 in elements
@@ -84,7 +110,7 @@ def test_twist_group_order(n):
 
 @pytest.mark.parametrize("n", [2, 5, 6])
 def test_elements_preserve_or_swap_parity_classes(n):
-    for t in twist_group(n).elements:
+    for t in twist_group(n):
         parities = {(e % 2, t(e) % 2) for e in range(1, 4 * n + 1)}
         assert parities in (
             {(0, 0), (1, 1)},  # preserves curve roles
@@ -96,7 +122,7 @@ def test_bound_checks(zeta):
     with pytest.raises(GroupTooLarge):
         twist_group(17)
     with pytest.raises(GroupTooLarge):
-        twist_group(6, max_elements=10)
+        twist_group(6, max_n=5)
     with pytest.raises(GroupTooLarge):
         canonical_form(zeta, max_n=3)
     with pytest.raises(GroupTooLarge):
@@ -105,7 +131,7 @@ def test_bound_checks(zeta):
 
 def test_conjugation_preserves_validity_full_group(zeta, sigma_f, f1):
     for fp in (f1, sigma_f, zeta):
-        for t in twist_group(fp.n).elements:
+        for t in twist_group(fp.n):
             assert is_valid(fp.sigma.conjugated_by(t), fp.n)
 
 
@@ -136,7 +162,7 @@ def test_are_equivalent_symmetric_transitive(sigma_f):
     group = twist_group(5)
     others = [
         validate(sigma_f.sigma.conjugated_by(t), 5)
-        for t in group.elements[:: len(group.elements) // 4]
+        for t in group[:: len(group) // 4]
     ]
     for other in others:
         w1 = are_equivalent(sigma_f, other)
