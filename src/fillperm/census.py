@@ -5,6 +5,11 @@ sigma(e) = f force the partner assignments sigma(opposite(f)) = tau(e) and
 sigma(tau^{-1}(f)) = opposite(e); the search propagates these to a fixpoint
 after every decision.  Single-cycle mode additionally tracks the open paths of
 the partial permutation and rejects any cycle that closes early.
+
+The census enumerates only the slice S = {sigma : sigma(1) in {2, 2n+2}}.
+Conjugating by delta fixes label 1 and cycles the even labels in two n-cycles,
+so it moves sigma(1) around its cycle; delta acts freely, S holds exactly one
+sigma per delta-orbit, and the full solution set has n * |S| members.
 """
 
 from __future__ import annotations
@@ -39,13 +44,13 @@ def enumerate_filling(
     single_cycle: bool = True,
     max_n: int | None = None,
     symmetry_reduced: bool = False,
-) -> list[Permutation]:
-    """All alternating solutions of the crossing equation on 4n symbols.
+) -> list[tuple[int, ...]]:
+    """All alternating solutions of the crossing equation on 4n symbols,
+    as one-line tuples (sigma(1), ..., sigma(4n)).
 
     With `single_cycle` only one-region (minimal) solutions are produced.
-    `symmetry_reduced` restricts the first image of 1 to {2, 2n+2}; every
-    label-cycling orbit still meets the output, but raw counts and the
-    closure-under-relabeling property no longer hold.
+    `symmetry_reduced` restricts the first image of 1 to {2, 2n+2}: one
+    sigma per delta-orbit, and the full set has n times as many members.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -68,7 +73,7 @@ def enumerate_filling(
     start_of = list(range(m + 1))  # start of the open path ending at index
     end_of = list(range(m + 1))  # end of the open path starting at index
     assigned = 0
-    solutions: list[Permutation] = []
+    solutions: list[tuple[int, ...]] = []
 
     def propagate(e0: int, f0: int, trail: list) -> bool:
         nonlocal assigned
@@ -121,7 +126,7 @@ def enumerate_filling(
     def search() -> None:
         nonlocal assigned
         if assigned == m:
-            solutions.append(Permutation(sigma[1:]))
+            solutions.append(tuple(sigma[1:]))
             return
         e = next_unassigned()
         if symmetry_reduced and assigned == 0 and e == 1:
@@ -178,29 +183,37 @@ def census_records(
     """Enumerate, group into relabeling orbits, and describe each orbit.
 
     Returns (number of raw solutions, per-orbit records sorted by canonical
-    form).  Each orbit is expanded once, from any of its unclassified
-    members, and every conjugate must itself be an enumerated solution: a
-    solution set not closed under relabeling raises RuntimeError.  The
-    decomposable flag is computed on each orbit representative (only
-    minimal representatives can decompose).
+    form).  Only the slice S (one sigma per delta-orbit) is enumerated, so
+    the raw count is n * |S|.  Each orbit is swept once, from any of its
+    unclassified members, by the relabelings t that carry it into S: the
+    head of t sigma t^-1 is t(sigma(t^-1(1))), so t is kept when
+    sigma(t^-1(1)) is t^-1(2) or t^-1(2n+2).  Every such conjugate must
+    itself be an enumerated solution: a solution set not closed under
+    relabeling raises RuntimeError.  An orbit's heads are closed under
+    delta, so its least member lies in S, and it has n times as many members
+    as it has in S.  The decomposable flag is computed on each orbit
+    representative (only minimal representatives can decompose).
     """
-    unseen = {
-        p.one_line() for p in enumerate_filling(n, single_cycle=single_cycle, max_n=max_n)
-    }
-    total = len(unseen)
-    group = _group(n)
+    unseen = set(
+        enumerate_filling(n, single_cycle=single_cycle, max_n=max_n, symmetry_reduced=True)
+    )
+    total = n * len(unseen)
+    # (t, index of t^-1(1) in a one-line tuple, t^-1(2), t^-1(2n+2))
+    sweep = [(t, t.index(1), t.index(2) + 1, t.index(2 * n + 2) + 1) for t in _group(n)]
     orbits: list[tuple[tuple[int, ...], int]] = []  # (least conjugate, orbit size)
     while unseen:
         one = next(iter(unseen))
-        orbit = {_conjugate_oneline(one, t) for t in group}
-        if not orbit <= unseen:
-            missing = min(orbit - unseen)
+        in_slice = {
+            _conjugate_oneline(one, t) for t, i, a, b in sweep if one[i] == a or one[i] == b
+        }
+        if not in_slice <= unseen:
+            missing = min(in_slice - unseen)
             raise RuntimeError(
                 f"solution set for n={n} is not closed under relabeling: "
                 f"{missing} is a conjugate of the solution {one} but was not enumerated"
             )
-        unseen -= orbit
-        orbits.append((min(orbit), len(orbit)))
+        unseen -= in_slice
+        orbits.append((min(in_slice), n * len(in_slice)))
     records = []
     for canon, size in sorted(orbits):
         rep = validate(Permutation(canon), n)

@@ -7,6 +7,7 @@ decomposition, failed validation), 2 input or usage error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -296,7 +297,9 @@ def cmd_census(args) -> tuple[int, str, dict]:
     return 0, text, payload
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing keeps no state in it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "record"), default="text",

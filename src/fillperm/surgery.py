@@ -431,8 +431,11 @@ def find_decompositions(fp: FillingPermutation, k: int | None = None) -> list[De
     found: dict[tuple, Decomposition] = {}
     for kk in range(1, g) if k is None else [k]:
         for anchors, quad in _anchored_types(tables, kk, g, tables.cycle):
-            dec = _canonical_decomposition(kk, g - kk, anchors, quad)
-            found.setdefault((dec.k, dec.anchors, dec.type), dec)
+            # each witness is met once per rotation of its anchors, and the
+            # canonical rotation starts with the largest region size
+            if quad[0] == max(quad):
+                dec = _canonical_decomposition(kk, g - kk, anchors, quad)
+                found.setdefault((dec.k, dec.anchors, dec.type), dec)
     results = [d for d in found.values() if _separates(tables, d)]
     results.sort(key=lambda d: (d.k, d.type, d.x))
     return results

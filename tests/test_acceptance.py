@@ -193,7 +193,7 @@ def test_criterion_7_census():
     n1_orbits, _ = count_orbits(1)
     n3 = enumerate_filling(3, single_cycle=True)
     n5_orbits, records = count_orbits(5)
-    solutions = {p.one_line() for p in enumerate_filling(5, single_cycle=True)}
+    solutions = {Permutation(p).one_line() for p in enumerate_filling(5, single_cycle=True)}
     closed = all(
         Permutation(one).conjugated_by(g).one_line() in solutions
         for one in solutions
@@ -225,9 +225,9 @@ def test_criterion_8_property_suites(zeta, sigma_f, sigma_f6, f4, f1):
 
     # the left-turn map has order four on every valid permutation
     pool = [zeta, sigma_f, sigma_f6, f4, f1]
-    pool += [validate(p, 5) for p in enumerate_filling(5, single_cycle=True)]
-    pool += [validate(p, 2) for p in enumerate_filling(2, single_cycle=False)]
-    pool += [validate(p, 3) for p in enumerate_filling(3, single_cycle=False)]
+    pool += [validate(Permutation(p), 5) for p in enumerate_filling(5, single_cycle=True)]
+    pool += [validate(Permutation(p), 2) for p in enumerate_filling(2, single_cycle=False)]
+    pool += [validate(Permutation(p), 3) for p in enumerate_filling(3, single_cycle=False)]
     for fp in pool:
         q_n = big_q(fp.n) ** (2 * fp.n)
         if not ((q_n * fp.sigma) ** 4).is_identity():

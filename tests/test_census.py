@@ -11,6 +11,7 @@ import pytest
 import fillperm.census
 from fillperm import (
     BoundExceeded,
+    CensusRecord,
     Permutation,
     big_q,
     census_records,
@@ -21,8 +22,11 @@ from fillperm import (
     read_census,
     tau,
     upper_bound,
+    validate,
     write_census,
 )
+from fillperm.surgery import find_decompositions
+from fillperm.twist import _conjugate_oneline, _group, _powers
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
@@ -48,9 +52,9 @@ def brute_force_solutions(n):
 def test_enumerate_n1_against_brute_force():
     oracle = {p.one_line() for p in brute_force_solutions(1)}
     assert oracle == {(2, 3, 4, 1), (4, 1, 2, 3)}  # (1,2,3,4) and (1,4,3,2)
-    got = {p.one_line() for p in enumerate_filling(1, single_cycle=False)}
+    got = {Permutation(p).one_line() for p in enumerate_filling(1, single_cycle=False)}
     assert got == oracle
-    single = {p.one_line() for p in enumerate_filling(1, single_cycle=True)}
+    single = {Permutation(p).one_line() for p in enumerate_filling(1, single_cycle=True)}
     assert single == oracle
 
 
@@ -64,14 +68,14 @@ def test_enumerate_n3_general_solutions_are_genus_one():
     from fillperm import validate
 
     for p in sols:
-        fp = validate(p, 3)
+        fp = validate(Permutation(p), 3)
         assert fp.genus() == 1 and fp.region_count == 3
 
 
 def test_enumerate_n5_nonempty_and_valid():
     sols = enumerate_filling(5, single_cycle=True)
     assert len(sols) == 600
-    for p in sols[::37]:
+    for p in map(Permutation, sols[::37]):
         assert is_valid(p, 5)
         assert p.num_cycles() == 1
 
@@ -87,15 +91,17 @@ def test_enumerate_leaves_no_cyclic_garbage():
 
 
 def test_enumeration_closed_under_relabeling():
-    sols = {p.one_line() for p in enumerate_filling(5, single_cycle=True)}
+    sols = {Permutation(p).one_line() for p in enumerate_filling(5, single_cycle=True)}
     for g in generators(5):
         for one in sols:
             assert Permutation(one).conjugated_by(g).one_line() in sols
 
 
 def test_symmetry_reduced_meets_every_orbit():
-    full = enumerate_filling(5, single_cycle=True)
-    reduced = enumerate_filling(5, single_cycle=True, symmetry_reduced=True)
+    full = [Permutation(p) for p in enumerate_filling(5, single_cycle=True)]
+    reduced = [
+        Permutation(p) for p in enumerate_filling(5, single_cycle=True, symmetry_reduced=True)
+    ]
     assert len(reduced) < len(full)
     from fillperm import twist_group, validate
 
@@ -197,11 +203,62 @@ def test_census_matches_golden(tmp_path, n, single_cycle):
 
 
 def test_census_rejects_solutions_not_closed_under_relabeling(monkeypatch):
-    enumerate_all = fillperm.census.enumerate_filling
-    monkeypatch.setattr(
-        fillperm.census, "enumerate_filling", lambda *a, **kw: enumerate_all(*a, **kw)[1:]
-    )
-    # an internal error, not a ValueError the CLI would report as bad input
-    with pytest.raises(RuntimeError, match="not closed under relabeling") as info:
-        census_records(5)
-    assert not isinstance(info.value, ValueError)
+    # drop each of the slice's solutions in turn
+    reduced = enumerate_filling(5, single_cycle=True, symmetry_reduced=True)
+    assert len(reduced) == 120
+    for i in range(len(reduced)):
+        kept = reduced[:i] + reduced[i + 1:]
+        monkeypatch.setattr(fillperm.census, "enumerate_filling", lambda *a, **kw: kept)
+        # an internal error, not a ValueError the CLI would report as bad input
+        with pytest.raises(RuntimeError, match="not closed under relabeling") as info:
+            census_records(5)
+        assert not isinstance(info.value, ValueError)
+
+
+def full_sweep_census(n, single_cycle):
+    """Oracle: the orbit sweep over the full enumeration, conjugating one
+    unclassified solution of each orbit by all 8n^2 relabelings."""
+    unseen = set(enumerate_filling(n, single_cycle=single_cycle))
+    total = len(unseen)
+    orbits = []
+    while unseen:
+        one = next(iter(unseen))
+        orbit = {_conjugate_oneline(one, t) for t in _group(n)}
+        assert orbit <= unseen
+        unseen -= orbit
+        orbits.append((min(orbit), len(orbit)))
+    records = []
+    for canon, size in sorted(orbits):
+        rep = validate(Permutation(canon), n)
+        records.append(
+            CensusRecord(
+                n=n,
+                c=rep.region_count,
+                genus=rep.genus(),
+                canonical_form=canon,
+                orbit_size_raw=size,
+                decomposable=rep.is_minimal() and bool(find_decompositions(rep)),
+            )
+        )
+    return total, records
+
+
+@pytest.mark.parametrize(
+    "n,single_cycle",
+    [(n, False) for n in range(1, 6)] + [(5, True), (7, True)],
+)
+def test_slice_census_matches_full_sweep(n, single_cycle):
+    assert census_records(n, single_cycle=single_cycle) == full_sweep_census(n, single_cycle)
+
+
+@pytest.mark.parametrize(
+    "n,single_cycle",
+    [(n, False) for n in range(1, 6)] + [(n, True) for n in range(1, 6)],
+)
+def test_delta_saturation_of_slice_is_full_set(n, single_cycle):
+    full = enumerate_filling(n, single_cycle=single_cycle)
+    reduced = enumerate_filling(n, single_cycle=single_cycle, symmetry_reduced=True)
+    powers = _powers(generators(n)[1].one_line(), n)  # delta^0, ..., delta^(n-1)
+    saturation = {_conjugate_oneline(s, d) for s in reduced for d in powers}
+    assert saturation == set(full)
+    assert len(full) == n * len(reduced) == len(set(full))

@@ -13,7 +13,7 @@ import pytest
 import fillperm
 import fillperm.census
 import fillperm.surgery
-from fillperm.cli import main, read_filling_file, write_filling_file
+from fillperm.cli import build_parser, main, read_filling_file, write_filling_file
 from fillperm import FillingPermutation, generators, validate
 
 from conftest import FIXTURE_TEXTS, SIGMA_F6, perm
@@ -214,6 +214,19 @@ def test_deterministic_output(files, capsys):
     first = run(capsys, "decompose", files["sigma_f6"])
     second = run(capsys, "decompose", files["sigma_f6"])
     assert first == second
+
+
+def test_cached_parser_keeps_no_state_between_calls(files, capsys):
+    # sigma_F has no genus-1 piece, so a `--k 1` left over from the first
+    # call would turn the second call's five witnesses into NO-DECOMPOSITION
+    calls = (("decompose", files["sigma_f"], "--k", "1"), ("decompose", files["sigma_f"]))
+    cached = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert cached == fresh
+    assert cached[0] != cached[1]
 
 
 def test_subprocess_entry_point(files):
