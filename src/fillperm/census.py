@@ -1,10 +1,13 @@
 """Exhaustive enumeration of filling permutations for small crossing counts.
 
 The crossing equation, read as a functional constraint, makes each free choice
-sigma(e) = f force the partner assignments sigma(opposite(f)) = tau(e) and
-sigma(tau^{-1}(f)) = opposite(e); the search propagates these to a fixpoint
-after every decision.  Single-cycle mode additionally tracks the open paths of
-the partial permutation and rejects any cycle that closes early.
+sigma(e) = f force sigma(opposite(f)) = tau(e), and so on around the crossing:
+the map (e, f) -> (opposite(f), tau(e)) has order 4, so one choice forces
+exactly the four left edges of one crossing, a block that never conflicts with
+itself.  Blocks are tabulated once per n, and enumeration is an exact cover of
+the 4n labels by blocks (Knuth, "Dancing Links", 2000).  Single-cycle mode
+additionally tracks the open paths of the partial permutation and rejects any
+cycle that closes early.
 
 The census enumerates only the slice S = {sigma : sigma(1) in {2, 2n+2}}.
 Conjugating by delta fixes label 1 and cycles the even labels in two n-cycles,
@@ -17,12 +20,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 
-from .filling import tau, validate
+from .filling import opposite, tau, validate
 from .perm import Permutation
 from .surgery import find_decompositions
-from .twist import _conjugate_oneline, _group
+from .twist import _group
 
 SINGLE_CYCLE_MAX_N = 7
 GENERAL_MAX_N = 5
@@ -39,6 +44,35 @@ def upper_bound(g: int) -> int:
     return 2 ** (2 * g - 2) * (4 * g - 5) * math.factorial(2 * g - 3)
 
 
+@lru_cache(maxsize=None)
+def _crossing_blocks(n: int) -> tuple[tuple[tuple[int, tuple], ...], ...]:
+    """For each label e (row e; row 0 is empty) and each image f of the other
+    parity, in increasing order, the crossing block that sigma(e) = f forces:
+    (label bitmask, its four (label, image) pairs, (e, f) first).  Label e is
+    bit e - 1 of a mask.
+
+    The forcing map A(e, f) = (opp f, tau e) has order 4, because A^2 sends
+    e to opp tau e and (opp tau)^2 = id.  Its four pairs have distinct
+    labels: each two differ in parity or in the half (plain or reversed)
+    they lie in, since tau keeps both and opp keeps parity but swaps halves.
+    The block's images are tau of its labels, so blocks with disjoint labels
+    also have disjoint images.
+    """
+    m = 4 * n
+    t = (0, *tau(n).one_line())
+    rows: list[tuple] = [()]
+    for e in range(1, m + 1):
+        row = []
+        for f in range(2 if e % 2 else 1, m + 1, 2):
+            pairs = [(e, f)]
+            for _ in range(3):
+                x, y = pairs[-1]
+                pairs.append((opposite(y, n), t[x]))
+            row.append((sum(1 << (x - 1) for x, _ in pairs), tuple(pairs)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def enumerate_filling(
     n: int,
     single_cycle: bool = True,
@@ -48,7 +82,13 @@ def enumerate_filling(
     """All alternating solutions of the crossing equation on 4n symbols,
     as one-line tuples (sigma(1), ..., sigma(4n)).
 
-    With `single_cycle` only one-region (minimal) solutions are produced.
+    The search is an exact cover of the 4n labels by crossing blocks: it
+    takes the lowest unassigned label e, tries every image f in increasing
+    order, and keeps the block sigma(e) = f forces when none of its labels
+    is assigned yet (its images are then free too).  With `single_cycle`
+    only one-region (minimal) solutions are produced: each block's four
+    arrows are merged into the open paths of the partial permutation, and a
+    cycle that closes before the last arrow prunes the branch.
     `symmetry_reduced` restricts the first image of 1 to {2, 2n+2}: one
     sigma per delta-orbit, and the full set has n times as many members.
     """
@@ -60,90 +100,80 @@ def enumerate_filling(
         raise BoundExceeded(f"n={n} exceeds the configured bound {max_n}")
 
     m = 4 * n
-    two_n = 2 * n
-    # 1-based arrays; index 0 unused
-    tau_arr = [0, *tau(n).one_line()]
-    tau_inv = [0] * (m + 1)
-    for e in range(1, m + 1):
-        tau_inv[tau_arr[e]] = e
-    opp = [0] + [(e + two_n - 1) % m + 1 for e in range(1, m + 1)]
-
-    sigma = [0] * (m + 1)
-    preimage = [0] * (m + 1)
-    start_of = list(range(m + 1))  # start of the open path ending at index
-    end_of = list(range(m + 1))  # end of the open path starting at index
-    assigned = 0
+    full = (1 << m) - 1
+    rows = _crossing_blocks(n)
+    if symmetry_reduced:
+        # label 1 is the lowest label, so only the root reads row 1
+        first = tuple(b for b in rows[1] if b[1][0][1] in (2, 2 * n + 2))
+        rows = (rows[0], first, *rows[2:])
+    sigma = [0] * m
+    start_of = list(range(m + 1))  # start of the open path ending at label
+    end_of = list(range(m + 1))  # end of the open path starting at label
     solutions: list[tuple[int, ...]] = []
 
-    def propagate(e0: int, f0: int, trail: list) -> bool:
-        nonlocal assigned
-        queue = [(e0, f0)]
-        while queue:
-            e, f = queue.pop()
-            if sigma[e]:
-                if sigma[e] != f:
-                    return False
-                continue
-            if preimage[f]:
-                return False
-            if single_cycle:
-                s = start_of[e]
-                t = end_of[f]
-                if s == f:
-                    if assigned + 1 != m:
-                        return False
-                    trail.append((e, f, None))
-                else:
-                    trail.append((e, f, (s, t)))
-                    end_of[s] = t
-                    start_of[t] = s
-            else:
-                trail.append((e, f, None))
-            sigma[e] = f
-            preimage[f] = e
-            assigned += 1
-            queue.append((opp[f], tau_arr[e]))
-            queue.append((tau_inv[f], opp[e]))
-        return True
+    def unmerge(merges: list) -> None:
+        for e, f, s, t in reversed(merges):
+            end_of[s] = e
+            start_of[t] = f
 
-    def undo(trail: list) -> None:
-        nonlocal assigned
-        for e, f, merge in reversed(trail):
-            sigma[e] = 0
-            preimage[f] = 0
-            assigned -= 1
-            if merge is not None:
-                s, t = merge
-                end_of[s] = e
-                start_of[t] = f
+    def merge(pairs: tuple, last: bool) -> list | None:
+        """Join each arrow e -> f of a block to the open paths; None (and
+        nothing changed) when one closes a cycle before the last arrow."""
+        merges = []
+        for e, f in pairs:
+            s = start_of[e]
+            if s == f:
+                if last and len(merges) == 3:
+                    return merges
+                unmerge(merges)
+                return None
+            t = end_of[f]
+            end_of[s] = t
+            start_of[t] = s
+            merges.append((e, f, s, t))
+        return merges
 
-    def next_unassigned() -> int:
-        for e in range(1, m + 1):
-            if not sigma[e]:
-                return e
-        return 0
-
-    def search() -> None:
-        nonlocal assigned
-        if assigned == m:
-            solutions.append(tuple(sigma[1:]))
+    def search(used: int) -> None:
+        if used == full:
+            solutions.append(tuple(sigma))
             return
-        e = next_unassigned()
-        if symmetry_reduced and assigned == 0 and e == 1:
-            candidates = [2, two_n + 2]
-        else:
-            first = 2 if e % 2 == 1 else 1
-            candidates = [f for f in range(first, m + 1, 2) if not preimage[f]]
-        for f in candidates:
-            trail: list = []
-            if propagate(e, f, trail):
-                search()
-            undo(trail)
+        free = full ^ used
+        for labels, pairs in rows[(free & -free).bit_length()]:
+            if labels & used:
+                continue
+            if single_cycle:
+                merges = merge(pairs, labels | used == full)
+                if merges is None:
+                    continue
+            for e, f in pairs:
+                sigma[e - 1] = f
+            search(used | labels)
+            if single_cycle:
+                unmerge(merges)
 
-    search()
+    search(0)
     # search's closure refers to itself; the cycle would keep `solutions` alive
     del search
     return solutions
+
+
+@lru_cache(maxsize=None)
+def _sweep_kernels(n: int) -> tuple[tuple, ...]:
+    """Per relabeling t: (itemgetter over the indices of t^-1, t with a 0 in
+    front, index of t^-1(1), t^-1(2), t^-1(2n+2)).
+
+    For a one-line sigma, the first item reads (sigma(t^-1(x)))_x and
+    `itemgetter(*that)(t0)` is then t sigma t^-1, both in C.
+    """
+    kernels = []
+    for t in _group(n):
+        inv = [0] * len(t)
+        for x, y in enumerate(t, start=1):
+            inv[y - 1] = x
+        kernels.append(
+            (itemgetter(*(x - 1 for x in inv)), (0, *t), inv[0] - 1, inv[1], inv[2 * n + 1])
+        )
+    return tuple(kernels)
 
 
 @dataclass(frozen=True)
@@ -198,13 +228,14 @@ def census_records(
         enumerate_filling(n, single_cycle=single_cycle, max_n=max_n, symmetry_reduced=True)
     )
     total = n * len(unseen)
-    # (t, index of t^-1(1) in a one-line tuple, t^-1(2), t^-1(2n+2))
-    sweep = [(t, t.index(1), t.index(2) + 1, t.index(2 * n + 2) + 1) for t in _group(n)]
+    sweep = _sweep_kernels(n)
     orbits: list[tuple[tuple[int, ...], int]] = []  # (least conjugate, orbit size)
     while unseen:
         one = next(iter(unseen))
         in_slice = {
-            _conjugate_oneline(one, t) for t, i, a, b in sweep if one[i] == a or one[i] == b
+            itemgetter(*at_inv(one))(t0)
+            for at_inv, t0, i, a, b in sweep
+            if one[i] == a or one[i] == b
         }
         if not in_slice <= unseen:
             missing = min(in_slice - unseen)

@@ -13,7 +13,7 @@ curve (forward on plain labels, backward on reversed ones).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .perm import Permutation
 
@@ -48,8 +48,12 @@ def big_q(n: int) -> Permutation:
     return Permutation(tuple(e % m + 1 for e in range(1, m + 1)))
 
 
+@lru_cache(maxsize=None)
 def tau(n: int) -> Permutation:
-    """Advance each label along its curve: positives forward, negatives backward."""
+    """Advance each label along its curve: positives forward, negatives backward.
+
+    Built once per n; a Permutation is immutable, so callers share it.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     m = 4 * n

@@ -24,6 +24,7 @@ class GroupTooLarge(ValueError):
     """The crossing count exceeds the configured bound max_n."""
 
 
+@lru_cache(maxsize=None)
 def generators(n: int) -> tuple[Permutation, Permutation, Permutation, Permutation]:
     """(kappa, delta, eta, mu): cycle the first curve's labels, cycle the
     second curve's labels, reverse the first curve's orientation, swap the
@@ -32,7 +33,8 @@ def generators(n: int) -> tuple[Permutation, Permutation, Permutation, Permutati
     Reversing a curve's orientation both bars every label and renumbers the
     arcs in the reversed traversal order (arc i becomes arc 2-i mod n); the
     plain bar-swap alone is a relabeling of nothing for n >= 3 and would not
-    preserve validity under conjugation.
+    preserve validity under conjugation.  Built once per n; a Permutation is
+    immutable, so callers share them.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -118,7 +120,8 @@ def are_equivalent(
     s1 = fp1.sigma.one_line()
     s2 = fp2.sigma.one_line()
     for t in group:
-        if _conjugate_oneline(s1, t) == s2:
+        # t sigma1 t^-1 sends t(1) to t(sigma1(1)): one coordinate rules out most t
+        if t[s1[0] - 1] == s2[t[0] - 1] and _conjugate_oneline(s1, t) == s2:
             return Permutation(t)
     return None
 

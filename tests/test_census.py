@@ -19,12 +19,14 @@ from fillperm import (
     enumerate_filling,
     generators,
     is_valid,
+    opposite,
     read_census,
     tau,
     upper_bound,
     validate,
     write_census,
 )
+from fillperm.census import _crossing_blocks
 from fillperm.surgery import find_decompositions
 from fillperm.twist import _conjugate_oneline, _group, _powers
 
@@ -98,19 +100,129 @@ def test_enumeration_closed_under_relabeling():
 
 
 def test_symmetry_reduced_meets_every_orbit():
-    full = [Permutation(p) for p in enumerate_filling(5, single_cycle=True)]
-    reduced = [
-        Permutation(p) for p in enumerate_filling(5, single_cycle=True, symmetry_reduced=True)
-    ]
+    full = enumerate_filling(5, single_cycle=True)
+    reduced = enumerate_filling(5, single_cycle=True, symmetry_reduced=True)
     assert len(reduced) < len(full)
-    from fillperm import twist_group, validate
-
-    group = twist_group(5)
-    reduced_canon = {
-        min(p.conjugated_by(t).one_line() for t in group) for p in reduced
-    }
-    full_canon = {min(p.conjugated_by(t).one_line() for t in group) for p in full}
+    group = _group(5)
+    reduced_canon = {min(_conjugate_oneline(p, t) for t in group) for p in reduced}
+    full_canon = {min(_conjugate_oneline(p, t) for t in group) for p in full}
     assert reduced_canon == full_canon
+
+
+def propagation_enumeration(n, single_cycle, symmetry_reduced):
+    """Oracle: the search by unit propagation that the crossing-block kernel
+    replaced.  Each choice sigma(e) = f queues the forced assignments
+    sigma(opp f) = tau e and sigma(tau^-1 f) = opp e, which are propagated
+    to a fixpoint; single-cycle mode rejects a cycle that closes early."""
+    m = 4 * n
+    two_n = 2 * n
+    # 1-based arrays; index 0 unused
+    tau_arr = [0, *tau(n).one_line()]
+    tau_inv = [0] * (m + 1)
+    for e in range(1, m + 1):
+        tau_inv[tau_arr[e]] = e
+    opp = [0] + [opposite(e, n) for e in range(1, m + 1)]
+
+    sigma = [0] * (m + 1)
+    preimage = [0] * (m + 1)
+    start_of = list(range(m + 1))  # start of the open path ending at index
+    end_of = list(range(m + 1))  # end of the open path starting at index
+    assigned = 0
+    solutions = []
+
+    def propagate(e0, f0, trail):
+        nonlocal assigned
+        queue = [(e0, f0)]
+        while queue:
+            e, f = queue.pop()
+            if sigma[e]:
+                if sigma[e] != f:
+                    return False
+                continue
+            if preimage[f]:
+                return False
+            if single_cycle:
+                s = start_of[e]
+                t = end_of[f]
+                if s == f:
+                    if assigned + 1 != m:
+                        return False
+                    trail.append((e, f, None))
+                else:
+                    trail.append((e, f, (s, t)))
+                    end_of[s] = t
+                    start_of[t] = s
+            else:
+                trail.append((e, f, None))
+            sigma[e] = f
+            preimage[f] = e
+            assigned += 1
+            queue.append((opp[f], tau_arr[e]))
+            queue.append((tau_inv[f], opp[e]))
+        return True
+
+    def undo(trail):
+        nonlocal assigned
+        for e, f, merge in reversed(trail):
+            sigma[e] = 0
+            preimage[f] = 0
+            assigned -= 1
+            if merge is not None:
+                s, t = merge
+                end_of[s] = e
+                start_of[t] = f
+
+    def search():
+        if assigned == m:
+            solutions.append(tuple(sigma[1:]))
+            return
+        e = next(e for e in range(1, m + 1) if not sigma[e])
+        if symmetry_reduced and assigned == 0 and e == 1:
+            candidates = [2, two_n + 2]
+        else:
+            first = 2 if e % 2 == 1 else 1
+            candidates = [f for f in range(first, m + 1, 2) if not preimage[f]]
+        for f in candidates:
+            trail = []
+            if propagate(e, f, trail):
+                search()
+            undo(trail)
+
+    search()
+    del search
+    return solutions
+
+
+@pytest.mark.parametrize("symmetry_reduced", [False, True])
+@pytest.mark.parametrize(
+    "n,single_cycle",
+    [(n, False) for n in range(1, 6)] + [(n, True) for n in (1, 3, 5, 7)],
+)
+def test_crossing_blocks_match_propagation(n, single_cycle, symmetry_reduced):
+    got = enumerate_filling(n, single_cycle=single_cycle, symmetry_reduced=symmetry_reduced)
+    assert got == propagation_enumeration(n, single_cycle, symmetry_reduced)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_forcing_map_has_order_four(n):
+    # A(e, f) = (opp f, tau e): the assignment sigma(e) = f forces A(e, f)
+    t = tau(n)
+    rows = _crossing_blocks(n)
+    for e in range(1, 4 * n + 1):
+        images = range(2 if e % 2 else 1, 4 * n + 1, 2)
+        assert len(rows[e]) == len(images)
+        for f, (labels, pairs) in zip(images, rows[e]):
+            orbit = [(e, f)]
+            for _ in range(4):
+                x, y = orbit[-1]
+                orbit.append((opposite(y, n), t(x)))
+            assert orbit[4] == orbit[0]
+            assert len({x for x, _ in orbit}) == 4
+            # the images are tau of the labels, so they are distinct too, and
+            # blocks with disjoint labels have disjoint images
+            assert {y for _, y in orbit} == {t(x) for x, _ in orbit}
+            assert pairs == tuple(orbit[:4])
+            assert labels == sum(1 << (x - 1) for x, _ in pairs)
 
 
 def test_bound_exceeded():
