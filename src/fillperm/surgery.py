@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .filling import FillingPermutation, opposite, validate
 from .perm import Permutation
-from .twist import generators
 
 Entry = tuple[int, bool]  # (symbol, decorated); decoration marks duplicate anchor copies
 
@@ -289,7 +288,11 @@ class _CycleTables:
 
     `cycle` is the region's labels in sigma order.  The lists are indexed by
     label, index 0 unused: `pos[e]` is e's index in `cycle`, `opp[e]` the
-    opposite label and `opos[e] = pos[opp[e]]`.  `genus` is the pair's genus.
+    opposite label, `opos[e] = pos[opp[e]]` and `d[e] = (opos[e] - pos[e])
+    mod m`.  `opp_at` is the opposite of the label at each position, twice
+    round, so an anchor window is one slice; `P` and `Q` are `pos` and `opos`
+    of the positive labels 1..2n, the edge pairs the polygon is reglued
+    along.  `genus` is the pair's genus.
     """
 
     def __init__(self, fp: FillingPermutation):
@@ -302,17 +305,23 @@ class _CycleTables:
         for idx, sym in enumerate(cycle):
             pos[sym] = idx
         self.opp = opp = [0, *range(m // 2 + 1, m + 1), *range(1, m // 2 + 1)]
-        self.opos = [pos[e] for e in opp]
+        self.opos = opos = [pos[e] for e in opp]
+        self.d = [(o - p) % m for p, o in zip(pos, opos)]
+        self.opp_at = [opp[e] for e in cycle] * 2
+        self.P, self.Q = pos[1 : m // 2 + 1], opos[1 : m // 2 + 1]
 
     def flip(self, k: int) -> list[int]:
         """opp o tau^(2k+1) by label, the involution with y = flip[x] and
         b = flip[a]: tau^(2k+1) moves a positive label 4k + 2 places forward
         along its curve's 2n labels and a negative one as far back, and opp
         adds or subtracts 2n."""
-        two_n, shift = self.m // 2, 4 * k + 2
-        up = (two_n + (e - 1 + shift) % two_n + 1 for e in range(1, two_n + 1))
-        down = ((e - 1 - shift) % two_n + 1 for e in range(two_n + 1, 2 * two_n + 1))
-        return [0, *up, *down]
+        two_n = self.m // 2
+        up, down = (4 * k + 2) % two_n, -(4 * k + 2) % two_n
+        return [
+            0,
+            *range(two_n + up + 1, 2 * two_n + 1), *range(two_n + 1, two_n + up + 1),
+            *range(down + 1, two_n + 1), *range(1, down + 1),
+        ]
 
     def check_anchors(self, anchors) -> None:
         for sym in anchors:
@@ -344,15 +353,30 @@ def _anchored_types(
     construction.  Every region size must be even and at least 4, the sizes
     must sum to 8k + 8, and unless the piece takes all but a torus the spans
     must not cross.
+
+    The sizes less one sum to d(x) + d(y) + d(a) + d(b) modulo m, that is to
+    D(x) + D(a) with D(e) = d(e) + d(flip[e]), and that sum must be 8k + 4.
+    So a candidate a is tested against the residue class 8k + 4 - D(x) first,
+    and s, t and u are computed only for the candidates in it.
     """
-    cycle, pos, opp, opos, m = tables.cycle, tables.pos, tables.opp, tables.opos, tables.m
+    pos, opos, opp_at, d, m = tables.pos, tables.opos, tables.opp_at, tables.d, tables.m
     flip = tables.flip(k)
+    residue = [(de + d[f]) % m for de, f in zip(d, flip)]
+    total, last = 8 * k + 4, 8 * k - 4
+    sizes = range(4, last + 1, 2)
+    torus = k == g - 1
     found = []
     for x in starts:
         y = flip[x]
         px, py, ox, oy = pos[x], pos[y], opos[x], opos[y]
-        for r in range(4, 8 * k - 3, 2):
-            a = opp[cycle[(px + r - 1) % m]]
+        want = (total - residue[x]) % m
+        # On a torus remainder flip = opp, so every a is in the class; there
+        # (r - 1) + (u - 1) = d(x) exactly, and u >= 4 caps r at d(x) - 2.
+        top = min(last, d[x] - 2) if torus else last
+        # a for r = 4, 6, ..., top sits at positions px + 3, px + 5, ...
+        for r, a in zip(sizes, opp_at[px + 3 : px + top : 2]):
+            if residue[a] != want:
+                continue
             s = (oy - pos[a]) % m + 1
             if s & 1 or s < 4:
                 continue
@@ -364,7 +388,7 @@ def _anchored_types(
             if u & 1 or u < 4 or r + s + t + u != 8 * k + 8:
                 continue
             anchors, quad = (x, a, y, b), (r, s, t, u)
-            if k == g - 1 or _condition2(tables, anchors, quad):
+            if torus or _condition2(tables, anchors, quad):
                 found.append((anchors, quad))
     return found
 
@@ -418,9 +442,12 @@ def find_decompositions(fp: FillingPermutation, k: int | None = None) -> list[De
 
     The anchors determine the type, so the search runs over piece genus k,
     x and the first region size r only: a = opp(sigma^(r-1)(x)),
-    y = opp(tau^(2k+1)(x)) and b = opp(tau^(2k+1)(a)) are forced.  Results
-    are deduplicated by canonical rotation and each is confirmed by the
-    separating-curve check.
+    y = opp(tau^(2k+1)(x)) and b = opp(tau^(2k+1)(a)) are forced.  The
+    region sizes less one sum to 8k + 4, which fixes D(a) modulo 4n given x
+    (see `_anchored_types`), so the other three sizes are computed only for
+    the a in that residue class.  Results are deduplicated by canonical
+    rotation and each is confirmed by the separating-curve check, which reads
+    the faces glued across every edge pair off two painted face tables.
     """
     g = fp.genus()
     if k is not None and not 1 <= k <= g - 1:
@@ -456,17 +483,28 @@ def verify_separating(fp: FillingPermutation, dec: Decomposition) -> bool:
 
 
 def _separates(tables: _CycleTables, dec: Decomposition) -> bool:
-    """`verify_separating` on tables already built, with anchors in range."""
+    """`verify_separating` on tables already built, with anchors in range.
+
+    Away from the at most eight edges that carry attachment points, each edge
+    is one piece and lies in the face the boundary walk is in there.  So the
+    walk paints `first` and `last`, the faces of every edge's first and last
+    piece, by slice assignment between consecutive attachment points, and
+    the gluing of edge p = pos[e] to edge opos[e] joins first[p] with
+    last[opos[e]].  Only the edges that carry points are glued piece by piece,
+    after the mirror check.  The five faces are then joined along at most 25
+    distinct face pairs.
+    """
     anchors = dec.anchors
-    pos, opos, m = tables.pos, tables.opos, tables.m
+    cycle, pos, opos, m = tables.cycle, tables.pos, tables.opos, tables.m
     shared = dec.k == tables.genus - 1  # each anchor edge carries two chord attachments
+    init_off, term_off = (4, 2) if shared else (3, 3)
 
     # chord c: from anchors[c] to opposite(anchors[c+1]); coordinates scale
     # each edge to width 6 so attachment points land on integers.
     points: list[tuple[int, int, bool]] = []  # (coord, chord, initial)
     for c in range(4):
-        init_coord = 6 * pos[anchors[c]] + (4 if shared else 3)
-        term_coord = 6 * opos[anchors[(c + 1) % 4]] + (2 if shared else 3)
+        init_coord = 6 * pos[anchors[c]] + init_off
+        term_coord = 6 * opos[anchors[(c + 1) % 4]] + term_off
         if any(coord in (init_coord, term_coord) for coord, _, _ in points):
             raise ChordsCross("chord attachment points collide")
         points.append((init_coord, c, True))
@@ -474,17 +512,23 @@ def _separates(tables: _CycleTables, dec: Decomposition) -> bool:
     points.sort()
 
     # walk the boundary once; non-crossing chords nest like parentheses.
-    # faces_of_edge[p] lists the faces of edge p's pieces (the edge split at
-    # its attachment points) in order.
-    faces_of_edge: list[list[int]] = []
+    # pieces[p] lists the faces of the pieces of an edge p that carries
+    # points, in order; every edge before the first point and after the last
+    # lies in the root face 0.
+    first, last = [0] * m, [0] * m
+    pieces: dict[int, list[int]] = {}
     opened_at: dict[int, int] = {}  # chord -> face it opened
     cordon_faces = [0] * 4  # chord -> face just past its initial point
     current = 0
     next_face = 1
     stack: list[int] = []
+    prev = points[0][0] // 6
     for coord, chord, initial in points:
-        while len(faces_of_edge) <= coord // 6:
-            faces_of_edge.append([current])
+        edge = coord // 6
+        # the walk was in `current` from the previous point's edge to this one
+        last[prev:edge] = first[prev + 1 : edge + 1] = [current] * (edge - prev)
+        prev = edge
+        pieces.setdefault(edge, [current])
         if chord not in opened_at:
             stack.append(current)
             opened_at[chord] = next_face
@@ -494,43 +538,33 @@ def _separates(tables: _CycleTables, dec: Decomposition) -> bool:
             if opened_at[chord] != current:
                 raise ChordsCross("anchor chords cross inside the polygon")
             current = stack.pop()
-        faces_of_edge[-1].append(current)
+        pieces[edge].append(current)
         if initial:
             cordon_faces[chord] = current
     if stack or current != 0:
         raise ChordsCross("unbalanced chord endpoints")
     num_faces = next_face  # root face 0 plus one per chord
-    faces_of_edge += [[0] for _ in range(len(faces_of_edge), m)]
 
     # glue: edge pieces pair reversed with the opposite edge's pieces
-    parent = list(range(num_faces))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    for sym in range(1, m // 2 + 1):
-        pieces1, pieces2 = faces_of_edge[pos[sym]], faces_of_edge[opos[sym]]
-        if len(pieces1) != len(pieces2):
+    glued = set(zip(map(first.__getitem__, tables.P), map(last.__getitem__, tables.Q)))
+    for edge, faces in pieces.items():
+        mirror = pieces.get(opos[cycle[edge]])
+        if mirror is None or len(mirror) != len(faces):
             raise ChordsCross("attachment points are not mirrored on opposite edges")
-        for f1, f2 in zip(pieces1, reversed(pieces2)):
-            union(f1, f2)
+        glued.update(zip(faces, reversed(mirror)))
+    root = list(range(num_faces))
+    for f1, f2 in glued:
+        r1, r2 = root[f1], root[f2]
+        if r1 != r2:
+            root = [r2 if r == r1 else r for r in root]
 
-    components = {find(f) for f in range(num_faces)}
-    if len(components) != 2:
+    if len(set(root)) != 2:
         return False
-    cordon_roots = {find(f) for f in cordon_faces}
-    if len(set(cordon_faces)) != 4 or len(cordon_roots) != 1:
+    cordon = set(cordon_faces)
+    cordon_roots = {root[f] for f in cordon}
+    if len(cordon) != 4 or len(cordon_roots) != 1:
         return False
-    other = [f for f in range(num_faces) if f not in set(cordon_faces)]
-    return all(find(f) not in cordon_roots for f in other)
+    return all(root[f] not in cordon_roots for f in range(num_faces) if f not in cordon)
 
 
 def extract(
@@ -651,6 +685,17 @@ class RoundTripReport:
         return self.p == 0 and self.q == 0
 
 
+def _kappa_delta(n: int, p: int, q: int) -> Permutation:
+    """kappa^p delta^q in closed form, in one pass over the 4n labels: odd arcs
+    move p places along the first curve and even arcs q places along the
+    second, each keeping its orientation."""
+    images = []
+    for label in range(1, 4 * n + 1):
+        arc, even, negative = _arc_of(label, n)
+        images.append(_label_of((arc - 1 + (q if even else p)) % n + 1, even, negative, n))
+    return Permutation(images)
+
+
 def round_trip_check(fp: FillingPermutation, dec: Decomposition) -> RoundTripReport:
     """Disassemble, reassemble at the induced site, and check the conjugacy.
 
@@ -664,7 +709,8 @@ def round_trip_check(fp: FillingPermutation, dec: Decomposition) -> RoundTripRep
     and (0, 0) for l > 1, where the rebuild is exact.  For the k = 5 witness
     of sigma_F6 (site (1, 16), n = 11) that is (0, 4).  Raises
     `NoConjugacyFound` unless t = kappa^p delta^q gives
-    t^{-1} * sigma' * t == sigma.
+    t^{-1} * sigma' * t == sigma; t^{-1} = kappa^(-p) delta^(-q) is built in
+    closed form.
     """
     n = fp.n
     piece, remainder = disassemble(fp, dec)
@@ -673,9 +719,7 @@ def round_trip_check(fp: FillingPermutation, dec: Decomposition) -> RoundTripRep
     site = AttachmentSite(amap.host_preimage(i), amap.host_preimage(j))
     reassembled = assemble(remainder, piece, site)
     p, q = ((1 - (i + 1) // 2) % n, (1 - j // 2) % n) if dec.l == 1 else (0, 0)
-    kappa, delta, _, _ = generators(n)
-    t = kappa**p * delta**q
-    if reassembled.sigma.conjugated_by(t.inverse()) != fp.sigma:
+    if reassembled.sigma.conjugated_by(_kappa_delta(n, -p, -q)) != fp.sigma:
         raise NoConjugacyFound(
             f"kappa^{p} delta^{q} does not carry the rebuild at site ({i}, {j}) to the original"
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from bisect import bisect_right
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from fillperm import (
     verify_separating,
 )
 
-from fillperm.surgery import _CycleTables
+from fillperm.surgery import _CycleTables, _anchored_types, _condition2, _kappa_delta, _separates
 
 from conftest import SIGMA_PRIME, perm
 
@@ -475,6 +476,201 @@ def test_verify_separating_matches_reference(reference_pairs):
     assert outcomes == {True, False, "ChordsCross"}
 
 
+def _flip_by_label(m, k):
+    # opp o tau^(2k+1), one label at a time
+    two_n, shift = m // 2, 4 * k + 2
+    up = (two_n + (e - 1 + shift) % two_n + 1 for e in range(1, two_n + 1))
+    down = ((e - 1 - shift) % two_n + 1 for e in range(two_n + 1, 2 * two_n + 1))
+    return [0, *up, *down]
+
+
+def _window_scan(tables, k, g, starts):
+    # the anchor search without the residue filter: every r in the window
+    # gets all three remaining sizes computed
+    cycle, pos, opp, opos, m = tables.cycle, tables.pos, tables.opp, tables.opos, tables.m
+    flip = _flip_by_label(m, k)
+    found = []
+    for x in starts:
+        y = flip[x]
+        px, py, ox, oy = pos[x], pos[y], opos[x], opos[y]
+        for r in range(4, 8 * k - 3, 2):
+            a = opp[cycle[(px + r - 1) % m]]
+            s = (oy - pos[a]) % m + 1
+            if s & 1 or s < 4:
+                continue
+            b = flip[a]
+            t = (opos[b] - py) % m + 1
+            if t & 1 or t < 4:
+                continue
+            u = (ox - pos[b]) % m + 1
+            if u & 1 or u < 4 or r + s + t + u != 8 * k + 8:
+                continue
+            anchors, quad = (x, a, y, b), (r, s, t, u)
+            if k == g - 1 or _condition2(tables, anchors, quad):
+                found.append((anchors, quad))
+    return found
+
+
+def _separates_by_walk(tables, dec):
+    # the separating-curve check with a face list for every edge and a
+    # union-find over all 2n edge pairs
+    anchors = dec.anchors
+    pos, opos, m = tables.pos, tables.opos, tables.m
+    shared = dec.k == tables.genus - 1
+    points = []
+    for c in range(4):
+        init_coord = 6 * pos[anchors[c]] + (4 if shared else 3)
+        term_coord = 6 * opos[anchors[(c + 1) % 4]] + (2 if shared else 3)
+        if any(coord in (init_coord, term_coord) for coord, _, _ in points):
+            raise ChordsCross("chord attachment points collide")
+        points.append((init_coord, c, True))
+        points.append((term_coord, c, False))
+    points.sort()
+    faces_of_edge = []
+    opened_at = {}
+    cordon_faces = [0] * 4
+    current = 0
+    next_face = 1
+    stack = []
+    for coord, chord, initial in points:
+        while len(faces_of_edge) <= coord // 6:
+            faces_of_edge.append([current])
+        if chord not in opened_at:
+            stack.append(current)
+            opened_at[chord] = next_face
+            current = next_face
+            next_face += 1
+        else:
+            if opened_at[chord] != current:
+                raise ChordsCross("anchor chords cross inside the polygon")
+            current = stack.pop()
+        faces_of_edge[-1].append(current)
+        if initial:
+            cordon_faces[chord] = current
+    if stack or current != 0:
+        raise ChordsCross("unbalanced chord endpoints")
+    num_faces = next_face
+    faces_of_edge += [[0] for _ in range(len(faces_of_edge), m)]
+    parent = list(range(num_faces))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for sym in range(1, m // 2 + 1):
+        pieces1, pieces2 = faces_of_edge[pos[sym]], faces_of_edge[opos[sym]]
+        if len(pieces1) != len(pieces2):
+            raise ChordsCross("attachment points are not mirrored on opposite edges")
+        for f1, f2 in zip(pieces1, reversed(pieces2)):
+            r1, r2 = find(f1), find(f2)
+            if r1 != r2:
+                parent[r1] = r2
+    components = {find(f) for f in range(num_faces)}
+    if len(components) != 2:
+        return False
+    cordon_roots = {find(f) for f in cordon_faces}
+    if len(set(cordon_faces)) != 4 or len(cordon_roots) != 1:
+        return False
+    other = [f for f in range(num_faces) if f not in set(cordon_faces)]
+    return all(find(f) not in cordon_roots for f in other)
+
+
+@pytest.fixture(scope="module")
+def oracle_pairs(reference_pairs, f4, sigma_z, sigma_f6, zeta):
+    # reference_pairs stops at genus 6; F4 # sigma_Z (genus 7) and
+    # sigma_F6 # zeta (genus 8) at every site go up to the surgery stream's top
+    pairs = list(reference_pairs)
+    for host, piece in ((f4, sigma_z), (sigma_f6, zeta)):
+        for i in range(1, 2 * host.n, 2):
+            pairs.append(assemble(host, piece, attachment_site(host, i)))
+    assert {fp.genus() for fp in pairs} == {3, 4, 5, 6, 7, 8}
+    return pairs
+
+
+def test_anchored_types_matches_window_scan(oracle_pairs):
+    # list for list and in order, for every k, over all starts and one start
+    # at a time (as decomposition_at asks)
+    for fp in oracle_pairs:
+        g = fp.genus()
+        tables = _CycleTables(fp)
+        for k in range(1, g):
+            assert tables.flip(k) == _flip_by_label(tables.m, k)
+            assert _anchored_types(tables, k, g, tables.cycle) == _window_scan(
+                tables, k, g, tables.cycle
+            )
+            for x in tables.cycle:
+                assert _anchored_types(tables, k, g, [x]) == _window_scan(tables, k, g, [x])
+
+
+def test_separates_matches_boundary_walk(oracle_pairs):
+    # every witness, its rotations and two-anchor swaps, and seeded random
+    # anchors: the same bool or the same ChordsCross message
+    rng = random.Random(20160310)
+    outcomes = set()
+    for fp in oracle_pairs:
+        g = fp.genus()
+        tables = _CycleTables(fp)
+        candidates = []
+        for dec in find_decompositions(fp):
+            for i in range(4):
+                candidates.append((dec.k, dec.anchors[i:] + dec.anchors[:i]))
+            for i, j in itertools.combinations(range(4), 2):
+                swapped = list(dec.anchors)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                candidates.append((dec.k, tuple(swapped)))
+        for _ in range(40):
+            anchors = tuple(rng.randint(1, tables.m) for _ in range(4))
+            candidates.append((rng.randint(1, g - 1), anchors))
+        for k, anchors in candidates:
+            dec = Decomposition(k, g - k, *anchors, (4, 4, 4, 4))
+            outcome = _separating_outcome(_separates, tables, dec)
+            assert outcome == _separating_outcome(_separates_by_walk, tables, dec), (fp, dec)
+            outcomes.add(outcome)
+    # an anchor edge and its opposite always carry the same number of
+    # points, so the mirror check never fires here
+    assert outcomes == {
+        True,
+        False,
+        "ChordsCross: chord attachment points collide",
+        "ChordsCross: anchor chords cross inside the polygon",
+    }
+
+
+def test_residue_identity(sigma_f6, zeta):
+    # (r-1) + (s-1) + (t-1) + (u-1) = D(x) + D(a) mod 4n with
+    # D(e) = d(e) + d(flip e), d(e) = opos[e] - pos[e], for every window r;
+    # on a torus remainder flip = opp, so D = 0 and (r-1) + (u-1) = d(x)
+    pairs = [validate(Permutation(rec.canonical_form), rec.n)
+             for rec in read_census(GOLDEN / "census_single_n7.jsonl")]
+    assert len(pairs) == 168
+    pairs += [assemble(sigma_f6, zeta, attachment_site(sigma_f6, i)) for i in range(1, 22, 2)]
+    checked = 0
+    for fp in pairs:
+        g = fp.genus()
+        tables = _CycleTables(fp)
+        cycle, pos, opp, opos, m = tables.cycle, tables.pos, tables.opp, tables.opos, tables.m
+        d = [opos[e] - pos[e] for e in range(m + 1)]
+        for k in range(1, g):
+            flip = tables.flip(k)
+            D = [d[e] + d[flip[e]] for e in range(m + 1)]
+            for x in cycle:
+                y, px = flip[x], pos[x]
+                for r in range(4, 8 * k - 3, 2):
+                    a = opp[cycle[(px + r - 1) % m]]
+                    b = flip[a]
+                    s = (opos[y] - pos[a]) % m + 1
+                    t = (opos[b] - pos[y]) % m + 1
+                    u = (opos[x] - pos[b]) % m + 1
+                    assert ((r - 1) + (s - 1) + (t - 1) + (u - 1) - D[x] - D[a]) % m == 0
+                    if k == g - 1:
+                        assert D[x] % m == D[a] % m == 0
+                        assert ((r - 1) + (u - 1) - d[x]) % m == 0
+                    checked += 1
+    assert checked > 100_000
+
+
 def test_no_genus_two_remainder(sigma_f6, sigma_f, f4):
     for fp in (sigma_f6, sigma_f, f4):
         assert all(d.l != 2 for d in find_decompositions(fp))
@@ -514,7 +710,7 @@ def test_verify_separating_rejects_crossing_chords(sigma_f6):
     good = Decomposition(k=5, l=1, x=23, a=38, y=1, b=16, type=(28, 6, 10, 4))
     assert verify_separating(sigma_f6, good)
     bad = Decomposition(k=5, l=1, x=23, a=16, y=1, b=38, type=(28, 6, 10, 4))
-    with pytest.raises((ChordsCross, SurgeryError, KeyError)):
+    with pytest.raises(ChordsCross, match="cross inside the polygon"):
         verify_separating(sigma_f6, bad)
     # an anchor off the label range is named, not read as a table index
     for sym in (0, 45):
@@ -611,6 +807,15 @@ def test_round_trip_rejects_rebuild_off_the_site_powers(sigma_f6, monkeypatch):
     dec = Decomposition(k=3, l=3, x=3, a=38, y=39, b=2, type=(12, 4, 12, 4))
     with pytest.raises(NoConjugacyFound, match=r"kappa\^0 delta\^0"):
         round_trip_check(sigma_f6, dec)
+
+
+def test_kappa_delta_closed_form():
+    # t^-1 = kappa^-p delta^-q from one pass over the labels, for every power
+    for n in range(1, 17):
+        kappa, delta, _, _ = generators(n)
+        for p in range(n):
+            for q in range(n):
+                assert _kappa_delta(n, -p, -q) == (kappa**p * delta**q).inverse(), (n, p, q)
 
 
 def _site_powers(dec, n):
