@@ -35,7 +35,6 @@ from .surgery import (
     SurgeryError,
     assemble,
     attachment_site,
-    check_decomposition,
     decomposition_at,
     disassemble,
     extract,

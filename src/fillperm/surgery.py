@@ -6,12 +6,15 @@ minimal filling permutation of the summed genus.  Decomposition runs the other
 way: a minimal filling permutation of genus g splits as (genus l) + (genus k
 piece) exactly when four anchor edges x, a, y, b satisfy six equations tying
 sigma, the opposite-edge shift, and the arc-order rotation together, plus a
-non-nesting side condition.  Both directions work purely on labels, through
-one arc-shift relabeling, `AssemblyMap`: on each curve the piece's inner arcs
-form one cyclic block right after the site arc and the host's arcs fill the
-rest in order; piece orientations are reversed, except on the piece's second
-curve when the two crossings have opposite chirality.  Disassembly runs the
-same map backwards.
+non-nesting side condition.  One check decides that condition wherever a
+witness is judged: the region polygon is cut along the four anchor chords and
+reglued, and the anchors are a witness exactly when the chords neither collide
+nor cross and cut off the piece.  Both directions work purely on labels,
+through one arc-shift relabeling, `AssemblyMap`: on each curve the piece's
+inner arcs form one cyclic block right after the site arc and the host's arcs
+fill the rest in order; piece orientations are reversed, except on the piece's
+second curve when the two crossings have opposite chirality.  Disassembly runs
+the same map backwards.
 """
 
 from __future__ import annotations
@@ -329,18 +332,6 @@ class _CycleTables:
                 raise SurgeryError(f"anchor {sym} out of range 1..{self.m}")
 
 
-def _condition2(tables: _CycleTables, anchors, quad) -> bool:
-    """No anchor span may start inside another unless it nests strictly within it."""
-    pos, m = tables.pos, tables.m
-    for v, p in zip(anchors, quad):
-        for w, q in zip(anchors, quad):
-            # w's span starts d labels into v's and must end before v's does
-            d = (pos[w] - pos[v]) % m
-            if w != v and d < p - 1 and d + q >= p:
-                return False
-    return True
-
-
 def _anchored_types(
     tables: _CycleTables, k: int, g: int, starts
 ) -> list[tuple[tuple[int, int, int, int], tuple[int, int, int, int]]]:
@@ -350,9 +341,11 @@ def _anchored_types(
     y = flip[x] and b = flip[a].  Each piece region runs from an anchor to
     the opposite of the next one, so reading the type off the anchors makes
     the four span equations and the two tau^(2k+1) equations hold by
-    construction.  Every region size must be even and at least 4, the sizes
-    must sum to 8k + 8, and unless the piece takes all but a torus the spans
-    must not cross.
+    construction.  What is left is that every region size is at least 4 and
+    the sizes sum to 8k + 8.  They are all even: labels alternate parity
+    along the cycle, and opp and tau keep a label's parity.  These are
+    candidates only; whether the anchor chords cut off the piece (they may
+    cross, or nest wrongly) is for `_separates` to decide.
 
     The sizes less one sum to d(x) + d(y) + d(a) + d(b) modulo m, that is to
     D(x) + D(a) with D(e) = d(e) + d(flip[e]), and that sum must be 8k + 4.
@@ -378,43 +371,17 @@ def _anchored_types(
             if residue[a] != want:
                 continue
             s = (oy - pos[a]) % m + 1
-            if s & 1 or s < 4:
+            if s < 4:
                 continue
             b = flip[a]
             t = (opos[b] - py) % m + 1
-            if t & 1 or t < 4:
+            if t < 4:
                 continue
             u = (ox - pos[b]) % m + 1
-            if u & 1 or u < 4 or r + s + t + u != 8 * k + 8:
+            if u < 4 or r + s + t + u != 8 * k + 8:
                 continue
-            anchors, quad = (x, a, y, b), (r, s, t, u)
-            if torus or _condition2(tables, anchors, quad):
-                found.append((anchors, quad))
+            found.append(((x, a, y, b), (r, s, t, u)))
     return found
-
-
-def check_decomposition(
-    fp: FillingPermutation,
-    x: int,
-    a: int,
-    y: int,
-    b: int,
-    k: int,
-    quad: tuple[int, int, int, int],
-) -> bool:
-    """Test the six anchor equations plus the non-nesting condition."""
-    g = fp.genus()
-    if g < 2 or not 1 <= k <= g - 1:
-        raise SurgeryError(f"piece genus {k} out of range for genus {g}")
-    quad = tuple(quad)
-    if not (
-        len(quad) == 4
-        and all(isinstance(r, int) and r >= 4 and r % 2 == 0 for r in quad)
-        and sum(quad) == 8 * k + 8
-    ):
-        raise SurgeryError(f"malformed type {quad} for piece genus {k}")
-    dec = decomposition_at(fp, x, a, y, b, k)
-    return dec is not None and dec.type == quad
 
 
 def decomposition_at(
@@ -423,8 +390,9 @@ def decomposition_at(
     """The decomposition with anchors x, a, y, b and piece genus k, or None.
 
     The type is read off the anchors: each piece region runs from an anchor
-    to the opposite of the next one.  None means the derived type is
-    malformed or the anchors fail the remaining equations.
+    to the opposite of the next one.  None means the anchors fail the
+    remaining equations or their chords do not cut off the piece, by the
+    same rule as `find_decompositions`.
     """
     g = fp.genus()
     if not 1 <= k <= g - 1:
@@ -433,7 +401,8 @@ def decomposition_at(
     tables.check_anchors((x, a, y, b))
     for anchors, quad in _anchored_types(tables, k, g, [x]):
         if anchors == (x, a, y, b):
-            return Decomposition(k=k, l=g - k, x=x, a=a, y=y, b=b, type=quad)
+            dec = Decomposition(k=k, l=g - k, x=x, a=a, y=y, b=b, type=quad)
+            return dec if _is_witness(tables, dec) else None
     return None
 
 
@@ -447,7 +416,8 @@ def find_decompositions(fp: FillingPermutation, k: int | None = None) -> list[De
     (see `_anchored_types`), so the other three sizes are computed only for
     the a in that residue class.  Results are deduplicated by canonical
     rotation and each is confirmed by the separating-curve check, which reads
-    the faces glued across every edge pair off two painted face tables.
+    the faces glued across every edge pair off two painted face tables; a
+    candidate whose chords collide or cross is no witness.
     """
     g = fp.genus()
     if k is not None and not 1 <= k <= g - 1:
@@ -463,9 +433,17 @@ def find_decompositions(fp: FillingPermutation, k: int | None = None) -> list[De
             if quad[0] == max(quad):
                 dec = _canonical_decomposition(kk, g - kk, anchors, quad)
                 found.setdefault((dec.k, dec.anchors, dec.type), dec)
-    results = [d for d in found.values() if _separates(tables, d)]
+    results = [d for d in found.values() if _is_witness(tables, d)]
     results.sort(key=lambda d: (d.k, d.type, d.x))
     return results
+
+
+def _is_witness(tables: _CycleTables, dec: Decomposition) -> bool:
+    """The one rule for a candidate: its anchor chords cut off the piece."""
+    try:
+        return _separates(tables, dec)
+    except ChordsCross:
+        return False
 
 
 def verify_separating(fp: FillingPermutation, dec: Decomposition) -> bool:
@@ -490,9 +468,14 @@ def _separates(tables: _CycleTables, dec: Decomposition) -> bool:
     walk paints `first` and `last`, the faces of every edge's first and last
     piece, by slice assignment between consecutive attachment points, and
     the gluing of edge p = pos[e] to edge opos[e] joins first[p] with
-    last[opos[e]].  Only the edges that carry points are glued piece by piece,
-    after the mirror check.  The five faces are then joined along at most 25
-    distinct face pairs.
+    last[opos[e]].  Only the edges that carry points are glued piece by
+    piece: an edge and its opposite carry the same number of points, since
+    both counts are #{c : anchors[c] = e} + #{c : anchors[c] = opp e}.  The
+    five faces are then joined along at most 25 distinct face pairs.
+
+    Raises `ChordsCross` when two attachment points collide or two chords
+    cross; otherwise every chord closes the innermost open one, so the walk
+    ends back in the root face.
     """
     anchors = dec.anchors
     cycle, pos, opos, m = tables.cycle, tables.pos, tables.opos, tables.m
@@ -541,17 +524,12 @@ def _separates(tables: _CycleTables, dec: Decomposition) -> bool:
         pieces[edge].append(current)
         if initial:
             cordon_faces[chord] = current
-    if stack or current != 0:
-        raise ChordsCross("unbalanced chord endpoints")
     num_faces = next_face  # root face 0 plus one per chord
 
     # glue: edge pieces pair reversed with the opposite edge's pieces
     glued = set(zip(map(first.__getitem__, tables.P), map(last.__getitem__, tables.Q)))
     for edge, faces in pieces.items():
-        mirror = pieces.get(opos[cycle[edge]])
-        if mirror is None or len(mirror) != len(faces):
-            raise ChordsCross("attachment points are not mirrored on opposite edges")
-        glued.update(zip(faces, reversed(mirror)))
+        glued.update(zip(faces, reversed(pieces[opos[cycle[edge]]])))
     root = list(range(num_faces))
     for f1, f2 in glued:
         r1, r2 = root[f1], root[f2]
@@ -574,19 +552,22 @@ def extract(
 
     Returns (cut_cycles, remainder_cycle).  The four cut cycles run from each
     anchor to the opposite of the next anchor and are arranged so the first
-    ends at the odd edge not on the positive odd anchor's arc, each subsequent
-    cycle starting at the opposite of the previous last entry.  When the piece
-    takes all but a torus (k = g-1) the anchors each serve as both first and
-    last entries, so their extra copies are decorated: a positive edge's copy
-    is decorated where it appears as a terminal entry, a negative edge's where
-    it appears as an initial entry.  The remainder cycle is sigma with the cut
-    cycles' interior entries deleted; for k = g-1 it is [1, 2, 3, 4].
+    ends at the odd edge not on the positive odd anchor's arc; the rest follow
+    in cyclic anchor order, each starting at the opposite of the previous
+    last entry.  When the piece takes all but a torus (k = g-1) the anchors
+    each serve as both first and last entries, so their extra copies are
+    decorated: a positive edge's copy is decorated where it appears as a
+    terminal entry, a negative edge's where it appears as an initial entry.
+    The remainder cycle is sigma with the cut cycles' interior entries
+    deleted; for k = g-1 it is [1, 2, 3, 4].
     """
     g = fp.genus()
     n = fp.n
     sigma = fp.sigma
     anchors = dec.anchors
     decorated = dec.k == g - 1
+    if len(set(anchors)) != 4:
+        raise SurgeryError(f"anchors {anchors} are not four distinct edges")
 
     runs: list[list[int]] = []
     for idx in range(4):
@@ -617,14 +598,9 @@ def extract(
         first_candidates = [ci for ci in first_candidates if runs[ci][-1] != opp_i]
     if len(first_candidates) != 1:
         raise SurgeryError("cannot identify the leading cut cycle")
-    order = first_candidates
-    while len(order) < 4:
-        need = opposite(runs[order[-1]][-1], n)
-        nxt = [ci for ci in range(4) if ci not in order and runs[ci][0] == need]
-        if len(nxt) != 1:
-            raise SurgeryError("cut cycles do not chain")
-        order.append(nxt[0])
-    cut_cycles = [entries(runs[ci]) for ci in order]
+    (lead,) = first_candidates
+    # run c ends at opp(anchors[c+1]) and run c+1 starts at anchors[c+1]
+    cut_cycles = [entries(runs[(lead + c) % 4]) for c in range(4)]
 
     if decorated:
         return cut_cycles, [1, 2, 3, 4]

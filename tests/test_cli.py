@@ -14,9 +14,11 @@ import fillperm
 import fillperm.census
 import fillperm.surgery
 from fillperm.cli import build_parser, main, read_filling_file, write_filling_file
-from fillperm import FillingPermutation, generators, validate
+from fillperm import FillingPermutation, assemble, attachment_site, generators, validate
 
 from conftest import FIXTURE_TEXTS, SIGMA_F6, perm
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture()
@@ -158,6 +160,36 @@ def test_extract_bad_anchors(files, capsys):
     )
     assert code == 1
     assert out.strip() == "NOT-A-DECOMPOSITION"
+
+
+def test_extract_non_separating_anchors_exits_1(tmp_path, capsys, sigma_f, zeta):
+    # these anchors close a genus-2 type and their spans do not nest, but
+    # their chords do not cut off a piece: a negative answer, not a crash
+    fp = assemble(sigma_f, zeta, attachment_site(sigma_f, 1))
+    path = tmp_path / "f_zeta_1.fp"
+    write_filling_file(str(path), fp)
+    code, out, err = run(
+        capsys, "extract", str(path),
+        "--x", "34", "--a", "3", "--y", "6", "--b", "31", "--k", "2",
+    )
+    assert (code, out.strip(), err) == (1, "NOT-A-DECOMPOSITION", "")
+
+
+@pytest.mark.parametrize(
+    "pair, anchors, pinned",
+    [
+        ("sigma_f6.pair", ("23", "38", "1", "16", "5"), "sigma_f6.extract_k5.json"),
+        ("sigma_f.pair", ("1", "4", "11", "14", "2"), "sigma_f.extract_k2.json"),
+    ],
+)
+def test_extract_record_matches_pinned(capsys, pair, anchors, pinned):
+    x, a, y, b, k = anchors
+    code, out, _ = run(
+        capsys, "extract", str(DATA / pair), "--format", "record",
+        "--x", x, "--a", a, "--y", y, "--b", b, "--k", k,
+    )
+    assert code == 0
+    assert out == (DATA / pinned).read_text()
 
 
 def test_roundtrip(files, capsys):

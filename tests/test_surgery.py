@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_right
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from fillperm import (
     assemble,
     attachment_site,
     big_q,
-    check_decomposition,
+    decomposition_at,
     disassemble,
     extract,
     find_decompositions,
@@ -36,7 +37,13 @@ from fillperm import (
     verify_separating,
 )
 
-from fillperm.surgery import _CycleTables, _anchored_types, _condition2, _kappa_delta, _separates
+from fillperm.surgery import (
+    _canonical_decomposition,
+    _CycleTables,
+    _anchored_types,
+    _kappa_delta,
+    _separates,
+)
 
 from conftest import SIGMA_PRIME, perm
 
@@ -223,28 +230,22 @@ def test_assemble_wraparound_site(sigma_f, zeta):
     assert result.genus() == 5 and result.is_minimal()
 
 
-def test_check_decomposition_worked_values(sigma_f6, sigma_f):
-    assert check_decomposition(sigma_f6, 3, 38, 39, 2, 3, (12, 4, 12, 4))
-    assert check_decomposition(sigma_f6, 23, 38, 1, 16, 5, (28, 6, 10, 4))
-    assert check_decomposition(sigma_f, 1, 4, 11, 14, 2, (8, 4, 8, 4))
+def test_decomposition_at_worked_values(sigma_f6, sigma_f):
+    assert decomposition_at(sigma_f6, 3, 38, 39, 2, 3).type == (12, 4, 12, 4)
+    assert decomposition_at(sigma_f6, 23, 38, 1, 16, 5).type == (28, 6, 10, 4)
+    assert decomposition_at(sigma_f, 1, 4, 11, 14, 2).type == (8, 4, 8, 4)
 
 
-def test_check_decomposition_wrong_type(sigma_f6):
-    assert not check_decomposition(sigma_f6, 3, 38, 39, 2, 3, (4, 12, 12, 4))
-
-
-def test_check_decomposition_malformed(sigma_f6):
-    with pytest.raises(SurgeryError, match="malformed"):
-        check_decomposition(sigma_f6, 3, 38, 39, 2, 3, (12, 4, 12, 2))
-    with pytest.raises(SurgeryError, match="malformed"):
-        check_decomposition(sigma_f6, 3, 38, 39, 2, 3, (12, 4, 12, 6))
-    with pytest.raises(SurgeryError):
-        check_decomposition(sigma_f6, 3, 38, 39, 2, 9, (30, 30, 10, 10))
+def test_decomposition_at_bad_input(sigma_f6):
+    with pytest.raises(SurgeryError, match="piece genus 9 out of range for genus 6"):
+        decomposition_at(sigma_f6, 3, 38, 39, 2, 9)
+    with pytest.raises(SurgeryError, match="piece genus 0 out of range"):
+        decomposition_at(sigma_f6, 3, 38, 39, 2, 0)
     # anchors outside 1..4n
     with pytest.raises(SurgeryError, match="anchor 99 out of range"):
-        check_decomposition(sigma_f6, 99, 38, 39, 2, 3, (12, 4, 12, 4))
+        decomposition_at(sigma_f6, 99, 38, 39, 2, 3)
     with pytest.raises(SurgeryError, match="anchor 0 out of range"):
-        check_decomposition(sigma_f6, 3, 38, 39, 0, 3, (12, 4, 12, 4))
+        decomposition_at(sigma_f6, 3, 38, 39, 0, 3)
 
 
 def test_find_decompositions_f6(sigma_f6):
@@ -484,9 +485,9 @@ def _flip_by_label(m, k):
     return [0, *up, *down]
 
 
-def _window_scan(tables, k, g, starts):
+def _window_scan(tables, k, starts):
     # the anchor search without the residue filter: every r in the window
-    # gets all three remaining sizes computed
+    # gets all three remaining sizes computed, each tested for parity too
     cycle, pos, opp, opos, m = tables.cycle, tables.pos, tables.opp, tables.opos, tables.m
     flip = _flip_by_label(m, k)
     found = []
@@ -505,9 +506,7 @@ def _window_scan(tables, k, g, starts):
             u = (ox - pos[b]) % m + 1
             if u & 1 or u < 4 or r + s + t + u != 8 * k + 8:
                 continue
-            anchors, quad = (x, a, y, b), (r, s, t, u)
-            if k == g - 1 or _condition2(tables, anchors, quad):
-                found.append((anchors, quad))
+            found.append(((x, a, y, b), (r, s, t, u)))
     return found
 
 
@@ -598,10 +597,10 @@ def test_anchored_types_matches_window_scan(oracle_pairs):
         for k in range(1, g):
             assert tables.flip(k) == _flip_by_label(tables.m, k)
             assert _anchored_types(tables, k, g, tables.cycle) == _window_scan(
-                tables, k, g, tables.cycle
+                tables, k, tables.cycle
             )
             for x in tables.cycle:
-                assert _anchored_types(tables, k, g, [x]) == _window_scan(tables, k, g, [x])
+                assert _anchored_types(tables, k, g, [x]) == _window_scan(tables, k, [x])
 
 
 def test_separates_matches_boundary_walk(oracle_pairs):
@@ -636,6 +635,89 @@ def test_separates_matches_boundary_walk(oracle_pairs):
         "ChordsCross: chord attachment points collide",
         "ChordsCross: anchor chords cross inside the polygon",
     }
+
+
+def test_decomposition_at_agrees_with_find_decompositions(oracle_pairs):
+    # one rule at both entry points: every candidate of the anchor search is
+    # a witness at its own anchors exactly when the search reports its
+    # canonical rotation
+    for fp in oracle_pairs:
+        g = fp.genus()
+        tables = _CycleTables(fp)
+        found = set(find_decompositions(fp))
+        for k in range(1, g):
+            for anchors, quad in _anchored_types(tables, k, g, tables.cycle):
+                dec = decomposition_at(fp, *anchors, k)
+                assert (dec is not None) == (
+                    _canonical_decomposition(k, g - k, anchors, quad) in found
+                ), (fp, k, anchors)
+                if dec is not None:
+                    assert (dec.anchors, dec.type) == (anchors, quad)
+
+
+def test_separation_rejects_every_nesting_failure(oracle_pairs):
+    # why no separate non-nesting test is needed: every candidate below the
+    # torus case whose spans nest wrongly has colliding or crossing chords,
+    # and every other one gets a yes-or-no answer
+    answers = Counter()
+    for fp in oracle_pairs:
+        g = fp.genus()
+        cycle = fp.regions[0]
+        pos = {sym: idx for idx, sym in enumerate(cycle)}
+        tables = _CycleTables(fp)
+        for k in range(1, g - 1):
+            for anchors, quad in _anchored_types(tables, k, g, tables.cycle):
+                dec = Decomposition(k, g - k, *anchors, quad)
+                if _reference_nesting(pos, cycle, anchors, quad):
+                    answer = _separates(tables, dec)
+                    assert isinstance(answer, bool), (fp, dec)
+                    answers[answer] += 1
+                else:
+                    with pytest.raises(ChordsCross):
+                        _separates(tables, dec)
+                    answers["ChordsCross"] += 1
+    assert set(answers) == {True, False, "ChordsCross"}
+
+
+def test_region_sizes_are_even(oracle_pairs):
+    # labels alternate parity along the cycle, and opp and tau keep a
+    # label's parity, so the anchor search needs no parity test: from a to
+    # opp(y), from y to opp(b) and from b to opp(x) is an even size
+    for fp in oracle_pairs:
+        n, g = fp.n, fp.genus()
+        tables = _CycleTables(fp)
+        cycle, pos, opp, opos, m = tables.cycle, tables.pos, tables.opp, tables.opos, tables.m
+        assert all((cycle[i] - cycle[i - 1]) % 2 == 1 for i in range(m))
+        t = tau(n)
+        assert all(opposite(e, n) % 2 == t(e) % 2 == e % 2 for e in range(1, m + 1))
+        for k in range(1, g):
+            flip = tables.flip(k)
+            for x in cycle:
+                for r in range(4, 8 * k - 3, 2):
+                    a = opp[cycle[(pos[x] + r - 1) % m]]
+                    for start, end in ((a, flip[x]), (flip[x], flip[a]), (flip[a], x)):
+                        assert (opos[end] - pos[start]) % m % 2 == 1, (fp, k, x, r)
+
+
+def test_opposite_edges_carry_equal_attachment_points(oracle_pairs):
+    # chord c starts on the edge of anchors[c] and ends on the edge of
+    # opp(anchors[c+1]), so an edge e carries #{c : anchors[c] = e} +
+    # #{c : anchors[c] = opp e} points, as many as its opposite edge: the
+    # regluing always meets a mirror edge cut into as many pieces
+    rng = random.Random(20160311)
+    for fp in oracle_pairs:
+        g = fp.genus()
+        tables = _CycleTables(fp)
+        pos, opos, m = tables.pos, tables.opos, tables.m
+        anchor_sets = [anchors for k in range(1, g)
+                       for anchors, _ in _anchored_types(tables, k, g, tables.cycle)]
+        anchor_sets += [tuple(rng.randint(1, m) for _ in range(4)) for _ in range(40)]
+        for anchors in anchor_sets:
+            points = Counter()
+            for c in range(4):
+                points[pos[anchors[c]]] += 1
+                points[opos[anchors[(c + 1) % 4]]] += 1
+            assert all(points[pos[e]] == points[opos[e]] for e in range(1, m + 1)), anchors
 
 
 def test_residue_identity(sigma_f6, zeta):
@@ -679,7 +761,7 @@ def test_no_genus_two_remainder(sigma_f6, sigma_f, f4):
 def test_decomposition_soundness(sigma_f6, sigma_f):
     for fp in (sigma_f6, sigma_f):
         for dec in find_decompositions(fp):
-            assert check_decomposition(fp, *dec.anchors, dec.k, dec.type)
+            assert decomposition_at(fp, *dec.anchors, dec.k) == dec
             assert verify_separating(fp, dec)
             piece, remainder = disassemble(fp, dec)
             assert piece.is_z_piece(dec.k)
@@ -731,6 +813,16 @@ def test_extract_f3_printed(sigma_f):
     cut, remainder = extract(sigma_f, dec)
     assert cut == CUT_F3_K2
     assert remainder == [1, 2, 3, 4]
+
+
+def test_extract_rejects_repeated_anchors(sigma_f6):
+    # (3, 38, 3, 38) with type (12, s, 12, s) meets all four span equations,
+    # but two runs start at each anchor, so the cut cycles cannot be ordered
+    cycle = sigma_f6.regions[0]
+    s = (cycle.index(opposite(3, 11)) - cycle.index(38)) % 44 + 1
+    dec = Decomposition(k=3, l=3, x=3, a=38, y=3, b=38, type=(12, s, 12, s))
+    with pytest.raises(SurgeryError, match="not four distinct edges"):
+        extract(sigma_f6, dec)
 
 
 def test_extract_cycle_lengths_match_type(sigma_f6):
