@@ -26,7 +26,8 @@ from pathlib import Path
 
 from .filling import opposite, tau, validate
 from .perm import Permutation
-from .surgery import find_decompositions
+# perfbench/tracing.py wraps census.find_decompositions by name
+from .surgery import _decomposes, find_decompositions  # noqa: F401
 from .twist import _group
 
 SINGLE_CYCLE_MAX_N = 7
@@ -111,28 +112,6 @@ def enumerate_filling(
     end_of = list(range(m + 1))  # end of the open path starting at label
     solutions: list[tuple[int, ...]] = []
 
-    def unmerge(merges: list) -> None:
-        for e, f, s, t in reversed(merges):
-            end_of[s] = e
-            start_of[t] = f
-
-    def merge(pairs: tuple, last: bool) -> list | None:
-        """Join each arrow e -> f of a block to the open paths; None (and
-        nothing changed) when one closes a cycle before the last arrow."""
-        merges = []
-        for e, f in pairs:
-            s = start_of[e]
-            if s == f:
-                if last and len(merges) == 3:
-                    return merges
-                unmerge(merges)
-                return None
-            t = end_of[f]
-            end_of[s] = t
-            start_of[t] = s
-            merges.append((e, f, s, t))
-        return merges
-
     def search(used: int) -> None:
         if used == full:
             solutions.append(tuple(sigma))
@@ -142,14 +121,29 @@ def enumerate_filling(
             if labels & used:
                 continue
             if single_cycle:
-                merges = merge(pairs, labels | used == full)
-                if merges is None:
+                # join each arrow e -> f to the open paths; one that closes a
+                # cycle prunes the branch unless it is the last arrow of all
+                merges = []
+                for e, f in pairs:
+                    s = start_of[e]
+                    if s == f:
+                        break
+                    t = end_of[f]
+                    end_of[s] = t
+                    start_of[t] = s
+                    merges.append((e, f, s, t))
+                if len(merges) < 4 and (len(merges) < 3 or labels | used != full):
+                    for e, f, s, t in reversed(merges):
+                        end_of[s] = e
+                        start_of[t] = f
                     continue
             for e, f in pairs:
                 sigma[e - 1] = f
             search(used | labels)
             if single_cycle:
-                unmerge(merges)
+                for e, f, s, t in reversed(merges):
+                    end_of[s] = e
+                    start_of[t] = f
 
     search(0)
     # search's closure refers to itself; the cycle would keep `solutions` alive
@@ -222,7 +216,9 @@ def census_records(
     relabeling raises RuntimeError.  An orbit's heads are closed under
     delta, so its least member lies in S, and it has n times as many members
     as it has in S.  The decomposable flag is computed on each orbit
-    representative (only minimal representatives can decompose).
+    representative (only minimal representatives can decompose) as a first
+    hit: the decomposition search stops at its first witness, trying a
+    torus remainder first, instead of listing them all.
     """
     unseen = set(
         enumerate_filling(n, single_cycle=single_cycle, max_n=max_n, symmetry_reduced=True)
@@ -255,7 +251,7 @@ def census_records(
                 genus=rep.genus(),
                 canonical_form=canon,
                 orbit_size_raw=size,
-                decomposable=rep.is_minimal() and bool(find_decompositions(rep)),
+                decomposable=rep.is_minimal() and _decomposes(rep),
             )
         )
     return total, records

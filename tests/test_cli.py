@@ -192,6 +192,27 @@ def test_extract_record_matches_pinned(capsys, pair, anchors, pinned):
     assert out == (DATA / pinned).read_text()
 
 
+def test_extract_cuts_once(capsys, monkeypatch):
+    # the piece and the remainder are pulled back from the one extraction
+    # that is printed, not from a second one
+    calls = []
+    original = fillperm.surgery.extract
+
+    def counting(fp, dec):
+        calls.append(dec.anchors)
+        return original(fp, dec)
+
+    monkeypatch.setattr(fillperm.cli, "extract", counting)
+    monkeypatch.setattr(fillperm.surgery, "extract", counting)
+    code, out, _ = run(
+        capsys, "extract", str(DATA / "sigma_f6.pair"), "--format", "record",
+        "--x", "23", "--a", "38", "--y", "1", "--b", "16", "--k", "5",
+    )
+    assert code == 0
+    assert out == (DATA / "sigma_f6.extract_k5.json").read_text()
+    assert calls == [(23, 38, 1, 16)]
+
+
 def test_roundtrip(files, capsys):
     code, out, _ = run(capsys, "roundtrip", files["sigma_f6"], "--k", "3")
     assert code == 0
@@ -291,10 +312,11 @@ def test_census_closure_failure_exits_3(capsys, monkeypatch):
 
 def test_census_decomposition_failure_exits_3(capsys, monkeypatch):
     # a SurgeryError is a ValueError, but here it is not bad input
-    def fail(fp, k=None):
+    def fail(fp):
         raise fillperm.SurgeryError("decomposition requires a minimal filling permutation")
 
-    monkeypatch.setattr(fillperm.census, "find_decompositions", fail)
+    # the census flag is the first-witness search, not find_decompositions
+    monkeypatch.setattr(fillperm.census, "_decomposes", fail)
     code, out, err = run(capsys, "census", "--n", "5", "--single-cycle")
     assert code == 3 and out == ""
     assert err == "internal error: decomposition requires a minimal filling permutation\n"

@@ -41,6 +41,7 @@ from fillperm.surgery import (
     _canonical_decomposition,
     _CycleTables,
     _anchored_types,
+    _decomposes,
     _kappa_delta,
     _separates,
 )
@@ -596,11 +597,11 @@ def test_anchored_types_matches_window_scan(oracle_pairs):
         tables = _CycleTables(fp)
         for k in range(1, g):
             assert tables.flip(k) == _flip_by_label(tables.m, k)
-            assert _anchored_types(tables, k, g, tables.cycle) == _window_scan(
+            assert list(_anchored_types(tables, k, g, tables.cycle)) == _window_scan(
                 tables, k, tables.cycle
             )
             for x in tables.cycle:
-                assert _anchored_types(tables, k, g, [x]) == _window_scan(tables, k, [x])
+                assert list(_anchored_types(tables, k, g, [x])) == _window_scan(tables, k, [x])
 
 
 def test_separates_matches_boundary_walk(oracle_pairs):
@@ -653,6 +654,61 @@ def test_decomposition_at_agrees_with_find_decompositions(oracle_pairs):
                 ), (fp, k, anchors)
                 if dec is not None:
                     assert (dec.anchors, dec.type) == (anchors, quad)
+
+
+@pytest.fixture(scope="module")
+def flag_pairs(oracle_pairs):
+    # the 5 genus-3 and 168 genus-4 census representatives, then the oracle
+    # pairs (genus 3 to 8)
+    pairs = [validate(Permutation(rec.canonical_form), rec.n)
+             for name in ("census_single_n5.jsonl", "census_single_n7.jsonl")
+             for rec in read_census(GOLDEN / name)]
+    assert len(pairs) == 5 + 168
+    return pairs + oracle_pairs
+
+
+def test_first_witness_matches_full_search(flag_pairs, f1):
+    # the census flag stops at the first witness; it must say what the full
+    # list says
+    for fp in [*flag_pairs, f1]:
+        assert _decomposes(fp) == bool(find_decompositions(fp)), fp
+    assert not _decomposes(f1)
+
+
+def test_first_witness_stops_at_first_hit(flag_pairs, monkeypatch):
+    checked = []
+
+    def accept(tables, dec):
+        checked.append(dec)
+        return True
+
+    monkeypatch.setattr("fillperm.surgery._is_witness", accept)
+    for fp in flag_pairs:
+        checked.clear()
+        assert _decomposes(fp)
+        assert len(checked) == 1, fp
+
+
+def test_first_witness_without_hit_checks_what_full_search_checks(flag_pairs, monkeypatch):
+    # with no witness at all the flag judges every candidate once, the same
+    # candidates as find_decompositions, and the torus remainder first
+    checked = []
+
+    def reject(tables, dec):
+        checked.append((dec.k, dec.anchors, dec.type))
+        return False
+
+    monkeypatch.setattr("fillperm.surgery._is_witness", reject)
+    for fp in flag_pairs:
+        checked.clear()
+        assert not _decomposes(fp)
+        by_flag = list(checked)
+        checked.clear()
+        assert find_decompositions(fp) == []
+        assert by_flag and sorted(by_flag) == sorted(checked), fp
+        assert len(set(by_flag)) == len(by_flag)
+        ks = [k for k, _, _ in by_flag]
+        assert ks == sorted(ks, reverse=True) and ks[0] == fp.genus() - 1, fp
 
 
 def test_separation_rejects_every_nesting_failure(oracle_pairs):
