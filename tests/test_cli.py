@@ -192,6 +192,15 @@ def test_extract_record_matches_pinned(capsys, pair, anchors, pinned):
     assert out == (DATA / pinned).read_text()
 
 
+@pytest.mark.parametrize("pair", ["sigma_f6", "sigma_f6_zeta_prime_5"])
+def test_decompose_record_matches_pinned(capsys, pair):
+    # sigma_F6 # zeta' at site 5 has four candidates whose runs are disjoint
+    # but not closed under opp; its pin lists 56 witnesses
+    code, out, _ = run(capsys, "decompose", str(DATA / f"{pair}.pair"), "--format", "record")
+    assert code == 0
+    assert out == (DATA / f"{pair}.decompose.json").read_text()
+
+
 def test_extract_cuts_once(capsys, monkeypatch):
     # the piece and the remainder are pulled back from the one extraction
     # that is printed, not from a second one
