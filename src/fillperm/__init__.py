@@ -27,7 +27,6 @@ from .surgery import (
     AssemblyMap,
     AttachmentSite,
     CaseGap,
-    ChordsCross,
     Decomposition,
     NoConjugacyFound,
     NotAVertexAnchor,
@@ -40,7 +39,6 @@ from .surgery import (
     extract,
     find_decompositions,
     round_trip_check,
-    verify_separating,
 )
 from .census import (
     BoundExceeded,

@@ -5,16 +5,16 @@ regions, a green vertex) into a minimal host at a chosen crossing, producing a
 minimal filling permutation of the summed genus.  Decomposition runs the other
 way: a minimal filling permutation of genus g splits as (genus l) + (genus k
 piece) exactly when four anchor edges x, a, y, b satisfy six equations tying
-sigma, the opposite-edge shift, and the arc-order rotation together, plus a
-non-nesting side condition.  One check decides that condition wherever a
-witness is judged: the region polygon is cut along the four anchor chords and
-reglued, and the anchors are a witness exactly when the chords neither collide
-nor cross and cut off the piece.  Both directions work purely on labels,
-through one arc-shift relabeling, `AssemblyMap`: on each curve the piece's
-inner arcs form one cyclic block right after the site arc and the host's arcs
-fill the rest in order; piece orientations are reversed, except on the piece's
-second curve when the two crossings have opposite chirality.  Disassembly runs
-the same map backwards.
+sigma, the opposite-edge shift, and the arc-order rotation together, and the
+curve through them cuts off the piece.  One rule decides that last clause
+wherever a witness is judged: the four runs of the region cycle that become
+the piece's regions must be pairwise disjoint and closed under the opposite
+shift.  Both directions work purely on labels, through one arc-shift
+relabeling, `AssemblyMap`: on each curve the piece's inner arcs form one
+cyclic block right after the site arc and the host's arcs fill the rest in
+order; piece orientations are reversed, except on the piece's second curve
+when the two crossings have opposite chirality.  Disassembly runs the same
+map backwards.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ class NotAVertexAnchor(SurgeryError):
 
 
 class ArrangementImpossible(SurgeryError):
-    pass
-
-
-class ChordsCross(SurgeryError):
     pass
 
 
@@ -81,9 +77,7 @@ def attachment_site(host: FillingPermutation, i: int) -> AttachmentSite:
 
 
 def _arc_of(label: int, n: int) -> tuple[int, bool, bool]:
-    """(arc, even, negative) of a label on a pair with n crossings."""
-    if not 1 <= label <= 4 * n:
-        raise CaseGap(f"symbol {label} out of range 1..{4 * n}")
+    """(arc, even, negative) of a label 1..4n on a pair with n crossings."""
     negative = label > 2 * n
     base = label - 2 * n if negative else label
     return (base + 1) // 2, base % 2 == 0, negative
@@ -124,6 +118,18 @@ class AssemblyMap:
             raise SurgeryError(f"({i}, {j}) is not a positive odd/even site for n={self.n}")
         self._site_arc = ((i + 1) // 2, j // 2)  # indexed by `even`
 
+    def __repr__(self) -> str:
+        k, l, i, j, forward = self.k, self.l, self.i, self.j, self.forward
+        return f"AssemblyMap({k=}, {l=}, {i=}, {j=}, {forward=})"
+
+    def _gap(self, side: str, symbol: int, problem: str) -> CaseGap:
+        return CaseGap(f"{self!r}, {side} side: symbol {symbol} {problem}")
+
+    def _arc(self, label: int, n: int, side: str) -> tuple[int, bool, bool]:
+        if not 1 <= label <= 4 * n:
+            raise self._gap(side, label, f"out of range 1..{4 * n}")
+        return _arc_of(label, n)
+
     @classmethod
     def for_site(
         cls, host: FillingPermutation, piece: FillingPermutation, site: AttachmentSite
@@ -140,13 +146,13 @@ class AssemblyMap:
         return cls(piece.genus(), host.genus(), site.i, site.j, forward)
 
     def host(self, v: int) -> int:
-        arc, even, negative = _arc_of(v, self.n_host)
+        arc, even, negative = self._arc(v, self.n_host, "host")
         a = self._site_arc[even]
         back = (min(a, self.n_host) - arc) % self.n_host
         return _label_of((a - back - 1) % self.n + 1, even, negative, self.n)
 
     def piece(self, w: int) -> int:
-        arc, even, negative = _arc_of(w, self.n_piece)
+        arc, even, negative = self._arc(w, self.n_piece, "piece")
         a = self._site_arc[even]
         backward = even and not self.forward
         c = a + self.n_piece - arc if backward else a + arc - 1
@@ -154,25 +160,25 @@ class AssemblyMap:
         return _label_of((c - 1) % self.n + 1, even, negative == backward, self.n)
 
     def host_preimage(self, r: int) -> int:
-        c, even, negative = _arc_of(r, self.n)
+        c, even, negative = self._arc(r, self.n, "host")
         a = self._site_arc[even]
         back = (a - c) % self.n
         if back >= self.n_host:
-            raise CaseGap(f"symbol {r} is not on the host side of site ({self.i}, {self.j})")
+            raise self._gap("host", r, "has no preimage")
         arc = (min(a, self.n_host) - back - 1) % self.n_host + 1
         return _label_of(arc, even, negative, self.n_host)
 
     def piece_preimage(self, r: int, decorated: bool = False) -> int:
-        c, even, negative = _arc_of(r, self.n)
+        c, even, negative = self._arc(r, self.n, "piece")
         a = self._site_arc[even]
         ahead = (c - a) % self.n
         if ahead >= self.n_piece:
-            raise CaseGap(f"symbol {r} is not on the piece side of site ({self.i}, {self.j})")
+            raise self._gap("piece", r, "has no preimage")
         backward = even and not self.forward
         if self.l == 1 and ahead == 0:
             arc = self.n_piece if decorated else 1
         elif decorated:
-            raise CaseGap(f"decorated symbol {r} is not a site label of a genus-1 host")
+            raise self._gap("piece", r, "is decorated, but the host is not a torus")
         else:
             arc = self.n_piece - ahead if backward else ahead + 1
         return _label_of(arc, even, negative == backward, self.n_piece)
@@ -294,9 +300,7 @@ class _CycleTables:
     label, index 0 unused: `pos[e]` is e's index in `cycle`, `opp[e]` the
     opposite label, `opos[e] = pos[opp[e]]` and `d[e] = (opos[e] - pos[e])
     mod m`.  `opp_at` is the opposite of the label at each position, twice
-    round, so an anchor window is one slice; `P` and `Q` are `pos` and `opos`
-    of the positive labels 1..2n, the edge pairs the polygon is reglued
-    along.  `genus` is the pair's genus.
+    round, so an anchor window is one slice.  `genus` is the pair's genus.
     """
 
     def __init__(self, fp: FillingPermutation):
@@ -312,7 +316,6 @@ class _CycleTables:
         self.opos = opos = [pos[e] for e in opp]
         self.d = [(o - p) % m for p, o in zip(pos, opos)]
         self.opp_at = [opp[e] for e in cycle] * 2
-        self.P, self.Q = pos[1 : m // 2 + 1], opos[1 : m // 2 + 1]
 
     def flip(self, k: int) -> list[int]:
         """opp o tau^(2k+1) by label, the involution with y = flip[x] and
@@ -346,8 +349,8 @@ def _anchored_types(
     construction.  What is left is that every region size is at least 4 and
     the sizes sum to 8k + 8.  They are all even: labels alternate parity
     along the cycle, and opp and tau keep a label's parity.  These are
-    candidates only; whether the anchor chords cut off the piece (they may
-    cross, or nest wrongly) is for `_separates` to decide.
+    candidates only; whether they cut off the piece (their runs may overlap,
+    or not close under opp) is for `_is_witness` to decide.
 
     The sizes less one sum to d(x) + d(y) + d(a) + d(b) modulo m, that is to
     D(x) + D(a) with D(e) = d(e) + d(flip[e]), and that sum must be 8k + 4.
@@ -410,12 +413,11 @@ def decomposition_at(
 
     The type is read off the anchors: each piece region runs from an anchor
     to the opposite of the next one.  None means the anchors fail the
-    remaining equations or their chords do not cut off the piece, by the
-    same rule as `find_decompositions`.
+    remaining equations or do not cut off the piece, by the same rule as
+    `find_decompositions`.
     """
     g = fp.genus()
-    if not 1 <= k <= g - 1:
-        raise SurgeryError(f"piece genus {k} out of range for genus {g}")
+    _check_piece_genus(k, g)
     tables = _CycleTables(fp)
     tables.check_anchors((x, a, y, b))
     for anchors, quad in _anchored_types(tables, k, g, [x]):
@@ -435,17 +437,12 @@ def find_decompositions(fp: FillingPermutation, k: int | None = None) -> list[De
     on a torus remainder (k = g - 1) the sizes close exactly when pos(a) lies
     in one cyclic interval (see `_anchored_types`).  Each candidate is met
     once per rotation of its anchors that starts with a largest size; it is
-    taken once, in canonical rotation, and confirmed by the separating-curve
-    check, which reads the faces glued across every edge pair off two painted
-    face tables; a candidate whose chords collide or cross is no witness.
-    This drains the lazy search `_witnesses` and sorts by (k, type, x); the
-    census flag stops at that search's first witness instead.
+    taken once, in canonical rotation, and confirmed by `_is_witness`.  This
+    drains the lazy search `_witnesses` and sorts by (k, type, x); the census
+    flag stops at that search's first witness instead.
     """
-    g = fp.genus()
-    if k is not None and not 1 <= k <= g - 1:
-        raise SurgeryError(f"piece genus {k} out of range for genus {g}")
-    if g <= 1:
-        return []
+    if k is not None:
+        _check_piece_genus(k, fp.genus())
     return sorted(_witnesses(_CycleTables(fp), k), key=lambda d: (d.k, d.type, d.x))
 
 
@@ -477,111 +474,41 @@ def _decomposes(fp: FillingPermutation) -> bool:
     return next(_witnesses(_CycleTables(fp)), None) is not None
 
 
+def _check_piece_genus(k: int, g: int) -> None:
+    if not 1 <= k <= g - 1:
+        raise SurgeryError(f"piece genus {k} out of range for genus {g}")
+
+
 def _is_witness(tables: _CycleTables, dec: Decomposition) -> bool:
-    """The one rule for a candidate: its anchor chords cut off the piece."""
-    try:
-        return _separates(tables, dec)
-    except ChordsCross:
-        return False
+    """The one rule for a candidate of `_anchored_types`: it is a witness
+    exactly when its four runs are pairwise disjoint and their labels are
+    closed under opp.
 
+    Run c goes from anchor c to the opposite of anchor c + 1 and holds
+    type[c] labels; the runs become the piece's four regions.  When they are
+    disjoint the anchor chords neither collide nor cross, so the four caps
+    they cut off the region polygon are the four faces on the piece side,
+    and the regluing joins the caps to one another through the anchor
+    edges.  The curve then cuts off the piece exactly when no cap label is
+    glued to a label outside the caps.  Overlapping runs cannot be the four
+    regions of a piece.
 
-def verify_separating(fp: FillingPermutation, dec: Decomposition) -> bool:
-    """Direct geometric check that the anchor chords cut off the piece.
-
-    The complementary polygon's boundary is cut at the chord attachment
-    points; the four chords split the disk into five faces; opposite edge
-    halves are then reglued with reversed orientation.  The witness is good
-    exactly when two connected components remain and one of them consists of
-    the four cordoned faces.
+    On a torus remainder (k = g - 1) y = opp(x) and b = opp(a), so the runs
+    from x, b, y and a each end where the next one starts; each holds at
+    least 4 labels and together they hold m + 4, so they tile the cycle once
+    and every torus candidate is a witness.
     """
-    tables = _CycleTables(fp)
-    tables.check_anchors(dec.anchors)
-    return _separates(tables, dec)
-
-
-def _separates(tables: _CycleTables, dec: Decomposition) -> bool:
-    """`verify_separating` on tables already built, with anchors in range.
-
-    Away from the at most eight edges that carry attachment points, each edge
-    is one piece and lies in the face the boundary walk is in there.  So the
-    walk paints `first` and `last`, the faces of every edge's first and last
-    piece, by slice assignment between consecutive attachment points, and
-    the gluing of edge p = pos[e] to edge opos[e] joins first[p] with
-    last[opos[e]].  Only the edges that carry points are glued piece by
-    piece: an edge and its opposite carry the same number of points, since
-    both counts are #{c : anchors[c] = e} + #{c : anchors[c] = opp e}.  The
-    five faces are then joined along at most 25 distinct face pairs.
-
-    Raises `ChordsCross` when two attachment points collide or two chords
-    cross; otherwise every chord closes the innermost open one, so the walk
-    ends back in the root face.
-    """
-    anchors = dec.anchors
-    cycle, pos, opos, m = tables.cycle, tables.pos, tables.opos, tables.m
-    shared = dec.k == tables.genus - 1  # each anchor edge carries two chord attachments
-    init_off, term_off = (4, 2) if shared else (3, 3)
-
-    # chord c: from anchors[c] to opposite(anchors[c+1]); coordinates scale
-    # each edge to width 6 so attachment points land on integers.
-    points: list[tuple[int, int, bool]] = []  # (coord, chord, initial)
-    for c in range(4):
-        init_coord = 6 * pos[anchors[c]] + init_off
-        term_coord = 6 * opos[anchors[(c + 1) % 4]] + term_off
-        if any(coord in (init_coord, term_coord) for coord, _, _ in points):
-            raise ChordsCross("chord attachment points collide")
-        points.append((init_coord, c, True))
-        points.append((term_coord, c, False))
-    points.sort()
-
-    # walk the boundary once; non-crossing chords nest like parentheses.
-    # pieces[p] lists the faces of the pieces of an edge p that carries
-    # points, in order; every edge before the first point and after the last
-    # lies in the root face 0.
-    first, last = [0] * m, [0] * m
-    pieces: dict[int, list[int]] = {}
-    opened_at: dict[int, int] = {}  # chord -> face it opened
-    cordon_faces = [0] * 4  # chord -> face just past its initial point
-    current = 0
-    next_face = 1
-    stack: list[int] = []
-    prev = points[0][0] // 6
-    for coord, chord, initial in points:
-        edge = coord // 6
-        # the walk was in `current` from the previous point's edge to this one
-        last[prev:edge] = first[prev + 1 : edge + 1] = [current] * (edge - prev)
-        prev = edge
-        pieces.setdefault(edge, [current])
-        if chord not in opened_at:
-            stack.append(current)
-            opened_at[chord] = next_face
-            current = next_face
-            next_face += 1
-        else:
-            if opened_at[chord] != current:
-                raise ChordsCross("anchor chords cross inside the polygon")
-            current = stack.pop()
-        pieces[edge].append(current)
-        if initial:
-            cordon_faces[chord] = current
-    num_faces = next_face  # root face 0 plus one per chord
-
-    # glue: edge pieces pair reversed with the opposite edge's pieces
-    glued = set(zip(map(first.__getitem__, tables.P), map(last.__getitem__, tables.Q)))
-    for edge, faces in pieces.items():
-        glued.update(zip(faces, reversed(pieces[opos[cycle[edge]]])))
-    root = list(range(num_faces))
-    for f1, f2 in glued:
-        r1, r2 = root[f1], root[f2]
-        if r1 != r2:
-            root = [r2 if r == r1 else r for r in root]
-
-    if len(set(root)) != 2:
+    if dec.k == tables.genus - 1:
+        return True
+    pos, opp_at, m = tables.pos, tables.opp_at, tables.m
+    runs = sorted(zip(map(pos.__getitem__, dec.anchors), dec.type))
+    # each run ends before the next one starts, the last before the first
+    # one's start a lap later
+    nexts = [start for start, _ in runs[1:]] + [runs[0][0] + m]
+    if any(start + size > nxt for (start, size), nxt in zip(runs, nexts)):
         return False
-    cordon = set(cordon_faces)
-    cordon_roots = {root[f] for f in cordon}
-    if len(cordon) != 4 or len(cordon_roots) != 1:
-        return False
-    return all(root[f] not in cordon_roots for f in range(num_faces) if f not in cordon)
+    inside = {p % m for start, size in runs for p in range(start, start + size)}
+    return all(pos[opp_at[p]] in inside for p in inside)
 
 
 def extract(
@@ -599,22 +526,29 @@ def extract(
     terminal entry, a negative edge's where it appears as an initial entry.
     The remainder cycle is sigma with the cut cycles' interior entries
     deleted; for k = g-1 it is [1, 2, 3, 4].
+
+    Raises `SurgeryError` when `dec` cannot describe a cut of `fp`: an
+    anchor out of range, genera that do not add up to fp's genus, a type
+    that is not one of a genus-k piece, or runs that miss the span equations.
     """
-    g = fp.genus()
-    n = fp.n
-    sigma = fp.sigma
     anchors = dec.anchors
-    decorated = dec.k == g - 1
+    tables = _CycleTables(fp)
+    tables.check_anchors(anchors)
     if len(set(anchors)) != 4:
         raise SurgeryError(f"anchors {anchors} are not four distinct edges")
+    g, n = tables.genus, fp.n
+    _check_piece_genus(dec.k, g)
+    if dec.l != g - dec.k or sum(dec.type) != 8 * dec.k + 8 or min(dec.type) < 4:
+        raise SurgeryError(
+            f"(k, l) = ({dec.k}, {dec.l}) with type {dec.type} is no cut of a genus-{g} pair"
+        )
+    decorated = dec.k == g - 1
 
+    cycle, pos, m = tables.cycle, tables.pos, tables.m
     runs: list[list[int]] = []
     for idx in range(4):
-        run = [anchors[idx]]
-        cur = anchors[idx]
-        for _ in range(dec.type[idx] - 1):
-            cur = sigma(cur)
-            run.append(cur)
+        start = pos[anchors[idx]]
+        run = [cycle[p % m] for p in range(start, start + dec.type[idx])]
         if run[-1] != opposite(anchors[(idx + 1) % 4], n):
             raise SurgeryError("anchors do not satisfy the span equations")
         runs.append(run)
@@ -646,8 +580,7 @@ def extract(
     interior: set[int] = set()
     for run in runs:
         interior.update(run[1:-1])
-    full = list(fp.regions[0])
-    surviving = [s for s in full if s not in interior]
+    surviving = [s for s in cycle if s not in interior]
     at_min = surviving.index(min(surviving))
     return cut_cycles, surviving[at_min:] + surviving[:at_min]
 

@@ -1,10 +1,13 @@
-"""Shared fixtures: the worked filling permutations used across the suite."""
+"""Shared fixtures: the worked filling permutations used across the suite, and
+the geometric separation check that the witness rule is tested against."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import pytest
 
-from fillperm import Permutation, validate
+from fillperm import Permutation, opposite, validate
 
 # genus-2 piece with 6 crossings (two octagons, two rectangles)
 ZETA = "(1,10,15,20,17,22,3,12)(24,5,18,11)(23,16,9,6,7,4,21,14)(2,19,8,13)"
@@ -85,3 +88,111 @@ def z5():
 @pytest.fixture(scope="session")
 def f1():
     return validate(perm("(1,2,3,4)", 4))
+
+
+class ChordsCross(Exception):
+    """Two anchor chords collide or cross inside the region polygon."""
+
+
+def reference_separating(fp, dec):
+    # the geometric oracle for the witness rule: cut the region polygon of a
+    # minimal pair along the four anchor chords, reglue opposite edges and
+    # ask whether the four faces past the chords' initial points make a
+    # component of their own; a bisect per edge piece, opposite() per label
+    n = fp.n
+    g = fp.genus()
+    pos = {sym: idx for idx, sym in enumerate(fp.regions[0])}
+    anchors = dec.anchors
+    shared = dec.k == g - 1  # each anchor edge carries two chord attachments
+
+    # chord c: from anchors[c] to opposite(anchors[c+1]); coordinates scale
+    # each edge to width 6 so attachment points land on integers.
+    points: list[tuple[int, int]] = []  # (coord, chord)
+    chord_init_coord: list[int] = []
+    for c in range(4):
+        init_edge = anchors[c]
+        term_edge = opposite(anchors[(c + 1) % 4], n)
+        init_coord = 6 * pos[init_edge] + (4 if shared else 3)
+        term_coord = 6 * pos[term_edge] + (2 if shared else 3)
+        if any(coord in (init_coord, term_coord) for coord, _ in points):
+            raise ChordsCross("chord attachment points collide")
+        points.append((init_coord, c))
+        points.append((term_coord, c))
+        chord_init_coord.append(init_coord)
+    points.sort()
+
+    # walk the circle once; non-crossing chords nest like parentheses
+    face_of_arc: list[int] = []  # arc idx -> face; arc idx starts at points[idx]
+    opened_at: dict[int, int] = {}  # chord -> face it opened
+    parent_of: dict[int, int] = {}
+    current = 0
+    next_face = 1
+    stack: list[int] = []
+    for coord, chord in points:
+        if chord not in opened_at:
+            stack.append(current)
+            opened_at[chord] = next_face
+            parent_of[next_face] = current
+            current = next_face
+            next_face += 1
+        else:
+            if opened_at[chord] != current:
+                raise ChordsCross("anchor chords cross inside the polygon")
+            current = stack.pop()
+        face_of_arc.append(current)
+    if stack or current != 0:
+        raise ChordsCross("unbalanced chord endpoints")
+    num_faces = next_face  # root face 0 plus one per chord
+
+    coords = [coord for coord, _ in points]
+
+    def face_at(coord2x: int) -> int:
+        # locate by doubled coordinate to keep interval midpoints integral
+        idx = bisect_right(coords, coord2x / 2) - 1
+        return face_of_arc[idx if idx >= 0 else len(coords) - 1]
+
+    cordon_faces = [face_at(2 * c + 1) for c in chord_init_coord]
+
+    # glue: edge pieces (split at attachment coords) pair reversed with the
+    # opposite edge's pieces
+    parent = list(range(num_faces))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i: int, j: int) -> None:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+
+    cuts_of_edge: dict[int, list[int]] = {}
+    for coord, _ in points:
+        cuts_of_edge.setdefault(coord // 6, []).append(coord)
+    for sym in range(1, 4 * n + 1):
+        opp = opposite(sym, n)
+        if sym > opp:
+            continue
+        p1, p2 = pos[sym], pos[opp]
+        cuts1 = sorted(cuts_of_edge.get(p1, []))
+        cuts2 = sorted(cuts_of_edge.get(p2, []))
+        if len(cuts1) != len(cuts2):
+            raise ChordsCross("attachment points are not mirrored on opposite edges")
+        bounds1 = [6 * p1] + cuts1 + [6 * p1 + 6]
+        bounds2 = [6 * p2] + cuts2 + [6 * p2 + 6]
+        m = len(bounds1) - 1
+        for piece_idx in range(m):
+            f1 = face_at(bounds1[piece_idx] + bounds1[piece_idx + 1])
+            f2 = face_at(bounds2[m - 1 - piece_idx] + bounds2[m - piece_idx])
+            union(f1, f2)
+
+    components = {find(f) for f in range(num_faces)}
+    if len(components) != 2:
+        return False
+    cordon_roots = {find(f) for f in cordon_faces}
+    if len(set(cordon_faces)) != 4 or len(cordon_roots) != 1:
+        return False
+    other = [f for f in range(num_faces) if f not in set(cordon_faces)]
+    return all(find(f) not in cordon_roots for f in other)

@@ -33,10 +33,9 @@ from fillperm import (
     twist_group,
     upper_bound,
     validate,
-    verify_separating,
 )
 
-from conftest import FIXTURE_TEXTS, SIGMA_PRIME, perm
+from conftest import FIXTURE_TEXTS, SIGMA_PRIME, perm, reference_separating
 
 
 def report(criterion: str, ok: bool, elapsed: float, detail: str = "") -> None:
@@ -251,7 +250,7 @@ def test_criterion_8_property_suites(zeta, sigma_f, sigma_f6, f4, f1):
     # every found decomposition separates and never leaves a genus-2 remainder
     for fp in (sigma_f6, sigma_f, f4):
         for dec in find_decompositions(fp):
-            if not verify_separating(fp, dec):
+            if not reference_separating(fp, dec):
                 failures.append(f"separating check at {dec}")
             if dec.l == 2:
                 failures.append(f"genus-2 remainder at {dec}")

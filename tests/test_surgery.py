@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-import random
-from bisect import bisect_right
 from collections import Counter
 from pathlib import Path
 
@@ -14,7 +11,7 @@ from fillperm import (
     ArrangementImpossible,
     AssemblyMap,
     AttachmentSite,
-    ChordsCross,
+    CaseGap,
     Decomposition,
     NoConjugacyFound,
     NotAVertexAnchor,
@@ -25,6 +22,7 @@ from fillperm import (
     big_q,
     decomposition_at,
     disassemble,
+    enumerate_filling,
     extract,
     find_decompositions,
     generators,
@@ -34,7 +32,6 @@ from fillperm import (
     round_trip_check,
     tau,
     validate,
-    verify_separating,
 )
 
 from fillperm.surgery import (
@@ -42,11 +39,11 @@ from fillperm.surgery import (
     _CycleTables,
     _anchored_types,
     _decomposes,
+    _is_witness,
     _kappa_delta,
-    _separates,
 )
 
-from conftest import SIGMA_PRIME, perm
+from conftest import SIGMA_PRIME, ChordsCross, perm, reference_separating
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
@@ -136,6 +133,12 @@ def test_assembly_map_matches_assemble_at_every_site(sigma_f, f4, zeta, sigma_z)
     # last arcs wrap to the start of the result's curves and keep their
     # reversed orientation there.
     assert AssemblyMap(3, 3, 1, 10).piece(32) == 2
+    # a symbol the map cannot take names the map, the side and the symbol
+    with pytest.raises(CaseGap, match=(
+        r"^AssemblyMap\(k=3, l=3, i=1, j=10, forward=True\), host side: "
+        r"symbol 99 out of range 1\.\.20$"
+    )):
+        AssemblyMap(3, 3, 1, 10).host(99)
     for host in (sigma_f, f4):
         for piece in (zeta, sigma_z):
             green = set(piece.vertex_orbit(2 * piece.n - 1))
@@ -264,6 +267,17 @@ def test_find_decompositions_f1_empty(f1):
     assert find_decompositions(f1) == []
 
 
+def test_find_decompositions_rejects_non_minimal_torus():
+    # a three-region pair at n = 3 has genus 1; like every other non-minimal
+    # pair it is an input error, not a pair without decompositions
+    pairs = (validate(Permutation(p), 3) for p in enumerate_filling(3, single_cycle=False))
+    torus = next(fp for fp in pairs if fp.region_count == 3)
+    assert torus.genus() == 1
+    for search in (find_decompositions, _decomposes):
+        with pytest.raises(SurgeryError, match="requires a minimal filling permutation"):
+            search(torus)
+
+
 def test_find_decompositions_k_filter(sigma_f6):
     only_k3 = find_decompositions(sigma_f6, k=3)
     assert all(d.k == 3 for d in only_k3)
@@ -283,108 +297,6 @@ def _reference_nesting(pos, cycle, anchors, quad):
                 if not (pos[end_of_v] - pos[w]) % m > q - 1:
                     return False
     return True
-
-
-def _reference_separating(fp, dec):
-    # an independent copy of the separating-curve check on its own position
-    # dictionary: a bisect per edge piece and opposite() per label
-    n = fp.n
-    g = fp.genus()
-    pos = {sym: idx for idx, sym in enumerate(fp.regions[0])}
-    anchors = dec.anchors
-    shared = dec.k == g - 1  # each anchor edge carries two chord attachments
-
-    # chord c: from anchors[c] to opposite(anchors[c+1]); coordinates scale
-    # each edge to width 6 so attachment points land on integers.
-    points: list[tuple[int, int]] = []  # (coord, chord)
-    chord_init_coord: list[int] = []
-    for c in range(4):
-        init_edge = anchors[c]
-        term_edge = opposite(anchors[(c + 1) % 4], n)
-        init_coord = 6 * pos[init_edge] + (4 if shared else 3)
-        term_coord = 6 * pos[term_edge] + (2 if shared else 3)
-        if any(coord in (init_coord, term_coord) for coord, _ in points):
-            raise ChordsCross("chord attachment points collide")
-        points.append((init_coord, c))
-        points.append((term_coord, c))
-        chord_init_coord.append(init_coord)
-    points.sort()
-
-    # walk the circle once; non-crossing chords nest like parentheses
-    face_of_arc: list[int] = []  # arc idx -> face; arc idx starts at points[idx]
-    opened_at: dict[int, int] = {}  # chord -> face it opened
-    parent_of: dict[int, int] = {}
-    current = 0
-    next_face = 1
-    stack: list[int] = []
-    for coord, chord in points:
-        if chord not in opened_at:
-            stack.append(current)
-            opened_at[chord] = next_face
-            parent_of[next_face] = current
-            current = next_face
-            next_face += 1
-        else:
-            if opened_at[chord] != current:
-                raise ChordsCross("anchor chords cross inside the polygon")
-            current = stack.pop()
-        face_of_arc.append(current)
-    if stack or current != 0:
-        raise ChordsCross("unbalanced chord endpoints")
-    num_faces = next_face  # root face 0 plus one per chord
-
-    coords = [coord for coord, _ in points]
-
-    def face_at(coord2x: int) -> int:
-        # locate by doubled coordinate to keep interval midpoints integral
-        idx = bisect_right(coords, coord2x / 2) - 1
-        return face_of_arc[idx if idx >= 0 else len(coords) - 1]
-
-    cordon_faces = [face_at(2 * c + 1) for c in chord_init_coord]
-
-    # glue: edge pieces (split at attachment coords) pair reversed with the
-    # opposite edge's pieces
-    parent = list(range(num_faces))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    cuts_of_edge: dict[int, list[int]] = {}
-    for coord, _ in points:
-        cuts_of_edge.setdefault(coord // 6, []).append(coord)
-    for sym in range(1, 4 * n + 1):
-        opp = opposite(sym, n)
-        if sym > opp:
-            continue
-        p1, p2 = pos[sym], pos[opp]
-        cuts1 = sorted(cuts_of_edge.get(p1, []))
-        cuts2 = sorted(cuts_of_edge.get(p2, []))
-        if len(cuts1) != len(cuts2):
-            raise ChordsCross("attachment points are not mirrored on opposite edges")
-        bounds1 = [6 * p1] + cuts1 + [6 * p1 + 6]
-        bounds2 = [6 * p2] + cuts2 + [6 * p2 + 6]
-        m = len(bounds1) - 1
-        for piece_idx in range(m):
-            f1 = face_at(bounds1[piece_idx] + bounds1[piece_idx + 1])
-            f2 = face_at(bounds2[m - 1 - piece_idx] + bounds2[m - piece_idx])
-            union(f1, f2)
-
-    components = {find(f) for f in range(num_faces)}
-    if len(components) != 2:
-        return False
-    cordon_roots = {find(f) for f in cordon_faces}
-    if len(set(cordon_faces)) != 4 or len(cordon_roots) != 1:
-        return False
-    other = [f for f in range(num_faces) if f not in set(cordon_faces)]
-    return all(find(f) not in cordon_roots for f in other)
 
 
 def _reference_decompositions(fp):
@@ -428,7 +340,7 @@ def _reference_decompositions(fp):
                         ]
                         rq, _, (rx, ra, ry, rb) = max(rotations)
                         found.add(Decomposition(k, g - k, rx, ra, ry, rb, rq))
-    results = [d for d in found if _reference_separating(fp, d)]
+    results = [d for d in found if reference_separating(fp, d)]
     return sorted(results, key=lambda d: (d.k, d.type, d.x))
 
 
@@ -450,32 +362,6 @@ def reference_pairs(sigma_f6, sigma_f, f4, zeta, sigma_z):
 def test_find_decompositions_matches_reference(reference_pairs):
     for fp in reference_pairs:
         assert find_decompositions(fp) == _reference_decompositions(fp)
-
-
-def _separating_outcome(check, fp, dec):
-    try:
-        return check(fp, dec)
-    except ChordsCross as exc:
-        return f"ChordsCross: {exc}"
-
-
-def test_verify_separating_matches_reference(reference_pairs):
-    # every witness, and its anchors rotated (the same chords) and with two
-    # of them swapped (crossing or mismatched chords)
-    outcomes = set()
-    for fp in reference_pairs:
-        for dec in find_decompositions(fp):
-            orders = [dec.anchors[i:] + dec.anchors[:i] for i in range(4)]
-            for i, j in itertools.combinations(range(4), 2):
-                swapped = list(dec.anchors)
-                swapped[i], swapped[j] = swapped[j], swapped[i]
-                orders.append(tuple(swapped))
-            for anchors in orders:
-                moved = Decomposition(dec.k, dec.l, *anchors, dec.type)
-                outcome = _separating_outcome(verify_separating, fp, moved)
-                assert outcome == _separating_outcome(_reference_separating, fp, moved)
-                outcomes.add(outcome if isinstance(outcome, bool) else "ChordsCross")
-    assert outcomes == {True, False, "ChordsCross"}
 
 
 def _flip_by_label(m, k):
@@ -511,72 +397,6 @@ def _window_scan(tables, k, starts):
     return found
 
 
-def _separates_by_walk(tables, dec):
-    # the separating-curve check with a face list for every edge and a
-    # union-find over all 2n edge pairs
-    anchors = dec.anchors
-    pos, opos, m = tables.pos, tables.opos, tables.m
-    shared = dec.k == tables.genus - 1
-    points = []
-    for c in range(4):
-        init_coord = 6 * pos[anchors[c]] + (4 if shared else 3)
-        term_coord = 6 * opos[anchors[(c + 1) % 4]] + (2 if shared else 3)
-        if any(coord in (init_coord, term_coord) for coord, _, _ in points):
-            raise ChordsCross("chord attachment points collide")
-        points.append((init_coord, c, True))
-        points.append((term_coord, c, False))
-    points.sort()
-    faces_of_edge = []
-    opened_at = {}
-    cordon_faces = [0] * 4
-    current = 0
-    next_face = 1
-    stack = []
-    for coord, chord, initial in points:
-        while len(faces_of_edge) <= coord // 6:
-            faces_of_edge.append([current])
-        if chord not in opened_at:
-            stack.append(current)
-            opened_at[chord] = next_face
-            current = next_face
-            next_face += 1
-        else:
-            if opened_at[chord] != current:
-                raise ChordsCross("anchor chords cross inside the polygon")
-            current = stack.pop()
-        faces_of_edge[-1].append(current)
-        if initial:
-            cordon_faces[chord] = current
-    if stack or current != 0:
-        raise ChordsCross("unbalanced chord endpoints")
-    num_faces = next_face
-    faces_of_edge += [[0] for _ in range(len(faces_of_edge), m)]
-    parent = list(range(num_faces))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for sym in range(1, m // 2 + 1):
-        pieces1, pieces2 = faces_of_edge[pos[sym]], faces_of_edge[opos[sym]]
-        if len(pieces1) != len(pieces2):
-            raise ChordsCross("attachment points are not mirrored on opposite edges")
-        for f1, f2 in zip(pieces1, reversed(pieces2)):
-            r1, r2 = find(f1), find(f2)
-            if r1 != r2:
-                parent[r1] = r2
-    components = {find(f) for f in range(num_faces)}
-    if len(components) != 2:
-        return False
-    cordon_roots = {find(f) for f in cordon_faces}
-    if len(set(cordon_faces)) != 4 or len(cordon_roots) != 1:
-        return False
-    other = [f for f in range(num_faces) if f not in set(cordon_faces)]
-    return all(find(f) not in cordon_roots for f in other)
-
-
 @pytest.fixture(scope="module")
 def oracle_pairs(reference_pairs, f4, sigma_z, sigma_f6, zeta):
     # reference_pairs stops at genus 6; F4 # sigma_Z (genus 7) and
@@ -604,40 +424,6 @@ def test_anchored_types_matches_window_scan(oracle_pairs):
                 assert list(_anchored_types(tables, k, g, [x])) == _window_scan(tables, k, [x])
 
 
-def test_separates_matches_boundary_walk(oracle_pairs):
-    # every witness, its rotations and two-anchor swaps, and seeded random
-    # anchors: the same bool or the same ChordsCross message
-    rng = random.Random(20160310)
-    outcomes = set()
-    for fp in oracle_pairs:
-        g = fp.genus()
-        tables = _CycleTables(fp)
-        candidates = []
-        for dec in find_decompositions(fp):
-            for i in range(4):
-                candidates.append((dec.k, dec.anchors[i:] + dec.anchors[:i]))
-            for i, j in itertools.combinations(range(4), 2):
-                swapped = list(dec.anchors)
-                swapped[i], swapped[j] = swapped[j], swapped[i]
-                candidates.append((dec.k, tuple(swapped)))
-        for _ in range(40):
-            anchors = tuple(rng.randint(1, tables.m) for _ in range(4))
-            candidates.append((rng.randint(1, g - 1), anchors))
-        for k, anchors in candidates:
-            dec = Decomposition(k, g - k, *anchors, (4, 4, 4, 4))
-            outcome = _separating_outcome(_separates, tables, dec)
-            assert outcome == _separating_outcome(_separates_by_walk, tables, dec), (fp, dec)
-            outcomes.add(outcome)
-    # an anchor edge and its opposite always carry the same number of
-    # points, so the mirror check never fires here
-    assert outcomes == {
-        True,
-        False,
-        "ChordsCross: chord attachment points collide",
-        "ChordsCross: anchor chords cross inside the polygon",
-    }
-
-
 def test_decomposition_at_agrees_with_find_decompositions(oracle_pairs):
     # one rule at both entry points: every candidate of the anchor search is
     # a witness at its own anchors exactly when the search reports its
@@ -654,6 +440,59 @@ def test_decomposition_at_agrees_with_find_decompositions(oracle_pairs):
                 ), (fp, k, anchors)
                 if dec is not None:
                     assert (dec.anchors, dec.type) == (anchors, quad)
+
+
+def _witness_class(tables, k, g, anchors, quad):
+    # the outcome a candidate should have, read off its runs as position sets
+    if k == g - 1:
+        return "torus"
+    pos, opos, m = tables.pos, tables.opos, tables.m
+    runs = [{(pos[e] + i) % m for i in range(size)} for e, size in zip(anchors, quad)]
+    inside = set().union(*runs)
+    if len(inside) < sum(quad):
+        return "overlap"
+    labels = [e for e in tables.cycle if pos[e] in inside]
+    return "witness" if all(opos[e] in inside for e in labels) else "not closed"
+
+
+def test_is_witness_matches_geometric_oracle(oracle_pairs, sigma_f6, zeta_prime):
+    # every candidate of the anchor search, at every k: the run rule answers
+    # as the oracle does, and all four kinds of candidate occur; sigma_F6 #
+    # zeta' at site 5 is the pair with runs that are disjoint but not closed
+    pairs = [validate(Permutation(rec.canonical_form), rec.n)
+             for name in ("census_single_n5.jsonl", "census_single_n7.jsonl")
+             for rec in read_census(GOLDEN / name)]
+    pairs += [assemble(sigma_f6, zeta_prime, attachment_site(sigma_f6, i))
+              for i in range(1, 2 * sigma_f6.n, 2)]
+    classes = Counter()
+    for fp in oracle_pairs + pairs:
+        g = fp.genus()
+        tables = _CycleTables(fp)
+        for k in range(1, g):
+            for anchors, quad in _anchored_types(tables, k, g, tables.cycle):
+                dec = Decomposition(k, g - k, *anchors, quad)
+                try:
+                    separates = reference_separating(fp, dec)
+                except ChordsCross:
+                    separates = False
+                kind = _witness_class(tables, k, g, anchors, quad)
+                assert _is_witness(tables, dec) == separates == (kind in ("torus", "witness")), (
+                    fp, dec, kind)
+                classes[kind] += 1
+    assert set(classes) == {"torus", "witness", "overlap", "not closed"}, classes
+
+
+def test_is_witness_rejects_overlapping_runs_that_close(sigma_f6, sigma_f):
+    # no candidate seen so far has overlapping runs that are closed under
+    # opp, so only this crafted input separates the two halves of the rule:
+    # the runs of a torus witness share their ends and cover the whole
+    # cycle, and read as an inner candidate they overlap
+    for fp in (sigma_f6, sigma_f):
+        g = fp.genus()
+        tables = _CycleTables(fp)
+        anchors, quad = next(_anchored_types(tables, g - 1, g, tables.cycle))
+        assert _is_witness(tables, Decomposition(g - 1, 1, *anchors, quad))
+        assert not _is_witness(tables, Decomposition(g - 2, 2, *anchors, quad))
 
 
 @pytest.fixture(scope="module")
@@ -714,7 +553,8 @@ def test_first_witness_without_hit_checks_what_full_search_checks(flag_pairs, mo
 def test_separation_rejects_every_nesting_failure(oracle_pairs):
     # why no separate non-nesting test is needed: every candidate below the
     # torus case whose spans nest wrongly has colliding or crossing chords,
-    # and every other one gets a yes-or-no answer
+    # which the witness rule rejects, and every other one gets a yes-or-no
+    # answer from the geometric oracle
     answers = Counter()
     for fp in oracle_pairs:
         g = fp.genus()
@@ -725,12 +565,13 @@ def test_separation_rejects_every_nesting_failure(oracle_pairs):
             for anchors, quad in _anchored_types(tables, k, g, tables.cycle):
                 dec = Decomposition(k, g - k, *anchors, quad)
                 if _reference_nesting(pos, cycle, anchors, quad):
-                    answer = _separates(tables, dec)
+                    answer = reference_separating(fp, dec)
                     assert isinstance(answer, bool), (fp, dec)
                     answers[answer] += 1
                 else:
                     with pytest.raises(ChordsCross):
-                        _separates(tables, dec)
+                        reference_separating(fp, dec)
+                    assert not _is_witness(tables, dec), (fp, dec)
                     answers["ChordsCross"] += 1
     assert set(answers) == {True, False, "ChordsCross"}
 
@@ -753,27 +594,6 @@ def test_region_sizes_are_even(oracle_pairs):
                     a = opp[cycle[(pos[x] + r - 1) % m]]
                     for start, end in ((a, flip[x]), (flip[x], flip[a]), (flip[a], x)):
                         assert (opos[end] - pos[start]) % m % 2 == 1, (fp, k, x, r)
-
-
-def test_opposite_edges_carry_equal_attachment_points(oracle_pairs):
-    # chord c starts on the edge of anchors[c] and ends on the edge of
-    # opp(anchors[c+1]), so an edge e carries #{c : anchors[c] = e} +
-    # #{c : anchors[c] = opp e} points, as many as its opposite edge: the
-    # regluing always meets a mirror edge cut into as many pieces
-    rng = random.Random(20160311)
-    for fp in oracle_pairs:
-        g = fp.genus()
-        tables = _CycleTables(fp)
-        pos, opos, m = tables.pos, tables.opos, tables.m
-        anchor_sets = [anchors for k in range(1, g)
-                       for anchors, _ in _anchored_types(tables, k, g, tables.cycle)]
-        anchor_sets += [tuple(rng.randint(1, m) for _ in range(4)) for _ in range(40)]
-        for anchors in anchor_sets:
-            points = Counter()
-            for c in range(4):
-                points[pos[anchors[c]]] += 1
-                points[opos[anchors[(c + 1) % 4]]] += 1
-            assert all(points[pos[e]] == points[opos[e]] for e in range(1, m + 1)), anchors
 
 
 def test_residue_identity(sigma_f6, zeta):
@@ -818,7 +638,7 @@ def test_decomposition_soundness(sigma_f6, sigma_f):
     for fp in (sigma_f6, sigma_f):
         for dec in find_decompositions(fp):
             assert decomposition_at(fp, *dec.anchors, dec.k) == dec
-            assert verify_separating(fp, dec)
+            assert reference_separating(fp, dec)
             piece, remainder = disassemble(fp, dec)
             assert piece.is_z_piece(dec.k)
             assert piece.z_type().matches(dec.type)
@@ -843,18 +663,18 @@ def test_anchor_involution_property(sigma_f6, sigma_f):
                 assert dec.b == opposite(dec.a, n)
 
 
-def test_verify_separating_rejects_crossing_chords(sigma_f6):
+def test_decomposition_at_rejects_crossing_chords(sigma_f6):
     # swap two anchors to force crossing chords; spans no longer nest
     good = Decomposition(k=5, l=1, x=23, a=38, y=1, b=16, type=(28, 6, 10, 4))
-    assert verify_separating(sigma_f6, good)
+    assert decomposition_at(sigma_f6, 23, 38, 1, 16, 5) == good
     bad = Decomposition(k=5, l=1, x=23, a=16, y=1, b=38, type=(28, 6, 10, 4))
     with pytest.raises(ChordsCross, match="cross inside the polygon"):
-        verify_separating(sigma_f6, bad)
+        reference_separating(sigma_f6, bad)
+    assert decomposition_at(sigma_f6, 23, 16, 1, 38, 5) is None
     # an anchor off the label range is named, not read as a table index
     for sym in (0, 45):
-        off = Decomposition(k=5, l=1, x=sym, a=38, y=1, b=16, type=(28, 6, 10, 4))
         with pytest.raises(SurgeryError, match=f"anchor {sym} out of range 1..44"):
-            verify_separating(sigma_f6, off)
+            decomposition_at(sigma_f6, sym, 38, 1, 16, 5)
 
 
 def test_extract_k5_printed(sigma_f6):
@@ -881,6 +701,22 @@ def test_extract_rejects_repeated_anchors(sigma_f6):
         extract(sigma_f6, dec)
 
 
+def test_extract_checks_the_decomposition(sigma_f6):
+    # the k = 5 witness relabelled as a genus-4 piece on a genus-2 remainder,
+    # and anchors off the label range, are input errors of extract and of
+    # disassemble and round_trip_check, which cut through it
+    relabelled = Decomposition(k=4, l=2, x=23, a=38, y=1, b=16, type=(28, 6, 10, 4))
+    for cut in (extract, disassemble, round_trip_check):
+        with pytest.raises(SurgeryError, match=(
+            r"\(k, l\) = \(4, 2\) with type \(28, 6, 10, 4\) is no cut of a genus-6 pair"
+        )):
+            cut(sigma_f6, relabelled)
+        for sym in (0, 45):
+            off = Decomposition(k=5, l=1, x=sym, a=38, y=1, b=16, type=(28, 6, 10, 4))
+            with pytest.raises(SurgeryError, match=f"anchor {sym} out of range 1..44"):
+                cut(sigma_f6, off)
+
+
 def test_extract_cycle_lengths_match_type(sigma_f6):
     for dec in find_decompositions(sigma_f6):
         cut, _ = extract(sigma_f6, dec)
@@ -902,6 +738,13 @@ def test_decorated_map_fixed_values():
     assert amap.piece_preimage(16, decorated=True) == 8 * 5 + 8
     assert amap.piece_preimage(opposite(1, 11), decorated=True) == 4 * 5 + 3
     assert amap.piece_preimage(opposite(16, 11), decorated=True) == 4 * 5 + 4
+    prefix = r"^AssemblyMap\(k=5, l=1, i=1, j=16, forward=True\), "
+    with pytest.raises(CaseGap, match=prefix + r"host side: symbol 5 has no preimage$"):
+        amap.host_preimage(5)
+    with pytest.raises(CaseGap, match=prefix + r"piece side: symbol 0 out of range 1\.\.48$"):
+        amap.piece(0)
+    with pytest.raises(CaseGap, match=r"l=3.*piece side: symbol 16 is decorated, but the host"):
+        AssemblyMap(5, 3, 1, 16).piece_preimage(16, decorated=True)
 
 
 def test_disassemble_k5_bit_exact(sigma_f6, z5, f1):
