@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import gc
+import gzip
 import itertools
+import json
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,7 @@ from fillperm import (
     CensusRecord,
     Permutation,
     big_q,
+    canonical_form,
     census_records,
     count_orbits,
     enumerate_filling,
@@ -31,6 +36,7 @@ from fillperm.surgery import find_decompositions
 from fillperm.twist import _conjugate_oneline, _group, _powers
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def brute_force_solutions(n):
@@ -312,6 +318,26 @@ def test_census_matches_golden(tmp_path, n, single_cycle):
     path = tmp_path / golden.name
     write_census(census_records(n, single_cycle=single_cycle)[1], path)
     assert path.read_bytes() == golden.read_bytes()
+
+
+def test_genus_5_census_golden():
+    # the n = 9 single-cycle census as `fillperm census` writes it, gzipped;
+    # CI regenerates it through the CLI and compares the two byte for byte
+    with gzip.open(DATA / "census_single_n9.jsonl.gz", "rt", encoding="utf-8") as f:
+        records = [CensusRecord.from_record(json.loads(line)) for line in f]
+    assert sum(r.orbit_size_raw for r in records) == 16_609_536
+    assert Counter(r.orbit_size_raw for r in records) == {648: 25_360, 324: 540, 162: 8}
+    forms = [r.canonical_form for r in records]
+    assert all(a < b for a, b in zip(forms, forms[1:]))
+    pairs = []
+    for rec in records:
+        assert (rec.n, rec.c, rec.genus, rec.decomposable) == (9, 1, 5, True)
+        fp = validate(Permutation(rec.canonical_form), 9)
+        assert fp.is_minimal() and fp.genus() == 5
+        pairs.append((rec, fp))
+    for rec, fp in random.Random(9).sample(pairs, 200):
+        assert canonical_form(fp).one_line() == rec.canonical_form
+        assert find_decompositions(fp), rec.canonical_form
 
 
 def test_census_rejects_solutions_not_closed_under_relabeling(monkeypatch):
