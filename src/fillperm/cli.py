@@ -14,14 +14,7 @@ import re
 import sys
 from pathlib import Path
 
-from .census import (
-    BoundExceeded,
-    GENERAL_MAX_N,
-    SINGLE_CYCLE_MAX_N,
-    census_records,
-    upper_bound,
-    write_census,
-)
+from .census import BoundExceeded, census_records, upper_bound, write_census
 from .filling import FillingError, FillingPermutation, validate
 from .perm import CycleParseError, Permutation
 from .surgery import (
@@ -61,11 +54,15 @@ def read_filling_file(path: str) -> tuple[Permutation, int]:
             continue
         body_parts.append(line)
     body = "".join(body_parts)
+    top = max(map(int, re.findall(r"\d+", body)), default=0)
     if n is None:
-        symbols = [int(s) for s in re.findall(r"\d+", body)]
-        if not symbols:
+        if not top:
             raise CLIInputError(f"{path}: no permutation found")
-        n = (max(symbols) + 3) // 4
+        n = (top + 3) // 4
+    elif 4 * n > top:
+        # labels above the body's largest would be fixed points, which no
+        # filling permutation has; refuse before allocating 4n of them
+        raise CLIInputError(f"{path}: n={n} needs labels up to {4 * n}, the largest is {top}")
     try:
         sigma = Permutation.from_cycle_string(body, 4 * n)
     except (CycleParseError, ValueError) as exc:
@@ -263,13 +260,12 @@ def cmd_equivalent(args) -> tuple[int, str, dict]:
 
 def cmd_census(args) -> tuple[int, str, dict]:
     env_max = os.environ.get("FILLPERM_MAX_N")
+    max_n = None  # enumerate_filling's default bound for the mode
     if env_max is not None:
         try:
             max_n = int(env_max)
         except ValueError:
             raise CLIInputError(f"FILLPERM_MAX_N must be an integer, got {env_max!r}") from None
-    else:
-        max_n = SINGLE_CYCLE_MAX_N if args.single_cycle else GENERAL_MAX_N
     try:
         total, records = census_records(
             args.n, single_cycle=args.single_cycle, max_n=max_n

@@ -9,7 +9,9 @@ sigma, the opposite-edge shift, and the arc-order rotation together, and the
 curve through them cuts off the piece.  One rule decides that last clause
 wherever a witness is judged: the four runs of the region cycle that become
 the piece's regions must be pairwise disjoint and closed under the opposite
-shift.  Both directions work purely on labels, through one arc-shift
+shift.  The search judges the candidates one anchor scan proposes; a
+caller's anchors are found in that scan and judged by the same rule before
+anything is cut.  Both directions work purely on labels, through one arc-shift
 relabeling, `AssemblyMap`: on each curve the piece's inner arcs form one
 cyclic block right after the site arc and the host's arcs fill the rest in
 order; piece orientations are reversed, except on the piece's second curve
@@ -267,29 +269,12 @@ class Decomposition:
         }
 
 
-def _canonical_decomposition(k: int, l: int, anchors: tuple[int, ...], quad: tuple[int, ...]) -> Decomposition:
-    best = None
-    for r in range(4):
-        rot_anchors = anchors[r:] + anchors[:r]
-        rot_quad = quad[r:] + quad[:r]
-        key = (rot_quad, -rot_anchors[0])
-        if best is None or key > best[0]:
-            best = (key, rot_anchors, rot_quad)
-    _, (x, a, y, b), rq = best
-    return Decomposition(k=k, l=l, x=x, a=a, y=y, b=b, type=tuple(rq))
-
-
 def _site_labels(anchors: tuple[int, int, int, int], n: int) -> tuple[int, int]:
-    """The positive odd and positive even anchors (i, j)."""
-    i = j = None
-    for sym in anchors:
-        if sym <= 2 * n:
-            if sym % 2 == 1:
-                i = sym
-            else:
-                j = sym
-    if i is None or j is None:
-        raise SurgeryError(f"anchors {anchors} lack a positive odd/even pair")
+    """The positive odd and positive even anchors (i, j) of a cut, which has
+    one of each: x and a differ in parity, and y = flip[x] and b = flip[a]
+    keep it and change sign."""
+    (i,) = [sym for sym in anchors if sym <= 2 * n and sym % 2]
+    (j,) = [sym for sym in anchors if sym <= 2 * n and not sym % 2]
     return i, j
 
 
@@ -329,11 +314,6 @@ class _CycleTables:
             *range(two_n + up + 1, 2 * two_n + 1), *range(two_n + 1, two_n + up + 1),
             *range(down + 1, two_n + 1), *range(1, down + 1),
         ]
-
-    def check_anchors(self, anchors) -> None:
-        for sym in anchors:
-            if not 1 <= sym <= self.m:
-                raise SurgeryError(f"anchor {sym} out of range 1..{self.m}")
 
 
 def _anchored_types(
@@ -406,6 +386,28 @@ def _anchored_types(
             yield (x, a, y, b), (r, s, t, u)
 
 
+def _cut_at(
+    tables: _CycleTables, k: int, anchors: tuple[int, int, int, int]
+) -> Decomposition | None:
+    """The decomposition of piece genus k with these anchors, in the order
+    given, or None: the one check of a caller's (k, anchors), for
+    `decomposition_at` and `extract` alike.
+
+    The candidates of `_anchored_types` from x are scanned for the anchors;
+    the one found must pass `_is_witness`, as in `find_decompositions`.
+    """
+    g = tables.genus
+    _check_piece_genus(k, g)
+    for sym in anchors:
+        if not 1 <= sym <= tables.m:
+            raise SurgeryError(f"anchor {sym} out of range 1..{tables.m}")
+    for found, quad in _anchored_types(tables, k, g, anchors[:1]):
+        if found == anchors:
+            dec = Decomposition(k, g - k, *anchors, quad)
+            return dec if _is_witness(tables, dec) else None
+    return None
+
+
 def decomposition_at(
     fp: FillingPermutation, x: int, a: int, y: int, b: int, k: int
 ) -> Decomposition | None:
@@ -416,15 +418,22 @@ def decomposition_at(
     remaining equations or do not cut off the piece, by the same rule as
     `find_decompositions`.
     """
-    g = fp.genus()
-    _check_piece_genus(k, g)
-    tables = _CycleTables(fp)
-    tables.check_anchors((x, a, y, b))
-    for anchors, quad in _anchored_types(tables, k, g, [x]):
-        if anchors == (x, a, y, b):
-            dec = Decomposition(k=k, l=g - k, x=x, a=a, y=y, b=b, type=quad)
-            return dec if _is_witness(tables, dec) else None
-    return None
+    return _cut_at(_CycleTables(fp), k, (x, a, y, b))
+
+
+def _candidates(
+    tables: _CycleTables, k: int | None = None
+) -> Iterator[tuple[int, tuple[int, int, int, int], tuple[int, int, int, int]]]:
+    """Yield (k, anchors, type) of every candidate of piece genus k (every k
+    when None, k = g - 1 first), each rotation of a candidate once.
+
+    Almost every witness of a census class has a torus remainder, so trying
+    k = g - 1 first lets a first-hit caller stop early.
+    """
+    g = tables.genus
+    for kk in range(g - 1, 0, -1) if k is None else [k]:
+        for anchors, quad in _anchored_types(tables, kk, g, tables.cycle):
+            yield kk, anchors, quad
 
 
 def find_decompositions(fp: FillingPermutation, k: int | None = None) -> list[Decomposition]:
@@ -435,43 +444,35 @@ def find_decompositions(fp: FillingPermutation, k: int | None = None) -> list[De
     y = opp(tau^(2k+1)(x)) and b = opp(tau^(2k+1)(a)) are forced.  The
     region sizes less one sum to 8k + 4, which fixes D(a) modulo 4n given x;
     on a torus remainder (k = g - 1) the sizes close exactly when pos(a) lies
-    in one cyclic interval (see `_anchored_types`).  Each candidate is met
-    once per rotation of its anchors that starts with a largest size; it is
-    taken once, in canonical rotation, and confirmed by `_is_witness`.  This
-    drains the lazy search `_witnesses` and sorts by (k, type, x); the census
-    flag stops at that search's first witness instead.
+    in one cyclic interval (see `_anchored_types`).  The search meets each
+    rotation of a candidate once and judges only the canonical one by
+    `_is_witness`; the witnesses are sorted by (k, type, x).
     """
     if k is not None:
         _check_piece_genus(k, fp.genus())
-    return sorted(_witnesses(_CycleTables(fp), k), key=lambda d: (d.k, d.type, d.x))
-
-
-def _witnesses(tables: _CycleTables, k: int | None = None) -> Iterator[Decomposition]:
-    """Yield each witness of piece genus k (every k when None, k = g - 1
-    first) once, in canonical rotation, as the search finds it.
-
-    Almost every witness of a census class has a torus remainder, so trying
-    k = g - 1 first lets a first-hit caller stop early.
-    """
+    tables = _CycleTables(fp)
     g = tables.genus
-    for kk in range(g - 1, 0, -1) if k is None else [k]:
-        seen: set[tuple] = set()
-        for anchors, quad in _anchored_types(tables, kk, g, tables.cycle):
-            # the canonical rotation starts with the largest region size
-            if quad[0] != max(quad):
-                continue
-            dec = _canonical_decomposition(kk, g - kk, anchors, quad)
-            key = (dec.anchors, dec.type)
-            if key in seen:
-                continue
-            seen.add(key)
+    found = []
+    for kk, anchors, quad in _candidates(tables, k):
+        key = (quad, -anchors[0])
+        if quad[0] == max(quad) and all(
+            key > (quad[r:] + quad[:r], -anchors[r]) for r in (1, 2, 3)
+        ):
+            dec = Decomposition(kk, g - kk, *anchors, quad)
             if _is_witness(tables, dec):
-                yield dec
+                found.append(dec)
+    return sorted(found, key=lambda d: (d.k, d.type, d.x))
 
 
 def _decomposes(fp: FillingPermutation) -> bool:
-    """Whether a minimal pair splits at all: the first witness decides."""
-    return next(_witnesses(_CycleTables(fp)), None) is not None
+    """Whether a minimal pair splits at all: the first candidate, in any
+    rotation, that is a witness decides."""
+    tables = _CycleTables(fp)
+    g = tables.genus
+    return any(
+        _is_witness(tables, Decomposition(k, g - k, *anchors, quad))
+        for k, anchors, quad in _candidates(tables)
+    )
 
 
 def _check_piece_genus(k: int, g: int) -> None:
@@ -527,51 +528,32 @@ def extract(
     The remainder cycle is sigma with the cut cycles' interior entries
     deleted; for k = g-1 it is [1, 2, 3, 4].
 
-    Raises `SurgeryError` when `dec` cannot describe a cut of `fp`: an
-    anchor out of range, genera that do not add up to fp's genus, a type
-    that is not one of a genus-k piece, or runs that miss the span equations.
+    Raises `SurgeryError` unless `dec` is exactly what `decomposition_at`
+    returns for its k and anchors: the one check `_cut_at` makes, so a
+    caller's cut is held to the rule the search uses.
     """
-    anchors = dec.anchors
     tables = _CycleTables(fp)
-    tables.check_anchors(anchors)
-    if len(set(anchors)) != 4:
-        raise SurgeryError(f"anchors {anchors} are not four distinct edges")
-    g, n = tables.genus, fp.n
-    _check_piece_genus(dec.k, g)
-    if dec.l != g - dec.k or sum(dec.type) != 8 * dec.k + 8 or min(dec.type) < 4:
+    anchors, n = dec.anchors, fp.n
+    if _cut_at(tables, dec.k, anchors) != dec:
         raise SurgeryError(
-            f"(k, l) = ({dec.k}, {dec.l}) with type {dec.type} is no cut of a genus-{g} pair"
+            f"k={dec.k} l={dec.l} anchors {anchors} type {dec.type}"
+            f" is no decomposition of this genus-{tables.genus} pair"
         )
-    decorated = dec.k == g - 1
+    decorated = dec.l == 1
 
     cycle, pos, m = tables.cycle, tables.pos, tables.m
-    runs: list[list[int]] = []
-    for idx in range(4):
-        start = pos[anchors[idx]]
-        run = [cycle[p % m] for p in range(start, start + dec.type[idx])]
-        if run[-1] != opposite(anchors[(idx + 1) % 4], n):
-            raise SurgeryError("anchors do not satisfy the span equations")
-        runs.append(run)
+    runs = [[cycle[p % m] for p in range(pos[e], pos[e] + t)] for e, t in zip(anchors, dec.type)]
 
     def entries(run: list[int]) -> list[Entry]:
-        out = []
         last = len(run) - 1
-        for at, sym in enumerate(run):
-            positive = sym <= 2 * n
-            flag = decorated and (
-                (positive and at == last) or (not positive and at == 0)
-            )
-            out.append((sym, flag))
-        return out
+        return [(e, decorated and at == (last if e <= 2 * n else 0)) for at, e in enumerate(run)]
 
     i, _ = _site_labels(anchors, n)
-    first_candidates = [ci for ci in range(4) if runs[ci][-1] % 2 == 1 and runs[ci][-1] != i]
-    if len(first_candidates) > 1:
-        opp_i = opposite(i, n)
-        first_candidates = [ci for ci in first_candidates if runs[ci][-1] != opp_i]
-    if len(first_candidates) != 1:
-        raise SurgeryError("cannot identify the leading cut cycle")
-    (lead,) = first_candidates
+    # two runs end at odd labels: opp(i), and the opposite of the other odd
+    # anchor; the first cut cycle ends at the latter, or at opp(i) when the
+    # latter is i itself (a torus remainder)
+    odd = [c for c in range(4) if runs[c][-1] % 2 and runs[c][-1] != i]
+    lead = min(odd, key=lambda c: runs[c][-1] == opposite(i, n))
     # run c ends at opp(anchors[c+1]) and run c+1 starts at anchors[c+1]
     cut_cycles = [entries(runs[(lead + c) % 4]) for c in range(4)]
 

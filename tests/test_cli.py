@@ -14,7 +14,14 @@ import fillperm
 import fillperm.census
 import fillperm.surgery
 from fillperm.cli import build_parser, main, read_filling_file, write_filling_file
-from fillperm import FillingPermutation, assemble, attachment_site, generators, validate
+from fillperm import (
+    FillingPermutation,
+    Permutation,
+    assemble,
+    attachment_site,
+    generators,
+    validate,
+)
 
 from conftest import FIXTURE_TEXTS, SIGMA_F6, perm
 
@@ -66,6 +73,20 @@ def test_validate_record_format(files, capsys):
     code, out, _ = run(capsys, "validate", "--format", "record", files["zeta"])
     assert code == 0
     assert json.loads(out) == {"valid": True, "n": 6, "c": 4, "genus": 2}
+
+
+def test_header_beyond_the_body_exits_2(tmp_path, capsys, monkeypatch):
+    # labels above the body's largest would be fixed points, so the header is
+    # refused before a permutation of 4n labels is built
+    def build(cls, text, size):
+        raise AssertionError(f"a permutation of {size} labels was built")
+
+    monkeypatch.setattr(Permutation, "from_cycle_string", classmethod(build))
+    path = tmp_path / "huge.fp"
+    path.write_text(f"n={10**12}\n(1,2)\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: n={10**12} needs labels up to {4 * 10**12}, the largest is 2\n"
 
 
 def test_missing_file_exits_2(capsys):

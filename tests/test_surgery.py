@@ -35,7 +35,6 @@ from fillperm import (
 )
 
 from fillperm.surgery import (
-    _canonical_decomposition,
     _CycleTables,
     _anchored_types,
     _decomposes,
@@ -424,6 +423,15 @@ def test_anchored_types_matches_window_scan(oracle_pairs):
                 assert list(_anchored_types(tables, k, g, [x])) == _window_scan(tables, k, [x])
 
 
+def _canonical(k, g, anchors, quad):
+    # the rotation find_decompositions reports: greatest type first, ties to
+    # the smallest leading anchor
+    rq, _, rotated = max(
+        (quad[i:] + quad[:i], -anchors[i], anchors[i:] + anchors[:i]) for i in range(4)
+    )
+    return Decomposition(k, g - k, *rotated, rq)
+
+
 def test_decomposition_at_agrees_with_find_decompositions(oracle_pairs):
     # one rule at both entry points: every candidate of the anchor search is
     # a witness at its own anchors exactly when the search reports its
@@ -435,11 +443,17 @@ def test_decomposition_at_agrees_with_find_decompositions(oracle_pairs):
         for k in range(1, g):
             for anchors, quad in _anchored_types(tables, k, g, tables.cycle):
                 dec = decomposition_at(fp, *anchors, k)
-                assert (dec is not None) == (
-                    _canonical_decomposition(k, g - k, anchors, quad) in found
-                ), (fp, k, anchors)
+                assert (dec is not None) == (_canonical(k, g, anchors, quad) in found), (
+                    fp, k, anchors)
                 if dec is not None:
                     assert (dec.anchors, dec.type) == (anchors, quad)
+
+
+def _oracle_separates(fp, dec):
+    try:
+        return reference_separating(fp, dec)
+    except ChordsCross:
+        return False
 
 
 def _witness_class(tables, k, g, anchors, quad):
@@ -471,13 +485,9 @@ def test_is_witness_matches_geometric_oracle(oracle_pairs, sigma_f6, zeta_prime)
         for k in range(1, g):
             for anchors, quad in _anchored_types(tables, k, g, tables.cycle):
                 dec = Decomposition(k, g - k, *anchors, quad)
-                try:
-                    separates = reference_separating(fp, dec)
-                except ChordsCross:
-                    separates = False
                 kind = _witness_class(tables, k, g, anchors, quad)
-                assert _is_witness(tables, dec) == separates == (kind in ("torus", "witness")), (
-                    fp, dec, kind)
+                assert _is_witness(tables, dec) == _oracle_separates(fp, dec) == (
+                    kind in ("torus", "witness")), (fp, dec, kind)
                 classes[kind] += 1
     assert set(classes) == {"torus", "witness", "overlap", "not closed"}, classes
 
@@ -529,25 +539,31 @@ def test_first_witness_stops_at_first_hit(flag_pairs, monkeypatch):
 
 
 def test_first_witness_without_hit_checks_what_full_search_checks(flag_pairs, monkeypatch):
-    # with no witness at all the flag judges every candidate once, the same
-    # candidates as find_decompositions, and the torus remainder first
+    # with no witness at all the flag judges every candidate of the anchor
+    # search once, in every rotation, the torus remainder first;
+    # find_decompositions judges exactly the canonical rotation of each
     checked = []
 
     def reject(tables, dec):
-        checked.append((dec.k, dec.anchors, dec.type))
+        checked.append(dec)
         return False
 
     monkeypatch.setattr("fillperm.surgery._is_witness", reject)
     for fp in flag_pairs:
+        g = fp.genus()
+        tables = _CycleTables(fp)
+        candidates = [Decomposition(k, g - k, *anchors, quad)
+                      for k in range(g - 1, 0, -1)
+                      for anchors, quad in _anchored_types(tables, k, g, tables.cycle)]
+        canonical = {_canonical(d.k, g, d.anchors, d.type) for d in candidates}
+        assert candidates and len(set(candidates)) == len(candidates) == 4 * len(canonical), fp
+        assert candidates[0].k == g - 1
         checked.clear()
         assert not _decomposes(fp)
-        by_flag = list(checked)
+        assert checked == candidates, fp
         checked.clear()
         assert find_decompositions(fp) == []
-        assert by_flag and sorted(by_flag) == sorted(checked), fp
-        assert len(set(by_flag)) == len(by_flag)
-        ks = [k for k, _, _ in by_flag]
-        assert ks == sorted(ks, reverse=True) and ks[0] == fp.genus() - 1, fp
+        assert len(checked) == len(canonical) and set(checked) == canonical, fp
 
 
 def test_separation_rejects_every_nesting_failure(oracle_pairs):
@@ -693,11 +709,15 @@ def test_extract_f3_printed(sigma_f):
 
 def test_extract_rejects_repeated_anchors(sigma_f6):
     # (3, 38, 3, 38) with type (12, s, 12, s) meets all four span equations,
-    # but two runs start at each anchor, so the cut cycles cannot be ordered
+    # but two runs start at each anchor; it is no candidate of the anchor
+    # search (y = flip[3] = 39 at k = 3), so the cut check refuses it
     cycle = sigma_f6.regions[0]
     s = (cycle.index(opposite(3, 11)) - cycle.index(38)) % 44 + 1
     dec = Decomposition(k=3, l=3, x=3, a=38, y=3, b=38, type=(12, s, 12, s))
-    with pytest.raises(SurgeryError, match="not four distinct edges"):
+    with pytest.raises(SurgeryError, match=(
+        rf"^k=3 l=3 anchors \(3, 38, 3, 38\) type \(12, {s}, 12, {s}\)"
+        r" is no decomposition of this genus-6 pair$"
+    )):
         extract(sigma_f6, dec)
 
 
@@ -708,13 +728,37 @@ def test_extract_checks_the_decomposition(sigma_f6):
     relabelled = Decomposition(k=4, l=2, x=23, a=38, y=1, b=16, type=(28, 6, 10, 4))
     for cut in (extract, disassemble, round_trip_check):
         with pytest.raises(SurgeryError, match=(
-            r"\(k, l\) = \(4, 2\) with type \(28, 6, 10, 4\) is no cut of a genus-6 pair"
+            r"^k=4 l=2 anchors \(23, 38, 1, 16\) type \(28, 6, 10, 4\)"
+            r" is no decomposition of this genus-6 pair$"
         )):
             cut(sigma_f6, relabelled)
         for sym in (0, 45):
             off = Decomposition(k=5, l=1, x=sym, a=38, y=1, b=16, type=(28, 6, 10, 4))
             with pytest.raises(SurgeryError, match=f"anchor {sym} out of range 1..44"):
                 cut(sigma_f6, off)
+
+
+def test_cuts_reject_every_candidate_that_is_no_witness(sigma_f, zeta, sigma_f6, zeta_prime):
+    # extract holds a caller's cut to the search's rule, so a candidate of
+    # the anchor search that is no witness is an input error of extract and
+    # of disassemble and round_trip_check, never an internal CaseGap
+    pairs = [assemble(sigma_f, zeta, attachment_site(sigma_f, i)) for i in (1, 3, 5, 7, 9)]
+    pairs.append(assemble(sigma_f6, zeta_prime, attachment_site(sigma_f6, 5)))
+    rejected = []
+    for fp in pairs:
+        g = fp.genus()
+        tables = _CycleTables(fp)
+        for k in range(1, g):
+            for anchors, quad in _anchored_types(tables, k, g, tables.cycle):
+                dec = Decomposition(k, g - k, *anchors, quad)
+                if not _oracle_separates(fp, dec):
+                    rejected.append((fp, dec))
+    assert len(rejected) == 28
+    for fp, dec in rejected:
+        assert decomposition_at(fp, *dec.anchors, dec.k) is None
+        for cut in (extract, disassemble, round_trip_check):
+            with pytest.raises(SurgeryError, match="is no decomposition of this genus-"):
+                cut(fp, dec)
 
 
 def test_extract_cycle_lengths_match_type(sigma_f6):
