@@ -17,11 +17,11 @@ sigma per delta-orbit, and the full solution set has n * |S| members.
 
 from __future__ import annotations
 
+import gzip
 import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 from pathlib import Path
 
 from .filling import opposite, tau, validate
@@ -152,22 +152,28 @@ def enumerate_filling(
 
 
 @lru_cache(maxsize=None)
-def _sweep_kernels(n: int) -> tuple[tuple, ...]:
-    """Per relabeling t: (itemgetter over the indices of t^-1, t with a 0 in
-    front, index of t^-1(1), t^-1(2), t^-1(2n+2)).
+def _sweep_kernels(n: int) -> tuple[tuple[tuple[tuple[bytes, bytes], ...], ...], ...]:
+    """The relabelings that carry a slice member sigma back into the slice,
+    indexed by position x (row x - 1) and label y: cell [x - 1][y] holds
+    every t with t^-1(1) = x and y in {t^-1(2), t^-1(2n+2)}, as the pair
+    (bytes of t^-1, t as a 256-byte translate table with a 0 in front).
 
-    For a one-line sigma, the first item reads (sigma(t^-1(x)))_x and
-    `itemgetter(*that)(t0)` is then t sigma t^-1, both in C.
+    The head of t sigma t^-1 is t(sigma(t^-1(1))), so the t that keep sigma
+    in the slice are those in the cells (x, sigma(x)): one lookup per
+    position.  For `at`, a translate table whose byte x is sigma(x),
+    `inv.translate(at).translate(t0)` is t sigma t^-1, two gathers in C.
     """
-    kernels = []
+    m = 4 * n
+    table = [[[] for _ in range(m + 1)] for _ in range(m)]
     for t in _group(n):
-        inv = [0] * len(t)
+        inv = [0] * m
         for x, y in enumerate(t, start=1):
             inv[y - 1] = x
-        kernels.append(
-            (itemgetter(*(x - 1 for x in inv)), (0, *t), inv[0] - 1, inv[1], inv[2 * n + 1])
-        )
-    return tuple(kernels)
+        kernel = (bytes(inv), bytes((0, *t)) + bytes(255 - m))
+        row = table[inv[0] - 1]
+        row[inv[1]].append(kernel)
+        row[inv[2 * n + 1]].append(kernel)
+    return tuple(tuple(map(tuple, row)) for row in table)
 
 
 @dataclass(frozen=True)
@@ -208,41 +214,56 @@ def census_records(
 
     Returns (number of raw solutions, per-orbit records sorted by canonical
     form).  Only the slice S (one sigma per delta-orbit) is enumerated, so
-    the raw count is n * |S|.  Each orbit is swept once, from any of its
-    unclassified members, by the relabelings t that carry it into S: the
-    head of t sigma t^-1 is t(sigma(t^-1(1))), so t is kept when
-    sigma(t^-1(1)) is t^-1(2) or t^-1(2n+2).  Every such conjugate must
-    itself be an enumerated solution: a solution set not closed under
-    relabeling raises RuntimeError.  An orbit's heads are closed under
-    delta, so its least member lies in S, and it has n times as many members
-    as it has in S.  The decomposable flag is computed on each orbit
-    representative (only minimal representatives can decompose) as a first
-    hit: the decomposition search stops at its first witness, trying a
-    torus remainder first, instead of listing them all.
+    the raw count is n * |S|.  Solutions are keyed by bytes, so the census
+    needs 4n <= 255 and raises BoundExceeded for n > 63 before it
+    enumerates.  Each orbit is swept once, from its first unclassified
+    member, by the relabelings t that carry it into S: the head of
+    t sigma t^-1 is t(sigma(t^-1(1))), so t is kept when sigma(t^-1(1)) is
+    t^-1(2) or t^-1(2n+2), and `_sweep_kernels` files each t under exactly
+    those (position, label) cells.  Every such conjugate must itself be an
+    enumerated solution: a solution set not closed under relabeling raises
+    RuntimeError.  An orbit's heads are closed under delta, so its least
+    member lies in S, and it has n times as many members as it has in S.
+    The decomposable flag is computed on each orbit representative (only
+    minimal representatives can decompose) as a first hit: the
+    decomposition search stops at its first witness, trying a torus
+    remainder first, instead of listing them all.
     """
-    unseen = set(
-        enumerate_filling(n, single_cycle=single_cycle, max_n=max_n, symmetry_reduced=True)
+    if n > 63:
+        raise BoundExceeded(f"n={n} exceeds 63: the census keys its 4n labels by bytes")
+    solutions = enumerate_filling(
+        n, single_cycle=single_cycle, max_n=max_n, symmetry_reduced=True
     )
+    # keys are bytes: they order as the tuples do and cache their hash; the
+    # list is drained from its end so each tuple is freed as its key is made
+    unseen: set[bytes] = set()
+    while solutions:
+        unseen.update(map(bytes, solutions[-65536:]))
+        del solutions[-65536:]
     total = n * len(unseen)
-    sweep = _sweep_kernels(n)
-    orbits: list[tuple[tuple[int, ...], int]] = []  # (least conjugate, orbit size)
-    while unseen:
-        one = next(iter(unseen))
+    table = _sweep_kernels(n)
+    pad = bytes(255 - 4 * n)
+    orbits: list[tuple[bytes, int]] = []  # (least conjugate, orbit size)
+    for one in list(unseen):
+        if one not in unseen:
+            continue
+        at = b"\0" + one + pad
         in_slice = {
-            itemgetter(*at_inv(one))(t0)
-            for at_inv, t0, i, a, b in sweep
-            if one[i] == a or one[i] == b
+            inv.translate(at).translate(t0)
+            for row, y in zip(table, one)
+            for inv, t0 in row[y]
         }
         if not in_slice <= unseen:
-            missing = min(in_slice - unseen)
+            missing = tuple(min(in_slice - unseen))
             raise RuntimeError(
                 f"solution set for n={n} is not closed under relabeling: "
-                f"{missing} is a conjugate of the solution {one} but was not enumerated"
+                f"{missing} is a conjugate of the solution {tuple(one)} but was not enumerated"
             )
         unseen -= in_slice
         orbits.append((min(in_slice), n * len(in_slice)))
     records = []
-    for canon, size in sorted(orbits):
+    for key, size in sorted(orbits):
+        canon = tuple(key)
         rep = validate(Permutation(canon), n)
         records.append(
             CensusRecord(
@@ -272,8 +293,15 @@ def write_census(records: list[CensusRecord], path: str | Path) -> None:
 
 
 def read_census(path: str | Path) -> list[CensusRecord]:
+    """The records of a census file as `write_census` writes it; a path
+    ending in `.gz` is read through gzip."""
+    path = Path(path)
+    if path.suffix == ".gz":
+        text = gzip.decompress(path.read_bytes()).decode("utf-8")
+    else:
+        text = path.read_text(encoding="utf-8")
     out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         if line.strip():
             out.append(CensusRecord.from_record(json.loads(line)))
     return out

@@ -54,15 +54,20 @@ def read_filling_file(path: str) -> tuple[Permutation, int]:
             continue
         body_parts.append(line)
     body = "".join(body_parts)
-    top = max(map(int, re.findall(r"\d+", body)), default=0)
+    labels = set(map(int, re.findall(r"\d+", body)))
+    top = max(labels, default=0)
     if n is None:
         if not top:
             raise CLIInputError(f"{path}: no permutation found")
         n = (top + 3) // 4
     elif 4 * n > top:
-        # labels above the body's largest would be fixed points, which no
-        # filling permutation has; refuse before allocating 4n of them
         raise CLIInputError(f"{path}: n={n} needs labels up to {4 * n}, the largest is {top}")
+    # a label the body does not name would be a fixed point, which no
+    # filling permutation has; refuse before allocating 4n of them
+    if len(labels) < 4 * n:
+        raise CLIInputError(
+            f"{path}: n={n} needs {4 * n} distinct labels, the body names {len(labels)}"
+        )
     try:
         sigma = Permutation.from_cycle_string(body, 4 * n)
     except (CycleParseError, ValueError) as exc:

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import gc
-import gzip
 import itertools
-import json
 import random
 from collections import Counter
 from pathlib import Path
@@ -31,7 +29,7 @@ from fillperm import (
     validate,
     write_census,
 )
-from fillperm.census import _crossing_blocks
+from fillperm.census import _crossing_blocks, _sweep_kernels
 from fillperm.surgery import find_decompositions
 from fillperm.twist import _conjugate_oneline, _group, _powers
 
@@ -238,6 +236,47 @@ def test_bound_exceeded():
         enumerate_filling(6, single_cycle=False)
 
 
+def test_census_refuses_labels_beyond_a_byte(monkeypatch):
+    def enumerate_filling(*args, **kwargs):
+        raise AssertionError("enumerated before the byte bound was checked")
+
+    monkeypatch.setattr(fillperm.census, "enumerate_filling", enumerate_filling)
+    with pytest.raises(BoundExceeded, match="n=64 exceeds 63"):
+        census_records(64, max_n=64)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_sweep_kernels_file_each_relabeling_under_its_two_heads(n):
+    m = 4 * n
+    table = _sweep_kernels(n)
+    assert len(table) == m and all(len(row) == m + 1 for row in table)
+    cells = {}
+    for x, row in enumerate(table, start=1):
+        for y, cell in enumerate(row):
+            for inv, t0 in cell:
+                assert len(t0) == 256 and t0[0] == 0
+                cells.setdefault((inv, t0[1 : m + 1]), []).append((x, y))
+    assert sorted(tuple(t) for _, t in cells) == sorted(_group(n))
+    for (inv, t), found in cells.items():
+        assert [t[x - 1] for x in inv] == list(range(1, m + 1))  # inv is t^-1
+        assert sorted(found) == sorted([(inv[0], inv[1]), (inv[0], inv[2 * n + 1])])
+
+
+def test_sweep_conjugates_by_two_translates():
+    # t sigma t^-1 for every kernel of the table, not only those sigma selects
+    n = 5
+    kernels = [
+        (inv, t0, tuple(t0[1 : 4 * n + 1]))
+        for inv, t0 in {k for row in _sweep_kernels(n) for cell in row for k in cell}
+    ]
+    assert len(kernels) == 8 * n * n
+    pad = bytes(255 - 4 * n)
+    for sigma in enumerate_filling(n, single_cycle=False, symmetry_reduced=True):
+        at = b"\0" + bytes(sigma) + pad
+        for inv, t0, t in kernels:
+            assert tuple(inv.translate(at).translate(t0)) == _conjugate_oneline(sigma, t)
+
+
 def test_count_orbits_n1():
     total, records = count_orbits(1)
     assert total == 1
@@ -320,21 +359,41 @@ def test_census_matches_golden(tmp_path, n, single_cycle):
     assert path.read_bytes() == golden.read_bytes()
 
 
+def signs_agree(fp):
+    """Whether all crossings have the same sign.  Crossing i (i = 1, 3, ...,
+    2n - 1) is positive when the second left edge of its orbit is a positive
+    even label; a pair whose signs all agree is a [1,1] origami."""
+    n = fp.n
+    seconds = [fp.vertex_orbit(i)[1] for i in range(1, 2 * n, 2)]
+    return len({v % 2 == 0 and v <= 2 * n for v in seconds}) == 1
+
+
+@pytest.mark.parametrize("n, orbits, raw", [(5, 1, 100), (7, 4, 1_568)])
+def test_coherent_sign_totals(n, orbits, raw):
+    records = read_census(GOLDEN / f"census_single_n{n}.jsonl")
+    coherent = [r for r in records if signs_agree(validate(Permutation(r.canonical_form), n))]
+    assert (len(coherent), sum(r.orbit_size_raw for r in coherent)) == (orbits, raw)
+
+
 def test_genus_5_census_golden():
     # the n = 9 single-cycle census as `fillperm census` writes it, gzipped;
     # CI regenerates it through the CLI and compares the two byte for byte
-    with gzip.open(DATA / "census_single_n9.jsonl.gz", "rt", encoding="utf-8") as f:
-        records = [CensusRecord.from_record(json.loads(line)) for line in f]
+    records = read_census(DATA / "census_single_n9.jsonl.gz")
     assert sum(r.orbit_size_raw for r in records) == 16_609_536
     assert Counter(r.orbit_size_raw for r in records) == {648: 25_360, 324: 540, 162: 8}
     forms = [r.canonical_form for r in records]
     assert all(a < b for a, b in zip(forms, forms[1:]))
     pairs = []
+    coherent = []
     for rec in records:
         assert (rec.n, rec.c, rec.genus, rec.decomposable) == (9, 1, 5, True)
         fp = validate(Permutation(rec.canonical_form), 9)
         assert fp.is_minimal() and fp.genus() == 5
         pairs.append((rec, fp))
+        if signs_agree(fp):
+            coherent.append(rec)
+    # 141,264 = 2 x 9 x 7,848: the [1,1] origamis (Aougab-Menasco-Nieland), both signs
+    assert (len(coherent), sum(r.orbit_size_raw for r in coherent)) == (236, 141_264)
     for rec, fp in random.Random(9).sample(pairs, 200):
         assert canonical_form(fp).one_line() == rec.canonical_form
         assert find_decompositions(fp), rec.canonical_form

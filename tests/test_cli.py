@@ -89,6 +89,26 @@ def test_header_beyond_the_body_exits_2(tmp_path, capsys, monkeypatch):
     assert err == f"error: {path}: n={10**12} needs labels up to {4 * 10**12}, the largest is 2\n"
 
 
+def test_body_naming_too_few_labels_exits_2(tmp_path, capsys, monkeypatch):
+    # without a header n comes from the largest label; the labels the body
+    # does not name would be fixed points, so the file is refused before a
+    # permutation of 4n labels is built
+    def build(cls, text, size):
+        raise AssertionError(f"a permutation of {size} labels was built")
+
+    monkeypatch.setattr(Permutation, "from_cycle_string", classmethod(build))
+    path = tmp_path / "sparse.fp"
+    path.write_text("(1,4000000000000)\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: n={10**12} needs {4 * 10**12} distinct labels, the body names 2\n"
+    # with a header as well
+    path.write_text("n=2\n(1,2,3,4,5,6,8)\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: n=2 needs 8 distinct labels, the body names 7\n"
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/file.fp")
     assert code == 2 and "error:" in err
