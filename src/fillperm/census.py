@@ -7,7 +7,9 @@ exactly the four left edges of one crossing, a block that never conflicts with
 itself.  Blocks are tabulated once per n, and enumeration is an exact cover of
 the 4n labels by blocks (Knuth, "Dancing Links", 2000).  Single-cycle mode
 additionally tracks the open paths of the partial permutation and rejects any
-cycle that closes early.
+cycle that closes early.  The search joins a block's four arrows one at a
+time in straight-line code, undoing each join from the two path ends it
+saved.
 
 The census enumerates only the slice S = {sigma : sigma(1) in {2, 2n+2}}.
 Conjugating by delta fixes label 1 and cycles the even labels in two n-cycles,
@@ -86,10 +88,13 @@ def enumerate_filling(
     The search is an exact cover of the 4n labels by crossing blocks: it
     takes the lowest unassigned label e, tries every image f in increasing
     order, and keeps the block sigma(e) = f forces when none of its labels
-    is assigned yet (its images are then free too).  With `single_cycle`
-    only one-region (minimal) solutions are produced: each block's four
-    arrows are merged into the open paths of the partial permutation, and a
-    cycle that closes before the last arrow prunes the branch.
+    is assigned yet (its images are then free too); only then are its four
+    arrows unpacked.  With `single_cycle` only one-region (minimal)
+    solutions are produced: the block's arrows e_i -> f_i are joined in
+    order to the open paths of the partial permutation, each join saving
+    the path ends s_i, t_i it rewrote and undone in reverse from them, and
+    an arrow that closes a cycle prunes the branch, except the 4th arrow of
+    the block that covers the last labels, which is kept without its join.
     `symmetry_reduced` restricts the first image of 1 to {2, 2n+2}: one
     sigma per delta-orbit, and the full set has n times as many members.
     """
@@ -117,33 +122,60 @@ def enumerate_filling(
             solutions.append(tuple(sigma))
             return
         free = full ^ used
-        for labels, pairs in rows[(free & -free).bit_length()]:
+        for labels, arrows in rows[(free & -free).bit_length()]:
             if labels & used:
                 continue
-            if single_cycle:
-                # join each arrow e -> f to the open paths; one that closes a
-                # cycle prunes the branch unless it is the last arrow of all
-                merges = []
-                for e, f in pairs:
-                    s = start_of[e]
-                    if s == f:
-                        break
-                    t = end_of[f]
-                    end_of[s] = t
-                    start_of[t] = s
-                    merges.append((e, f, s, t))
-                if len(merges) < 4 and (len(merges) < 3 or labels | used != full):
-                    for e, f, s, t in reversed(merges):
-                        end_of[s] = e
-                        start_of[t] = f
-                    continue
-            for e, f in pairs:
-                sigma[e - 1] = f
-            search(used | labels)
-            if single_cycle:
-                for e, f, s, t in reversed(merges):
-                    end_of[s] = e
-                    start_of[t] = f
+            (e1, f1), (e2, f2), (e3, f3), (e4, f4) = arrows
+            if not single_cycle:
+                sigma[e1 - 1] = f1
+                sigma[e2 - 1] = f2
+                sigma[e3 - 1] = f3
+                sigma[e4 - 1] = f4
+                search(used | labels)
+                continue
+            # join arrows 1 to 4 to the open paths in order; one that closes a
+            # cycle prunes the branch unless it is the last arrow of all.  Each
+            # join is undone from its saved ends s_i, t_i, in reverse order.
+            s1 = start_of[e1]
+            if s1 == f1:
+                continue
+            t1 = end_of[f1]
+            end_of[s1] = t1
+            start_of[t1] = s1
+            s2 = start_of[e2]
+            if s2 != f2:
+                t2 = end_of[f2]
+                end_of[s2] = t2
+                start_of[t2] = s2
+                s3 = start_of[e3]
+                if s3 != f3:
+                    t3 = end_of[f3]
+                    end_of[s3] = t3
+                    start_of[t3] = s3
+                    s4 = start_of[e4]
+                    if s4 != f4:
+                        t4 = end_of[f4]
+                        end_of[s4] = t4
+                        start_of[t4] = s4
+                        sigma[e1 - 1] = f1
+                        sigma[e2 - 1] = f2
+                        sigma[e3 - 1] = f3
+                        sigma[e4 - 1] = f4
+                        search(used | labels)
+                        end_of[s4] = e4
+                        start_of[t4] = f4
+                    elif labels | used == full:
+                        sigma[e1 - 1] = f1
+                        sigma[e2 - 1] = f2
+                        sigma[e3 - 1] = f3
+                        sigma[e4 - 1] = f4
+                        search(full)
+                    end_of[s3] = e3
+                    start_of[t3] = f3
+                end_of[s2] = e2
+                start_of[t2] = f2
+            end_of[s1] = e1
+            start_of[t1] = f1
 
     search(0)
     # search's closure refers to itself; the cycle would keep `solutions` alive

@@ -370,8 +370,9 @@ def main(argv: list[str] | None = None) -> int:
     except CLIInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, SurgeryError) as exc:
-        # input checks raise CLIInputError, so these are faults of the program
+    except Exception as exc:
+        # input checks raise CLIInputError, so anything else is a fault of the
+        # program; exit 1 would read as a negative answer
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     if args.format == "record":

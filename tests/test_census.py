@@ -68,6 +68,15 @@ def test_enumerate_n3_single_cycle_empty():
     assert enumerate_filling(3, single_cycle=True) == []
 
 
+@pytest.mark.parametrize("symmetry_reduced", [False, True])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_single_cycle_is_empty_at_even_n(n, symmetry_reduced):
+    # n - c is even, so one region needs odd n.  On the last block a 3rd
+    # arrow that closes a cycle leaves the 4th to close a second one: a kernel
+    # that kept it would list two-region pairs here, which odd n cannot show
+    assert enumerate_filling(n, single_cycle=True, symmetry_reduced=symmetry_reduced) == []
+
+
 def test_enumerate_n3_general_solutions_are_genus_one():
     sols = enumerate_filling(3, single_cycle=False)
     assert sols

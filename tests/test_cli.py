@@ -12,6 +12,7 @@ import pytest
 
 import fillperm
 import fillperm.census
+import fillperm.cli
 import fillperm.surgery
 from fillperm.cli import build_parser, main, read_filling_file, write_filling_file
 from fillperm import (
@@ -120,6 +121,26 @@ def test_info_reports_piece(files, capsys):
     assert "genus=2" in out
     assert "green vertices: {5,6,19,20} {11,12,13,14}" in out
     assert "type (4,8,4,8)" in out
+
+
+def test_info_bigon_piece_has_no_piece_line(capsys):
+    # four regions and a green vertex, but two regions are bigons: no type
+    code, out, _ = run(capsys, "info", str(DATA / "bigon_piece.pair"))
+    assert code == 0
+    assert out.splitlines()[0] == "n=6 c=4 genus=2 minimal=False"
+    assert "regions: (1,4,9,12) (2,13) " in out
+    assert "piece:" not in out
+    code, out, _ = run(capsys, "info", "--format", "record", str(DATA / "bigon_piece.pair"))
+    assert code == 0 and "z_piece" not in json.loads(out)
+
+
+def test_assemble_refuses_bigon_piece_exits_2(capsys):
+    code, out, err = run(
+        capsys, "assemble", "--host", str(DATA / "sigma_f.pair"),
+        "--piece", str(DATA / "bigon_piece.pair"), "--i", "3",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: piece is not an attachable (Z) piece\n"
 
 
 def test_info_comment_and_inferred_n(files, capsys):
@@ -347,6 +368,17 @@ def test_subprocess_entry_point(files):
 
 # Internal errors exit 3 with one line on stderr: exit 1 would read as a
 # valid negative answer and exit 2 as bad input.
+
+
+def test_unexpected_exception_exits_3(files, capsys, monkeypatch):
+    # a ValueError that no command turns into bad input is still a fault
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(fillperm.cli, "validate", boom)
+    code, out, err = run(capsys, "validate", files["zeta"])
+    assert code == 3 and out == ""
+    assert err == "internal error: boom\n"
 
 
 def test_census_closure_failure_exits_3(capsys, monkeypatch):

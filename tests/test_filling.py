@@ -169,6 +169,17 @@ def test_is_z_piece(zeta, sigma_z, sigma_f):
     assert not sigma_f.is_z_piece(3)
 
 
+def test_bigon_piece_is_not_a_z_piece():
+    # n = 6, genus 2, four regions and a green vertex, but regions of 2 labels
+    bigon = validate(
+        parse_cycles("(1,4,9,12)(2,13)(3,8,17,18,19,20,5,10,21,6,15,14,23,22,7,16)(11,24)", 24),
+        6,
+    )
+    assert (bigon.genus(), bigon.region_count) == (2, 4)
+    assert bigon.green_vertices == ((11, 12, 13, 14),)
+    assert not bigon.is_z_piece(2)
+
+
 def test_z_type(zeta, sigma_z, z5):
     assert zeta.z_type() == ZType((8, 4, 8, 4))
     assert zeta.z_type().quad == (4, 8, 4, 8)
