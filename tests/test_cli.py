@@ -254,6 +254,18 @@ def test_extract_record_matches_pinned(capsys, pair, anchors, pinned):
     assert out == (DATA / pinned).read_text()
 
 
+@pytest.mark.parametrize("pair", ["g5_stab4", "sigma_f6_zeta_prime_5"])
+def test_equivalent_record_matches_pinned(capsys, pair):
+    # g5_stab4's orbit has a stabilizer of order 4, so four relabelings carry
+    # it to its copy and the pin fixes which one is printed
+    code, out, _ = run(
+        capsys, "equivalent", str(DATA / f"{pair}.pair"),
+        str(DATA / f"{pair}_relabeled.pair"), "--format", "record",
+    )
+    assert code == 0
+    assert out == (DATA / f"{pair}.equivalent.json").read_text()
+
+
 @pytest.mark.parametrize("pair", ["sigma_f6", "sigma_f6_zeta_prime_5"])
 def test_decompose_record_matches_pinned(capsys, pair):
     # sigma_F6 # zeta' at site 5 has four candidates whose runs are disjoint
