@@ -30,7 +30,7 @@ from .filling import opposite, tau, validate
 from .perm import Permutation
 # perfbench/tracing.py wraps census.find_decompositions by name
 from .surgery import _decomposes, find_decompositions  # noqa: F401
-from .twist import _group
+from .twist import BYTE_MAX_N, _slice_conjugates
 
 SINGLE_CYCLE_MAX_N = 7
 GENERAL_MAX_N = 5
@@ -183,31 +183,6 @@ def enumerate_filling(
     return solutions
 
 
-@lru_cache(maxsize=None)
-def _sweep_kernels(n: int) -> tuple[tuple[tuple[tuple[bytes, bytes], ...], ...], ...]:
-    """The relabelings that carry a slice member sigma back into the slice,
-    indexed by position x (row x - 1) and label y: cell [x - 1][y] holds
-    every t with t^-1(1) = x and y in {t^-1(2), t^-1(2n+2)}, as the pair
-    (bytes of t^-1, t as a 256-byte translate table with a 0 in front).
-
-    The head of t sigma t^-1 is t(sigma(t^-1(1))), so the t that keep sigma
-    in the slice are those in the cells (x, sigma(x)): one lookup per
-    position.  For `at`, a translate table whose byte x is sigma(x),
-    `inv.translate(at).translate(t0)` is t sigma t^-1, two gathers in C.
-    """
-    m = 4 * n
-    table = [[[] for _ in range(m + 1)] for _ in range(m)]
-    for t in _group(n):
-        inv = [0] * m
-        for x, y in enumerate(t, start=1):
-            inv[y - 1] = x
-        kernel = (bytes(inv), bytes((0, *t)) + bytes(255 - m))
-        row = table[inv[0] - 1]
-        row[inv[1]].append(kernel)
-        row[inv[2 * n + 1]].append(kernel)
-    return tuple(tuple(map(tuple, row)) for row in table)
-
-
 @dataclass(frozen=True)
 class CensusRecord:
     n: int
@@ -247,22 +222,20 @@ def census_records(
     Returns (number of raw solutions, per-orbit records sorted by canonical
     form).  Only the slice S (one sigma per delta-orbit) is enumerated, so
     the raw count is n * |S|.  Solutions are keyed by bytes, so the census
-    needs 4n <= 255 and raises BoundExceeded for n > 63 before it
+    needs 4n <= 255 and raises BoundExceeded for n > BYTE_MAX_N before it
     enumerates.  Each orbit is swept once, from its first unclassified
-    member, by the relabelings t that carry it into S: the head of
-    t sigma t^-1 is t(sigma(t^-1(1))), so t is kept when sigma(t^-1(1)) is
-    t^-1(2) or t^-1(2n+2), and `_sweep_kernels` files each t under exactly
-    those (position, label) cells.  Every such conjugate must itself be an
-    enumerated solution: a solution set not closed under relabeling raises
-    RuntimeError.  An orbit's heads are closed under delta, so its least
-    member lies in S, and it has n times as many members as it has in S.
+    member, by its slice conjugates (`twist._slice_conjugates`), the
+    conjugates t sigma t^-1 that land in S.  Every such conjugate must
+    itself be an enumerated solution: a solution set not closed under
+    relabeling raises RuntimeError.  An orbit has n times as many members
+    as it has in S.
     The decomposable flag is computed on each orbit representative (only
     minimal representatives can decompose) as a first hit: the
     decomposition search stops at its first witness, trying a torus
     remainder first, instead of listing them all.
     """
-    if n > 63:
-        raise BoundExceeded(f"n={n} exceeds 63: the census keys its 4n labels by bytes")
+    if n > BYTE_MAX_N:
+        raise BoundExceeded(f"n={n} exceeds {BYTE_MAX_N}: the census keys its 4n labels by bytes")
     solutions = enumerate_filling(
         n, single_cycle=single_cycle, max_n=max_n, symmetry_reduced=True
     )
@@ -273,18 +246,11 @@ def census_records(
         unseen.update(map(bytes, solutions[-65536:]))
         del solutions[-65536:]
     total = n * len(unseen)
-    table = _sweep_kernels(n)
-    pad = bytes(255 - 4 * n)
     orbits: list[tuple[bytes, int]] = []  # (least conjugate, orbit size)
     for one in list(unseen):
         if one not in unseen:
             continue
-        at = b"\0" + one + pad
-        in_slice = {
-            inv.translate(at).translate(t0)
-            for row, y in zip(table, one)
-            for inv, t0 in row[y]
-        }
+        in_slice = {c for c, _ in _slice_conjugates(one)}
         if not in_slice <= unseen:
             missing = tuple(min(in_slice - unseen))
             raise RuntimeError(

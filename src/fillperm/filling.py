@@ -230,8 +230,10 @@ class FillingPermutation:
         for region in self.regions:
             for sym in region:
                 region_size[sym] = len(region)
-        orbit = self.vertex_orbit(min(anchor))
-        return ZType(tuple(region_size[s] for s in orbit))
+        sizes = tuple(region_size[s] for s in self.vertex_orbit(min(anchor)))
+        if min(sizes) < 4:
+            raise FillingError(f"a region around the green vertex is a bigon: {sizes}")
+        return ZType(sizes)
 
     def __eq__(self, other: object) -> bool:
         return (

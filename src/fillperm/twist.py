@@ -4,10 +4,11 @@ Relabeling an oriented filling pair (cycling either curve's arc labels,
 reversing an orientation, or swapping the two curves) conjugates its filling
 permutation by an element of the group G generated by kappa, delta, eta, mu
 below.  G is written in closed form, G = {kappa^p delta^q h : 0 <= p, q < n,
-h in <eta, mu>}, with <eta, mu> of order 8, so |G| = 8n^2; it is built once per
-n as sorted one-line tuples.  For minimally-intersecting pairs, conjugacy
-under G is exactly homeomorphism equivalence; for non-minimal pairs it is
-sufficient but not known to be necessary.
+h in <eta, mu>}, with <eta, mu> of order 8, so |G| = 8n^2.  It is built once
+per n as one table of byte gathers, from which canonical forms, equivalence
+witnesses and the census sweep all read.  For minimally-intersecting pairs,
+conjugacy under G is exactly homeomorphism equivalence; for non-minimal pairs
+it is sufficient but not known to be necessary.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from .filling import FillingPermutation
 from .perm import Permutation
 
 MAX_N = 16
+# the relabeling table keys labels 1..4n by bytes
+BYTE_MAX_N = 63
+_IDENT = bytes(range(256))
 
 
 class GroupTooLarge(ValueError):
@@ -57,52 +61,79 @@ def generators(n: int) -> tuple[Permutation, Permutation, Permutation, Permutati
     return kappa, delta, eta, mu
 
 
-def _conjugate_oneline(sigma: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(sigma)
-    for e0, v in enumerate(sigma):
-        out[t[e0] - 1] = t[v - 1]
-    return tuple(out)
-
-
-def _compose(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
-    """One-line images of s o t: apply t, then s."""
-    return tuple(s[v - 1] for v in t)
-
-
-def _powers(g: tuple[int, ...], count: int) -> list[tuple[int, ...]]:
-    """g^0, g^1, ..., g^(count-1) as one-line tuples."""
-    out = [tuple(range(1, len(g) + 1))]
-    for _ in range(count - 1):
-        out.append(_compose(g, out[-1]))
-    return out
-
-
 @lru_cache(maxsize=None)
-def _group(n: int) -> tuple[tuple[int, ...], ...]:
-    """The relabeling group as sorted one-line tuples.
+def _slice_table(n: int) -> tuple[tuple[tuple[tuple[bytes, bytes], ...], ...], ...]:
+    """The relabeling group as cells: cell [x - 1][y] holds every t with
+    t^-1(1) = x and y in {t^-1(2), t^-1(2n+2)}, as the pair (one-line bytes
+    of t^-1, t as a 256-byte translate table), so each t is filed twice.
 
-    kappa and delta cycle disjoint label sets, so they commute and generate
-    n^2 elements kappa^p delta^q; eta and mu are involutions whose product
-    has order 4, so they generate the dihedral group of order 8; every
-    element is kappa^p delta^q h for exactly one such pair and h.
+    Built from the closed form on translate tables, where s o t is
+    `t.translate(s)` and t^-1 is `bytes.maketrans(t, identity)`.  kappa and
+    delta cycle disjoint label sets, so they commute; eta and mu are
+    involutions whose product has order 4, so they generate the dihedral
+    group of order 8; each element is kappa^p delta^q h in exactly one way.
     """
-    kappa, delta, eta, mu = (g.one_line() for g in generators(n))
-    rotations = _powers(_compose(eta, mu), 4)
-    dihedral = rotations + [_compose(r, eta) for r in rotations]
-    shifts = [_compose(kp, dq) for kp in _powers(kappa, n) for dq in _powers(delta, n)]
-    return tuple(sorted(_compose(s, h) for s in shifts for h in dihedral))
+    m = 4 * n
+    kappa, delta, eta, mu = (b"\0" + bytes(g.one_line()) + _IDENT[m + 1 :] for g in generators(n))
+    dihedral = []
+    rotation = _IDENT
+    for _ in range(4):
+        dihedral += [rotation, eta.translate(rotation)]
+        rotation = rotation.translate(mu.translate(eta))
+    table = [[[] for _ in range(m + 1)] for _ in range(m)]
+    kappa_p = _IDENT
+    for _ in range(n):
+        shift = kappa_p
+        for _ in range(n):
+            for h in dihedral:
+                t = h.translate(shift)
+                inv = bytes.maketrans(t, _IDENT)
+                kernel = (inv[1 : m + 1], t)
+                row = table[inv[1] - 1]
+                row[inv[2]].append(kernel)
+                row[inv[2 * n + 2]].append(kernel)
+            shift = shift.translate(delta)
+        kappa_p = kappa_p.translate(kappa)
+    return tuple(tuple(map(tuple, row)) for row in table)
 
 
-def _bounded_group(n: int, max_n: int) -> tuple[tuple[int, ...], ...]:
+def _slice_conjugates(one: bytes) -> list[tuple[bytes, bytes]]:
+    """(t sigma t^-1, t) for the 8n relabelings t that carry sigma, given by
+    its one-line bytes, into the slice S = {sigma : sigma(1) in {2, 2n+2}}.
+
+    The head of t sigma t^-1 is t(sigma(t^-1(1))), so these t are the cells
+    (x, sigma(x)) of `_slice_table`.  Conjugating by delta fixes 1 and moves
+    an even head around its n-cycle, so the least conjugate lies in S.
+    """
+    at = b"\0" + one + bytes(255 - len(one))
+    return [
+        (inv.translate(at).translate(t), t)
+        for row, y in zip(_slice_table(len(one) // 4), one)
+        for inv, t in row[y]
+    ]
+
+
+def _check_bound(n: int, max_n: int) -> None:
     if n > max_n:
         raise GroupTooLarge(f"n={n} exceeds the configured bound {max_n}")
-    return _group(n)
+    if n > BYTE_MAX_N:
+        raise GroupTooLarge(f"n={n} exceeds {BYTE_MAX_N}: the relabeling table keys labels by bytes")
+
+
+def _least(fp: FillingPermutation, max_n: int) -> tuple[bytes, list[bytes]]:
+    """The least conjugate of sigma and every t that carries sigma to it."""
+    _check_bound(fp.n, max_n)
+    conjugates = _slice_conjugates(bytes(fp.sigma.one_line()))
+    least = min(c for c, _ in conjugates)
+    return least, [t for c, t in conjugates if c == least]
 
 
 def twist_group(n: int, max_n: int = MAX_N) -> tuple[Permutation, ...]:
     """Every relabeling kappa^p delta^q h (0 <= p, q < n, h in <eta, mu>),
     8n^2 elements in sorted one-line order."""
-    return tuple(Permutation(t) for t in _bounded_group(n, max_n))
+    _check_bound(n, max_n)
+    elements = {t for row in _slice_table(n) for cell in row for _, t in cell}
+    return tuple(Permutation(t[1 : 4 * n + 1]) for t in sorted(elements))
 
 
 def are_equivalent(
@@ -110,20 +141,22 @@ def are_equivalent(
 ) -> Permutation | None:
     """A relabeling witness t with t * sigma1 * t^{-1} == sigma2, or None.
 
+    The witnesses are u2^-1 u, for one u2 carrying sigma2 to its least
+    conjugate and every u carrying sigma1 to the same; the least of them in
+    one-line order is returned.
+
     For minimally-intersecting pairs this decides homeomorphism equivalence;
     for non-minimal pairs a witness certifies equivalence of oriented
     relabelings only (sufficient, not necessary).
     """
     if fp1.n != fp2.n:
         raise ValueError(f"crossing counts differ: {fp1.n} vs {fp2.n}")
-    group = _bounded_group(fp1.n, max_n)
-    s1 = fp1.sigma.one_line()
-    s2 = fp2.sigma.one_line()
-    for t in group:
-        # t sigma1 t^-1 sends t(1) to t(sigma1(1)): one coordinate rules out most t
-        if t[s1[0] - 1] == s2[t[0] - 1] and _conjugate_oneline(s1, t) == s2:
-            return Permutation(t)
-    return None
+    least1, to_least1 = _least(fp1, max_n)
+    least2, to_least2 = _least(fp2, max_n)
+    if least1 != least2:
+        return None
+    back = bytes.maketrans(to_least2[0], _IDENT)
+    return Permutation(min(u.translate(back) for u in to_least1)[1 : 4 * fp1.n + 1])
 
 
 def canonical_form(fp: FillingPermutation, max_n: int = MAX_N) -> Permutation:
@@ -131,6 +164,4 @@ def canonical_form(fp: FillingPermutation, max_n: int = MAX_N) -> Permutation:
 
     Equal for two filling permutations exactly when `are_equivalent` succeeds.
     """
-    s = fp.sigma.one_line()
-    best = min(_conjugate_oneline(s, t) for t in _bounded_group(fp.n, max_n))
-    return Permutation(best)
+    return Permutation(_least(fp, max_n)[0])

@@ -50,6 +50,14 @@ def perm(text: str, size: int) -> Permutation:
     return Permutation.from_cycle_string(text, size)
 
 
+def conjugate_oneline(sigma: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
+    """Oracle: the one-line images of t sigma t^-1, one label at a time."""
+    out = [0] * len(sigma)
+    for e0, v in enumerate(sigma):
+        out[t[e0] - 1] = t[v - 1]
+    return tuple(out)
+
+
 @pytest.fixture(scope="session")
 def zeta():
     return validate(perm(ZETA, 24))

@@ -25,13 +25,16 @@ from fillperm import (
     opposite,
     read_census,
     tau,
+    twist_group,
     upper_bound,
     validate,
     write_census,
 )
-from fillperm.census import _crossing_blocks, _sweep_kernels
+from fillperm.census import _crossing_blocks
 from fillperm.surgery import find_decompositions
-from fillperm.twist import _conjugate_oneline, _group, _powers
+from fillperm.twist import _slice_conjugates, _slice_table
+
+from conftest import conjugate_oneline
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 DATA = Path(__file__).resolve().parent / "data"
@@ -116,9 +119,9 @@ def test_symmetry_reduced_meets_every_orbit():
     full = enumerate_filling(5, single_cycle=True)
     reduced = enumerate_filling(5, single_cycle=True, symmetry_reduced=True)
     assert len(reduced) < len(full)
-    group = _group(5)
-    reduced_canon = {min(_conjugate_oneline(p, t) for t in group) for p in reduced}
-    full_canon = {min(_conjugate_oneline(p, t) for t in group) for p in full}
+    group = [t.one_line() for t in twist_group(5)]
+    reduced_canon = {min(conjugate_oneline(p, t) for t in group) for p in reduced}
+    full_canon = {min(conjugate_oneline(p, t) for t in group) for p in full}
     assert reduced_canon == full_canon
 
 
@@ -257,7 +260,7 @@ def test_census_refuses_labels_beyond_a_byte(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 10))
 def test_sweep_kernels_file_each_relabeling_under_its_two_heads(n):
     m = 4 * n
-    table = _sweep_kernels(n)
+    table = _slice_table(n)
     assert len(table) == m and all(len(row) == m + 1 for row in table)
     cells = {}
     for x, row in enumerate(table, start=1):
@@ -265,25 +268,34 @@ def test_sweep_kernels_file_each_relabeling_under_its_two_heads(n):
             for inv, t0 in cell:
                 assert len(t0) == 256 and t0[0] == 0
                 cells.setdefault((inv, t0[1 : m + 1]), []).append((x, y))
-    assert sorted(tuple(t) for _, t in cells) == sorted(_group(n))
+    assert len(cells) == 8 * n * n
+    assert sorted(tuple(t) for _, t in cells) == [t.one_line() for t in twist_group(n)]
     for (inv, t), found in cells.items():
         assert [t[x - 1] for x in inv] == list(range(1, m + 1))  # inv is t^-1
         assert sorted(found) == sorted([(inv[0], inv[1]), (inv[0], inv[2 * n + 1])])
 
 
 def test_sweep_conjugates_by_two_translates():
-    # t sigma t^-1 for every kernel of the table, not only those sigma selects
+    # t sigma t^-1 for every kernel of the table, not only those sigma selects,
+    # and the slice conjugates of sigma are exactly the conjugates in the slice
     n = 5
     kernels = [
         (inv, t0, tuple(t0[1 : 4 * n + 1]))
-        for inv, t0 in {k for row in _sweep_kernels(n) for cell in row for k in cell}
+        for inv, t0 in {k for row in _slice_table(n) for cell in row for k in cell}
     ]
     assert len(kernels) == 8 * n * n
     pad = bytes(255 - 4 * n)
     for sigma in enumerate_filling(n, single_cycle=False, symmetry_reduced=True):
         at = b"\0" + bytes(sigma) + pad
+        in_slice = []
         for inv, t0, t in kernels:
-            assert tuple(inv.translate(at).translate(t0)) == _conjugate_oneline(sigma, t)
+            conjugate = conjugate_oneline(sigma, t)
+            assert tuple(inv.translate(at).translate(t0)) == conjugate
+            if conjugate[0] in (2, 2 * n + 2):
+                in_slice.append((conjugate, t))
+        found = [(tuple(c), tuple(t0[1 : 4 * n + 1])) for c, t0 in _slice_conjugates(bytes(sigma))]
+        assert len(found) == 8 * n
+        assert sorted(found) == sorted(in_slice)
 
 
 def test_count_orbits_n1():
@@ -408,6 +420,32 @@ def test_genus_5_census_golden():
         assert find_decompositions(fp), rec.canonical_form
 
 
+@pytest.mark.parametrize(
+    "path, stabilizers",
+    [pytest.param(path, None, id=path.name) for path in sorted(GOLDEN.glob("*.jsonl"))]
+    + [
+        pytest.param(
+            DATA / "census_single_n9.jsonl.gz",
+            {1: 25_360, 2: 540, 4: 8},
+            id="census_single_n9.jsonl.gz",
+        )
+    ],
+)
+def test_orbit_size_times_stabilizer_is_group_order(path, stabilizers):
+    # |Stab| counts the slice conjugates equal to the least one; a record
+    # standing for two merged orbits would read too large an orbit size
+    found = Counter()
+    for rec in read_census(path):
+        conjugates = [c for c, _ in _slice_conjugates(bytes(rec.canonical_form))]
+        least = min(conjugates)
+        assert tuple(least) == rec.canonical_form
+        stabilizer = conjugates.count(least)
+        assert rec.orbit_size_raw * stabilizer == 8 * rec.n**2
+        found[stabilizer] += 1
+    if stabilizers is not None:
+        assert found == stabilizers
+
+
 def test_census_rejects_solutions_not_closed_under_relabeling(monkeypatch):
     # drop each of the slice's solutions in turn
     reduced = enumerate_filling(5, single_cycle=True, symmetry_reduced=True)
@@ -429,7 +467,7 @@ def full_sweep_census(n, single_cycle):
     orbits = []
     while unseen:
         one = next(iter(unseen))
-        orbit = {_conjugate_oneline(one, t) for t in _group(n)}
+        orbit = {conjugate_oneline(one, t.one_line()) for t in twist_group(n)}
         assert orbit <= unseen
         unseen -= orbit
         orbits.append((min(orbit), len(orbit)))
@@ -464,7 +502,7 @@ def test_slice_census_matches_full_sweep(n, single_cycle):
 def test_delta_saturation_of_slice_is_full_set(n, single_cycle):
     full = enumerate_filling(n, single_cycle=single_cycle)
     reduced = enumerate_filling(n, single_cycle=single_cycle, symmetry_reduced=True)
-    powers = _powers(generators(n)[1].one_line(), n)  # delta^0, ..., delta^(n-1)
-    saturation = {_conjugate_oneline(s, d) for s in reduced for d in powers}
+    powers = [(generators(n)[1] ** k).one_line() for k in range(n)]  # delta^0, ..., delta^(n-1)
+    saturation = {conjugate_oneline(s, d) for s in reduced for d in powers}
     assert saturation == set(full)
     assert len(full) == n * len(reduced) == len(set(full))

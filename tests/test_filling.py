@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from fillperm import (
     AlternationViolation,
     EquationViolation,
+    FillingError,
     Permutation,
     SizeNotMultipleOf4,
     ZType,
@@ -16,7 +19,10 @@ from fillperm import (
     tau,
     validate,
 )
+from fillperm.cli import read_filling_file
 from fillperm.surgery import _arc_of, _label_of
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def naive_vertex_orbit(sigma, n, e):
@@ -178,6 +184,13 @@ def test_bigon_piece_is_not_a_z_piece():
     assert (bigon.genus(), bigon.region_count) == (2, 4)
     assert bigon.green_vertices == ((11, 12, 13, 14),)
     assert not bigon.is_z_piece(2)
+
+
+def test_z_type_of_bigon_piece_raises_filling_error():
+    # the same answer as for a pair with no green vertex, not ZType's ValueError
+    bigon = validate(*read_filling_file(str(DATA / "bigon_piece.pair")))
+    with pytest.raises(FillingError, match=r"bigon: \(2, 4, 2, 16\)"):
+        bigon.z_type()
 
 
 def test_z_type(zeta, sigma_z, z5):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from pathlib import Path
+
 import pytest
 
 from fillperm import (
@@ -12,9 +15,15 @@ from fillperm import (
     generators,
     is_valid,
     parse_cycles,
+    read_census,
     twist_group,
     validate,
 )
+
+from conftest import conjugate_oneline
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_generators_n1():
@@ -127,6 +136,9 @@ def test_bound_checks(zeta):
         canonical_form(zeta, max_n=3)
     with pytest.raises(GroupTooLarge):
         are_equivalent(zeta, zeta, max_n=3)
+    # the table keys labels by bytes, whatever bound the caller passes
+    with pytest.raises(GroupTooLarge, match="n=64 exceeds 63"):
+        twist_group(64, max_n=64)
 
 
 def test_conjugation_preserves_validity_full_group(zeta, sigma_f, f1):
@@ -183,3 +195,56 @@ def test_canonical_form_idempotent_and_valid(zeta, sigma_f):
         wrapped = validate(canon, fp.n)
         assert wrapped.region_count == fp.region_count
         assert canonical_form(wrapped) == canon
+
+
+def brute_canonical(sigma, group):
+    """Oracle: the least conjugate over the whole group."""
+    return min(conjugate_oneline(sigma, t) for t in group)
+
+
+def brute_witness(sigma1, sigma2, group):
+    """Oracle: the first t of the sorted group with t sigma1 t^-1 == sigma2.
+    Such a t sends t(1) to t(sigma1(1)), so one coordinate rules out most t."""
+    for t in group:
+        if t[sigma1[0] - 1] == sigma2[t[0] - 1] and conjugate_oneline(sigma1, t) == sigma2:
+            return t
+    return None
+
+
+def check_against_brute_force(forms, n, rng):
+    """Two seeded relabelings of each form, which are neither in the slice
+    nor least: canonical form, the witness between the two, and no witness
+    to a relabeling of the next form, all as the oracles give them."""
+    group = [t.one_line() for t in twist_group(n)]
+    copies = [
+        tuple(conjugate_oneline(form, rng.choice(group)) for _ in range(2)) for form in forms
+    ]
+    for idx, (a, b) in enumerate(copies):
+        fa, fb = validate(Permutation(a), n), validate(Permutation(b), n)
+        assert canonical_form(fa).one_line() == brute_canonical(a, group)
+        witness = are_equivalent(fa, fb)
+        assert witness is not None and witness.one_line() == brute_witness(a, b, group)
+        other = copies[(idx + 1) % len(copies)][1]
+        if len(copies) > 1:
+            assert brute_witness(a, other, group) is None
+            assert are_equivalent(fa, validate(Permutation(other), n)) is None
+    return copies
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_orbit_answers_match_brute_force_on_general_census(n):
+    forms = [r.canonical_form for r in read_census(GOLDEN / f"census_general_n{n}.jsonl")]
+    copies = check_against_brute_force(forms, n, random.Random(n))
+    if n > 1:
+        assert any(a[0] not in (2, 2 * n + 2) for a, _ in copies)
+
+
+def test_orbit_answers_match_brute_force_at_genus_5():
+    # every class whose stabilizer is not trivial, where the witness is one
+    # of several, and a seeded sample of the free classes
+    records = read_census(DATA / "census_single_n9.jsonl.gz")
+    rng = random.Random(59)
+    forms = [r.canonical_form for r in records if r.orbit_size_raw < 648]
+    assert len(forms) == 548
+    forms += [r.canonical_form for r in rng.sample(records, 40) if r.orbit_size_raw == 648]
+    check_against_brute_force(forms, 9, rng)
