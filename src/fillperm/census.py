@@ -81,9 +81,9 @@ def enumerate_filling(
     single_cycle: bool = True,
     max_n: int | None = None,
     symmetry_reduced: bool = False,
-) -> list[tuple[int, ...]]:
+) -> list[bytes]:
     """All alternating solutions of the crossing equation on 4n symbols,
-    as one-line tuples (sigma(1), ..., sigma(4n)).
+    as the bytes of their one-line images (sigma(1), ..., sigma(4n)).
 
     The search is an exact cover of the 4n labels by crossing blocks: it
     takes the lowest unassigned label e, tries every image f in increasing
@@ -97,9 +97,12 @@ def enumerate_filling(
     the block that covers the last labels, which is kept without its join.
     `symmetry_reduced` restricts the first image of 1 to {2, 2n+2}: one
     sigma per delta-orbit, and the full set has n times as many members.
+    Labels must fit a byte, so n > BYTE_MAX_N raises BoundExceeded.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise BoundExceeded("n must be >= 1")
+    if n > BYTE_MAX_N:
+        raise BoundExceeded(f"n={n} exceeds {BYTE_MAX_N}: the census keys its 4n labels by bytes")
     if max_n is None:
         max_n = SINGLE_CYCLE_MAX_N if single_cycle else GENERAL_MAX_N
     if n > max_n:
@@ -112,14 +115,14 @@ def enumerate_filling(
         # label 1 is the lowest label, so only the root reads row 1
         first = tuple(b for b in rows[1] if b[1][0][1] in (2, 2 * n + 2))
         rows = (rows[0], first, *rows[2:])
-    sigma = [0] * m
+    sigma = bytearray(m)
     start_of = list(range(m + 1))  # start of the open path ending at label
     end_of = list(range(m + 1))  # end of the open path starting at label
-    solutions: list[tuple[int, ...]] = []
+    solutions: list[bytes] = []
 
     def search(used: int) -> None:
         if used == full:
-            solutions.append(tuple(sigma))
+            solutions.append(bytes(sigma))
             return
         free = full ^ used
         for labels, arrows in rows[(free & -free).bit_length()]:
@@ -221,14 +224,13 @@ def census_records(
 
     Returns (number of raw solutions, per-orbit records sorted by canonical
     form).  Only the slice S (one sigma per delta-orbit) is enumerated, so
-    the raw count is n * |S|.  Solutions are keyed by bytes, so the census
-    needs 4n <= 255 and raises BoundExceeded for n > BYTE_MAX_N before it
-    enumerates.  Each orbit is swept once, from its first unclassified
-    member, by its slice conjugates (`twist._slice_conjugates`), the
-    conjugates t sigma t^-1 that land in S.  Every such conjugate must
-    itself be an enumerated solution: a solution set not closed under
-    relabeling raises RuntimeError.  An orbit has n times as many members
-    as it has in S.
+    the raw count is n * |S|.  The enumeration's bytes are the sweep's keys,
+    so n > BYTE_MAX_N raises BoundExceeded before anything is enumerated.
+    Each orbit is swept once, from its first unclassified member, by its
+    slice conjugates (`twist._slice_conjugates`), the conjugates t sigma
+    t^-1 that land in S.  Every such conjugate must itself be an enumerated
+    solution: a solution set not closed under relabeling raises
+    RuntimeError.  An orbit has n times as many members as it has in S.
     The decomposable flag is computed on each orbit representative (only
     minimal representatives can decompose) as a first hit: the
     decomposition search stops at its first witness, trying a torus
@@ -236,15 +238,7 @@ def census_records(
     """
     if n > BYTE_MAX_N:
         raise BoundExceeded(f"n={n} exceeds {BYTE_MAX_N}: the census keys its 4n labels by bytes")
-    solutions = enumerate_filling(
-        n, single_cycle=single_cycle, max_n=max_n, symmetry_reduced=True
-    )
-    # keys are bytes: they order as the tuples do and cache their hash; the
-    # list is drained from its end so each tuple is freed as its key is made
-    unseen: set[bytes] = set()
-    while solutions:
-        unseen.update(map(bytes, solutions[-65536:]))
-        del solutions[-65536:]
+    unseen = set(enumerate_filling(n, single_cycle, max_n, symmetry_reduced=True))
     total = n * len(unseen)
     orbits: list[tuple[bytes, int]] = []  # (least conjugate, orbit size)
     for one in list(unseen):

@@ -7,6 +7,7 @@ decomposition, failed validation), 2 input or usage error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -37,12 +38,19 @@ class CLIInputError(Exception):
     pass
 
 
-def read_filling_file(path: str) -> tuple[Permutation, int]:
-    """Parse a pair file: optional leading `n=<int>`, cycle notation, `#` comments."""
+@contextlib.contextmanager
+def _file_errors(path: str):
+    """A file the user named that cannot be read or written is bad input."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        yield
     except OSError as exc:
         raise CLIInputError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def read_filling_file(path: str) -> tuple[Permutation, int]:
+    """Parse a pair file: optional leading `n=<int>`, cycle notation, `#` comments."""
+    with _file_errors(path):
+        text = Path(path).read_text(encoding="utf-8")
     n = None
     body_parts: list[str] = []
     for raw in text.splitlines():
@@ -76,7 +84,8 @@ def read_filling_file(path: str) -> tuple[Permutation, int]:
 
 
 def write_filling_file(path: str, fp: FillingPermutation) -> None:
-    Path(path).write_text(f"n={fp.n}\n{fp.sigma.cycle_string()}\n", encoding="utf-8")
+    with _file_errors(path):
+        Path(path).write_text(f"n={fp.n}\n{fp.sigma.cycle_string()}\n", encoding="utf-8")
 
 
 def load_valid(path: str) -> FillingPermutation:
@@ -272,16 +281,13 @@ def cmd_census(args) -> tuple[int, str, dict]:
         except ValueError:
             raise CLIInputError(f"FILLPERM_MAX_N must be an integer, got {env_max!r}") from None
     try:
-        total, records = census_records(
-            args.n, single_cycle=args.single_cycle, max_n=max_n
-        )
-    except SurgeryError:
-        raise  # the decomposable flag failed on an enumerated pair
-    except (BoundExceeded, ValueError) as exc:
+        total, records = census_records(args.n, args.single_cycle, max_n)
+    except BoundExceeded as exc:
         raise CLIInputError(str(exc)) from exc
     record_dicts = [r.to_record() for r in records]
     if args.out:
-        write_census(records, args.out)
+        with _file_errors(args.out):
+            write_census(records, args.out)
         text = f"n={args.n} solutions={total} orbits={len(records)} -> {args.out}"
     else:
         text = "\n".join(json.dumps(r, separators=(",", ":")) for r in record_dicts)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -216,7 +217,7 @@ def propagation_enumeration(n, single_cycle, symmetry_reduced):
 )
 def test_crossing_blocks_match_propagation(n, single_cycle, symmetry_reduced):
     got = enumerate_filling(n, single_cycle=single_cycle, symmetry_reduced=symmetry_reduced)
-    assert got == propagation_enumeration(n, single_cycle, symmetry_reduced)
+    assert list(map(tuple, got)) == propagation_enumeration(n, single_cycle, symmetry_reduced)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -246,6 +247,38 @@ def test_bound_exceeded():
         enumerate_filling(9, single_cycle=True)
     with pytest.raises(BoundExceeded):
         enumerate_filling(6, single_cycle=False)
+
+
+@pytest.mark.parametrize("symmetry_reduced", [False, True])
+@pytest.mark.parametrize("n,single_cycle", [(5, True), (3, False)])
+def test_enumeration_emits_bytes_keys(n, single_cycle, symmetry_reduced):
+    sols = enumerate_filling(n, single_cycle=single_cycle, symmetry_reduced=symmetry_reduced)
+    assert sols
+    assert all(type(s) is bytes and len(s) == 4 * n for s in sols)
+    assert sols == sorted(set(sols))
+
+
+def test_enumeration_refuses_labels_beyond_a_byte(monkeypatch):
+    def blocks(n):
+        raise AssertionError("searched before the byte bound was checked")
+
+    monkeypatch.setattr(fillperm.census, "_crossing_blocks", blocks)
+    with pytest.raises(BoundExceeded, match="n=64 exceeds 63"):
+        enumerate_filling(64, single_cycle=False, max_n=64)
+    with pytest.raises(BoundExceeded, match="n must be >= 1"):
+        enumerate_filling(0)
+
+
+def test_census_holds_one_form_of_each_solution():
+    # as tuples, the slice's 9,408 solutions alone would hold about 2.6 MB
+    census_records(7)  # warm the crossing blocks and the relabeling table
+    tracemalloc.start()
+    try:
+        census_records(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 def test_census_refuses_labels_beyond_a_byte(monkeypatch):
@@ -462,7 +495,7 @@ def test_census_rejects_solutions_not_closed_under_relabeling(monkeypatch):
 def full_sweep_census(n, single_cycle):
     """Oracle: the orbit sweep over the full enumeration, conjugating one
     unclassified solution of each orbit by all 8n^2 relabelings."""
-    unseen = set(enumerate_filling(n, single_cycle=single_cycle))
+    unseen = set(map(tuple, enumerate_filling(n, single_cycle=single_cycle)))
     total = len(unseen)
     orbits = []
     while unseen:
@@ -504,5 +537,5 @@ def test_delta_saturation_of_slice_is_full_set(n, single_cycle):
     reduced = enumerate_filling(n, single_cycle=single_cycle, symmetry_reduced=True)
     powers = [(generators(n)[1] ** k).one_line() for k in range(n)]  # delta^0, ..., delta^(n-1)
     saturation = {conjugate_oneline(s, d) for s in reduced for d in powers}
-    assert saturation == set(full)
+    assert saturation == set(map(tuple, full))
     assert len(full) == n * len(reduced) == len(set(full))

@@ -16,6 +16,7 @@ import fillperm.cli
 import fillperm.surgery
 from fillperm.cli import build_parser, main, read_filling_file, write_filling_file
 from fillperm import (
+    FillingError,
     FillingPermutation,
     Permutation,
     assemble,
@@ -175,6 +176,16 @@ def test_assemble_matches_fixture(files, tmp_path, capsys):
     assert sigma == perm(SIGMA_F6, 44)
 
 
+def test_assemble_unwritable_out_exits_2(files, tmp_path, capsys):
+    out_path = tmp_path / "missing" / "f6.fp"
+    code, out, err = run(
+        capsys, "assemble", "--host", files["sigma_f"], "--piece", files["sigma_z"],
+        "--i", "3", "--out", str(out_path),
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {out_path}: No such file or directory\n"
+
+
 def test_assemble_explicit_j_mismatch(files, capsys):
     code, _, err = run(
         capsys, "assemble", "--host", files["sigma_f"], "--piece", files["sigma_z"],
@@ -326,6 +337,19 @@ def test_census_out_file(tmp_path, capsys):
     assert len(out_path.read_text().splitlines()) == 5
 
 
+def test_census_unwritable_out_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "n3.census"
+    code, out, err = run(capsys, "census", "--n", "3", "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err == f"error: {out_path}: No such file or directory\n"
+
+
+def test_census_n_below_one_exits_2(capsys):
+    code, out, err = run(capsys, "census", "--n", "0")
+    assert code == 2 and out == ""
+    assert err == "error: n must be >= 1\n"
+
+
 def test_census_bound_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FILLPERM_MAX_N", "3")
     code, _, err = run(capsys, "census", "--n", "5", "--single-cycle")
@@ -414,6 +438,17 @@ def test_census_decomposition_failure_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "census", "--n", "5", "--single-cycle")
     assert code == 3 and out == ""
     assert err == "internal error: decomposition requires a minimal filling permutation\n"
+
+
+def test_census_validation_failure_exits_3(capsys, monkeypatch):
+    # a FillingError is a ValueError, but an enumerated pair is not bad input
+    def reject(*args):
+        raise FillingError("not a bijection")
+
+    monkeypatch.setattr(fillperm.census, "validate", reject)
+    code, out, err = run(capsys, "census", "--n", "5", "--single-cycle")
+    assert code == 3 and out == ""
+    assert err == "internal error: not a bijection\n"
 
 
 def test_case_gap_exits_3(files, capsys, monkeypatch):
