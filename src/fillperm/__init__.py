@@ -7,7 +7,6 @@ from .filling import (
     FillingError,
     FillingPermutation,
     SizeNotMultipleOf4,
-    SurfaceInfo,
     ZType,
     big_q,
     is_valid,
@@ -16,7 +15,7 @@ from .filling import (
     validate,
 )
 from .twist import (
-    GroupTooLarge,
+    BoundExceeded,
     are_equivalent,
     canonical_form,
     generators,
@@ -41,7 +40,6 @@ from .surgery import (
     round_trip_check,
 )
 from .census import (
-    BoundExceeded,
     CensusRecord,
     census_records,
     count_orbits,

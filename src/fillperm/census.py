@@ -30,14 +30,10 @@ from .filling import opposite, tau, validate
 from .perm import Permutation
 # perfbench/tracing.py wraps census.find_decompositions by name
 from .surgery import _decomposes, find_decompositions  # noqa: F401
-from .twist import BYTE_MAX_N, _slice_conjugates
+from .twist import BoundExceeded, _check_n, _slice_conjugates
 
 SINGLE_CYCLE_MAX_N = 7
 GENERAL_MAX_N = 5
-
-
-class BoundExceeded(ValueError):
-    pass
 
 
 def upper_bound(g: int) -> int:
@@ -97,12 +93,9 @@ def enumerate_filling(
     the block that covers the last labels, which is kept without its join.
     `symmetry_reduced` restricts the first image of 1 to {2, 2n+2}: one
     sigma per delta-orbit, and the full set has n times as many members.
-    Labels must fit a byte, so n > BYTE_MAX_N raises BoundExceeded.
+    Labels must fit a byte: n outside 1..twist.BYTE_MAX_N raises BoundExceeded.
     """
-    if n < 1:
-        raise BoundExceeded("n must be >= 1")
-    if n > BYTE_MAX_N:
-        raise BoundExceeded(f"n={n} exceeds {BYTE_MAX_N}: the census keys its 4n labels by bytes")
+    _check_n(n)
     if max_n is None:
         max_n = SINGLE_CYCLE_MAX_N if single_cycle else GENERAL_MAX_N
     if n > max_n:
@@ -225,7 +218,7 @@ def census_records(
     Returns (number of raw solutions, per-orbit records sorted by canonical
     form).  Only the slice S (one sigma per delta-orbit) is enumerated, so
     the raw count is n * |S|.  The enumeration's bytes are the sweep's keys,
-    so n > BYTE_MAX_N raises BoundExceeded before anything is enumerated.
+    so n outside 1..twist.BYTE_MAX_N raises BoundExceeded before anything is enumerated.
     Each orbit is swept once, from its first unclassified member, by its
     slice conjugates (`twist._slice_conjugates`), the conjugates t sigma
     t^-1 that land in S.  Every such conjugate must itself be an enumerated
@@ -236,8 +229,7 @@ def census_records(
     decomposition search stops at its first witness, trying a torus
     remainder first, instead of listing them all.
     """
-    if n > BYTE_MAX_N:
-        raise BoundExceeded(f"n={n} exceeds {BYTE_MAX_N}: the census keys its 4n labels by bytes")
+    _check_n(n)
     unseen = set(enumerate_filling(n, single_cycle, max_n, symmetry_reduced=True))
     total = n * len(unseen)
     orbits: list[tuple[bytes, int]] = []  # (least conjugate, orbit size)

@@ -15,7 +15,7 @@ import re
 import sys
 from pathlib import Path
 
-from .census import BoundExceeded, census_records, upper_bound, write_census
+from .census import census_records, upper_bound, write_census
 from .filling import FillingError, FillingPermutation, validate
 from .perm import CycleParseError, Permutation
 from .surgery import (
@@ -31,7 +31,7 @@ from .surgery import (
     round_trip_check,
     _pull_back,
 )
-from .twist import GroupTooLarge, are_equivalent
+from .twist import BoundExceeded, are_equivalent
 
 
 class CLIInputError(Exception):
@@ -64,9 +64,9 @@ def read_filling_file(path: str) -> tuple[Permutation, int]:
     body = "".join(body_parts)
     labels = set(map(int, re.findall(r"\d+", body)))
     top = max(labels, default=0)
+    if not top:
+        raise CLIInputError(f"{path}: no permutation found")
     if n is None:
-        if not top:
-            raise CLIInputError(f"{path}: no permutation found")
         n = (top + 3) // 4
     elif 4 * n > top:
         raise CLIInputError(f"{path}: n={n} needs labels up to {4 * n}, the largest is {top}")
@@ -130,22 +130,21 @@ def cmd_validate(args) -> tuple[int, str, dict]:
 
 def cmd_info(args) -> tuple[int, str, dict]:
     fp = load_valid(args.file)
-    info = fp.surface_info()
     lines = [
-        f"n={fp.n} c={info.region_count} genus={info.genus} minimal={fp.is_minimal()}",
-        "regions: " + " ".join("(" + ",".join(map(str, r)) + ")" for r in info.regions),
-        "vertices: " + " ".join("{" + ",".join(map(str, v)) + "}" for v in info.vertices),
+        f"n={fp.n} c={fp.region_count} genus={fp.genus()} minimal={fp.is_minimal()}",
+        "regions: " + " ".join("(" + ",".join(map(str, r)) + ")" for r in fp.regions),
+        "vertices: " + " ".join("{" + ",".join(map(str, v)) + "}" for v in fp.vertices),
         "green vertices: "
-        + (" ".join("{" + ",".join(map(str, v)) + "}" for v in info.green_vertices) or "none"),
+        + (" ".join("{" + ",".join(map(str, v)) + "}" for v in fp.green_vertices) or "none"),
     ]
     payload = {
         "n": fp.n,
-        "c": info.region_count,
-        "genus": info.genus,
+        "c": fp.region_count,
+        "genus": fp.genus(),
         "minimal": fp.is_minimal(),
-        "regions": [list(r) for r in info.regions],
-        "vertices": [list(v) for v in info.vertices],
-        "green_vertices": [list(v) for v in info.green_vertices],
+        "regions": [list(r) for r in fp.regions],
+        "vertices": [list(v) for v in fp.vertices],
+        "green_vertices": [list(v) for v in fp.green_vertices],
         "green_normalized": fp.green_normalized(),
     }
     if fp.is_z_piece(fp.genus()):
@@ -249,7 +248,7 @@ def cmd_equivalent(args) -> tuple[int, str, dict]:
         raise CLIInputError(f"crossing counts differ: {fp1.n} vs {fp2.n}")
     try:
         witness = are_equivalent(fp1, fp2)
-    except GroupTooLarge as exc:
+    except BoundExceeded as exc:
         raise CLIInputError(str(exc)) from exc
     caveat = None
     if not (fp1.is_minimal() and fp2.is_minimal()):
@@ -300,7 +299,8 @@ def cmd_census(args) -> tuple[int, str, dict]:
         "orbits": len(records),
         "records": record_dicts,
     }
-    if args.single_cycle and genus > 2:
+    # the ceiling counts minimal pairs, which only odd n = 2g - 1 has
+    if args.single_cycle and args.n % 2 and genus > 2:
         payload["upper_bound"] = upper_bound(genus)
     return 0, text, payload
 

@@ -96,15 +96,6 @@ class ZType:
         return ZType(tuple(quad)).quad == self.quad
 
 
-@dataclass(frozen=True)
-class SurfaceInfo:
-    genus: int
-    region_count: int
-    regions: tuple[tuple[int, ...], ...]
-    vertices: tuple[tuple[int, ...], ...]
-    green_vertices: tuple[tuple[int, ...], ...]
-
-
 class FillingPermutation:
     """A validated filling permutation together with its crossing count n.
 
@@ -182,15 +173,6 @@ class FillingPermutation:
         all_regions = set(range(self.region_count))
         return tuple(
             v for v in self.vertices if {region_of[s] for s in v} == all_regions
-        )
-
-    def surface_info(self) -> SurfaceInfo:
-        return SurfaceInfo(
-            genus=self.genus(),
-            region_count=self.region_count,
-            regions=self.regions,
-            vertices=self.vertices,
-            green_vertices=self.green_vertices,
         )
 
     def green_normalized(self) -> bool:

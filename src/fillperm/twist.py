@@ -18,14 +18,21 @@ from functools import lru_cache
 from .filling import FillingPermutation
 from .perm import Permutation
 
-MAX_N = 16
-# the relabeling table keys labels 1..4n by bytes
+# the relabeling table and the census key labels 1..4n by bytes
 BYTE_MAX_N = 63
 _IDENT = bytes(range(256))
 
 
-class GroupTooLarge(ValueError):
-    """The crossing count exceeds the configured bound max_n."""
+class BoundExceeded(ValueError):
+    """The crossing count n lies outside 1 <= n <= BYTE_MAX_N, or above the
+    census's run-length bound."""
+
+
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise BoundExceeded("n must be >= 1")
+    if n > BYTE_MAX_N:
+        raise BoundExceeded(f"n={n} exceeds {BYTE_MAX_N}: labels 1..4n are keyed by bytes")
 
 
 @lru_cache(maxsize=None)
@@ -113,32 +120,23 @@ def _slice_conjugates(one: bytes) -> list[tuple[bytes, bytes]]:
     ]
 
 
-def _check_bound(n: int, max_n: int) -> None:
-    if n > max_n:
-        raise GroupTooLarge(f"n={n} exceeds the configured bound {max_n}")
-    if n > BYTE_MAX_N:
-        raise GroupTooLarge(f"n={n} exceeds {BYTE_MAX_N}: the relabeling table keys labels by bytes")
-
-
-def _least(fp: FillingPermutation, max_n: int) -> tuple[bytes, list[bytes]]:
+def _least(fp: FillingPermutation) -> tuple[bytes, list[bytes]]:
     """The least conjugate of sigma and every t that carries sigma to it."""
-    _check_bound(fp.n, max_n)
+    _check_n(fp.n)
     conjugates = _slice_conjugates(bytes(fp.sigma.one_line()))
     least = min(c for c, _ in conjugates)
     return least, [t for c, t in conjugates if c == least]
 
 
-def twist_group(n: int, max_n: int = MAX_N) -> tuple[Permutation, ...]:
+def twist_group(n: int) -> tuple[Permutation, ...]:
     """Every relabeling kappa^p delta^q h (0 <= p, q < n, h in <eta, mu>),
     8n^2 elements in sorted one-line order."""
-    _check_bound(n, max_n)
+    _check_n(n)
     elements = {t for row in _slice_table(n) for cell in row for _, t in cell}
     return tuple(Permutation(t[1 : 4 * n + 1]) for t in sorted(elements))
 
 
-def are_equivalent(
-    fp1: FillingPermutation, fp2: FillingPermutation, max_n: int = MAX_N
-) -> Permutation | None:
+def are_equivalent(fp1: FillingPermutation, fp2: FillingPermutation) -> Permutation | None:
     """A relabeling witness t with t * sigma1 * t^{-1} == sigma2, or None.
 
     The witnesses are u2^-1 u, for one u2 carrying sigma2 to its least
@@ -151,17 +149,17 @@ def are_equivalent(
     """
     if fp1.n != fp2.n:
         raise ValueError(f"crossing counts differ: {fp1.n} vs {fp2.n}")
-    least1, to_least1 = _least(fp1, max_n)
-    least2, to_least2 = _least(fp2, max_n)
+    least1, to_least1 = _least(fp1)
+    least2, to_least2 = _least(fp2)
     if least1 != least2:
         return None
     back = bytes.maketrans(to_least2[0], _IDENT)
     return Permutation(min(u.translate(back) for u in to_least1)[1 : 4 * fp1.n + 1])
 
 
-def canonical_form(fp: FillingPermutation, max_n: int = MAX_N) -> Permutation:
+def canonical_form(fp: FillingPermutation) -> Permutation:
     """Lexicographically least conjugate of sigma under the relabeling group.
 
     Equal for two filling permutations exactly when `are_equivalent` succeeds.
     """
-    return Permutation(_least(fp, max_n)[0])
+    return Permutation(_least(fp)[0])

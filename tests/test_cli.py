@@ -14,6 +14,7 @@ import fillperm
 import fillperm.census
 import fillperm.cli
 import fillperm.surgery
+import fillperm.twist
 from fillperm.cli import build_parser, main, read_filling_file, write_filling_file
 from fillperm import (
     FillingError,
@@ -75,6 +76,16 @@ def test_validate_record_format(files, capsys):
     code, out, _ = run(capsys, "validate", "--format", "record", files["zeta"])
     assert code == 0
     assert json.loads(out) == {"valid": True, "n": 6, "c": 4, "genus": 2}
+
+
+def test_empty_body_exits_2_whatever_the_header(tmp_path, capsys):
+    # an empty pair is bad input, not a permutation that fails validation
+    path = tmp_path / "empty.fp"
+    for text in ("n=0\n", "n=3\n", ""):
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: no permutation found\n"
 
 
 def test_header_beyond_the_body_exits_2(tmp_path, capsys, monkeypatch):
@@ -162,6 +173,15 @@ def test_equivalent_witness(files, tmp_path, capsys):
     code, out, _ = run(capsys, "equivalent", files["f1"], str(other))
     assert code == 0
     assert out.strip()  # a witness in cycle notation
+
+
+def test_equivalent_beyond_the_byte_bound_exits_2(files, capsys, monkeypatch):
+    # a pair file at n = 64 would name 256 labels, so the bound is lowered
+    # below zeta's n = 6 instead
+    monkeypatch.setattr(fillperm.twist, "BYTE_MAX_N", 5)
+    code, out, err = run(capsys, "equivalent", files["zeta"], files["zeta"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: n=6 exceeds 5")
 
 
 def test_assemble_matches_fixture(files, tmp_path, capsys):
@@ -265,7 +285,7 @@ def test_extract_record_matches_pinned(capsys, pair, anchors, pinned):
     assert out == (DATA / pinned).read_text()
 
 
-@pytest.mark.parametrize("pair", ["g5_stab4", "sigma_f6_zeta_prime_5"])
+@pytest.mark.parametrize("pair", ["g5_stab4", "sigma_f6_zeta_prime_5", "g9_f6_z"])
 def test_equivalent_record_matches_pinned(capsys, pair):
     # g5_stab4's orbit has a stabilizer of order 4, so four relabelings carry
     # it to its copy and the pin fixes which one is printed
@@ -335,6 +355,14 @@ def test_census_out_file(tmp_path, capsys):
     assert code == 0
     assert "orbits=5" in out
     assert len(out_path.read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize("n, bound", [(5, 672), (6, None), (4, None)])
+def test_census_upper_bound_only_for_odd_n(capsys, n, bound):
+    # the ceiling counts minimal pairs, and an even n has none
+    code, out, _ = run(capsys, "census", "--n", str(n), "--single-cycle", "--format", "record")
+    assert code == 0
+    assert json.loads(out).get("upper_bound") == bound
 
 
 def test_census_unwritable_out_exits_2(tmp_path, capsys):

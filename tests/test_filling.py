@@ -222,11 +222,10 @@ def test_green_normalized_breaks_under_relabeling(zeta):
 
 
 def test_surface_info(zeta):
-    info = zeta.surface_info()
-    assert info.genus == 2
-    assert info.region_count == 4
-    assert len(info.vertices) == 6
-    assert len(info.green_vertices) == 2
+    assert zeta.genus() == 2
+    assert zeta.region_count == 4
+    assert len(zeta.vertices) == 6
+    assert len(zeta.green_vertices) == 2
 
 
 @pytest.mark.parametrize("name", ["zeta", "sigma_z", "sigma_f", "sigma_f6", "f4", "zeta_prime", "z5"])

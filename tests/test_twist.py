@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from fillperm import (
-    GroupTooLarge,
+    BoundExceeded,
     Permutation,
     are_equivalent,
     canonical_form,
@@ -19,6 +19,8 @@ from fillperm import (
     twist_group,
     validate,
 )
+
+from fillperm.cli import load_valid
 
 from conftest import conjugate_oneline
 
@@ -127,18 +129,28 @@ def test_elements_preserve_or_swap_parity_classes(n):
         )
 
 
-def test_bound_checks(zeta):
-    with pytest.raises(GroupTooLarge):
-        twist_group(17)
-    with pytest.raises(GroupTooLarge):
-        twist_group(6, max_n=5)
-    with pytest.raises(GroupTooLarge):
-        canonical_form(zeta, max_n=3)
-    with pytest.raises(GroupTooLarge):
-        are_equivalent(zeta, zeta, max_n=3)
-    # the table keys labels by bytes, whatever bound the caller passes
-    with pytest.raises(GroupTooLarge, match="n=64 exceeds 63"):
-        twist_group(64, max_n=64)
+def test_bound_checks():
+    # the table keys labels by bytes, which is the only bound on n
+    with pytest.raises(BoundExceeded, match="n=64 exceeds 63"):
+        twist_group(64)
+    with pytest.raises(BoundExceeded, match="n must be >= 1"):
+        twist_group(0)
+
+
+def test_equivalence_beyond_sixteen_crossings():
+    # sigma_F6 # sigma_Z at site 1 has genus 9 (n = 17), and its copy is
+    # relabeled by kappa^3 delta^5 eta mu
+    fp = load_valid(str(DATA / "g9_f6_z.pair"))
+    copy = load_valid(str(DATA / "g9_f6_z_relabeled.pair"))
+    group = twist_group(fp.n)
+    assert fp.n == 17 and len(group) == 8 * 17**2
+    kappa, delta, eta, mu = generators(17)
+    scan = [t for t in group if fp.sigma.conjugated_by(t) == copy.sigma]
+    assert scan == [kappa**3 * delta**5 * eta * mu]
+    assert are_equivalent(fp, copy) == scan[0]
+    canon = canonical_form(fp)
+    assert canon == canonical_form(copy)
+    assert canon == min((fp.sigma.conjugated_by(t) for t in group), key=Permutation.one_line)
 
 
 def test_conjugation_preserves_validity_full_group(zeta, sigma_f, f1):
