@@ -30,10 +30,7 @@ from .filling import opposite, tau, validate
 from .perm import Permutation
 # perfbench/tracing.py wraps census.find_decompositions by name
 from .surgery import _decomposes, find_decompositions  # noqa: F401
-from .twist import BoundExceeded, _check_n, _slice_conjugates
-
-SINGLE_CYCLE_MAX_N = 7
-GENERAL_MAX_N = 5
+from .twist import BoundExceeded, _check_n, _slice_conjugates  # noqa: F401  (re-exported)
 
 
 def upper_bound(g: int) -> int:
@@ -73,10 +70,7 @@ def _crossing_blocks(n: int) -> tuple[tuple[tuple[int, tuple], ...], ...]:
 
 
 def enumerate_filling(
-    n: int,
-    single_cycle: bool = True,
-    max_n: int | None = None,
-    symmetry_reduced: bool = False,
+    n: int, single_cycle: bool = True, symmetry_reduced: bool = False
 ) -> list[bytes]:
     """All alternating solutions of the crossing equation on 4n symbols,
     as the bytes of their one-line images (sigma(1), ..., sigma(4n)).
@@ -96,11 +90,6 @@ def enumerate_filling(
     Labels must fit a byte: n outside 1..twist.BYTE_MAX_N raises BoundExceeded.
     """
     _check_n(n)
-    if max_n is None:
-        max_n = SINGLE_CYCLE_MAX_N if single_cycle else GENERAL_MAX_N
-    if n > max_n:
-        raise BoundExceeded(f"n={n} exceeds the configured bound {max_n}")
-
     m = 4 * n
     full = (1 << m) - 1
     rows = _crossing_blocks(n)
@@ -210,15 +199,14 @@ class CensusRecord:
         )
 
 
-def census_records(
-    n: int, single_cycle: bool = True, max_n: int | None = None
-) -> tuple[int, list[CensusRecord]]:
+def census_records(n: int, single_cycle: bool = True) -> tuple[int, list[CensusRecord]]:
     """Enumerate, group into relabeling orbits, and describe each orbit.
 
     Returns (number of raw solutions, per-orbit records sorted by canonical
     form).  Only the slice S (one sigma per delta-orbit) is enumerated, so
     the raw count is n * |S|.  The enumeration's bytes are the sweep's keys,
-    so n outside 1..twist.BYTE_MAX_N raises BoundExceeded before anything is enumerated.
+    so n outside 1..twist.BYTE_MAX_N, the only bound on n, raises BoundExceeded
+    before anything is enumerated; `fillperm census` also bounds the run length.
     Each orbit is swept once, from its first unclassified member, by its
     slice conjugates (`twist._slice_conjugates`), the conjugates t sigma
     t^-1 that land in S.  Every such conjugate must itself be an enumerated
@@ -230,7 +218,7 @@ def census_records(
     remainder first, instead of listing them all.
     """
     _check_n(n)
-    unseen = set(enumerate_filling(n, single_cycle, max_n, symmetry_reduced=True))
+    unseen = set(enumerate_filling(n, single_cycle, symmetry_reduced=True))
     total = n * len(unseen)
     orbits: list[tuple[bytes, int]] = []  # (least conjugate, orbit size)
     for one in list(unseen):
@@ -262,18 +250,21 @@ def census_records(
     return total, records
 
 
-def count_orbits(n: int, max_n: int | None = None) -> tuple[int, list[CensusRecord]]:
+def count_orbits(n: int) -> tuple[int, list[CensusRecord]]:
     """Number of relabeling classes among minimal (single-region) solutions."""
     if n % 2 == 0:
         raise ValueError("minimal pairs have odd crossing count (n = 2g-1)")
-    _, records = census_records(n, single_cycle=True, max_n=max_n)
+    _, records = census_records(n, single_cycle=True)
     return len(records), records
 
 
 def write_census(records: list[CensusRecord], path: str | Path) -> None:
-    """One JSON record per line, sorted by canonical form for stable diffs."""
+    """One JSON record per line, sorted by canonical form for stable diffs;
+    a path ending in `.gz` is gzipped, with mtime 0 so the bytes are stable."""
     lines = [json.dumps(r.to_record(), separators=(",", ":")) for r in records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    data = ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
+    path = Path(path)
+    path.write_bytes(gzip.compress(data, mtime=0) if path.suffix == ".gz" else data)
 
 
 def read_census(path: str | Path) -> list[CensusRecord]:

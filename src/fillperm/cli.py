@@ -31,7 +31,7 @@ from .surgery import (
     round_trip_check,
     _pull_back,
 )
-from .twist import BoundExceeded, are_equivalent
+from .twist import BoundExceeded, _check_n, are_equivalent
 
 
 class CLIInputError(Exception):
@@ -272,17 +272,21 @@ def cmd_equivalent(args) -> tuple[int, str, dict]:
 
 
 def cmd_census(args) -> tuple[int, str, dict]:
+    # the run-length bound, checked after the byte bound: 7, 5 or FILLPERM_MAX_N
     env_max = os.environ.get("FILLPERM_MAX_N")
-    max_n = None  # enumerate_filling's default bound for the mode
+    max_n = 7 if args.single_cycle else 5
     if env_max is not None:
         try:
             max_n = int(env_max)
         except ValueError:
             raise CLIInputError(f"FILLPERM_MAX_N must be an integer, got {env_max!r}") from None
     try:
-        total, records = census_records(args.n, args.single_cycle, max_n)
+        _check_n(args.n)
     except BoundExceeded as exc:
         raise CLIInputError(str(exc)) from exc
+    if args.n > max_n:
+        raise CLIInputError(f"n={args.n} exceeds the configured bound {max_n}")
+    total, records = census_records(args.n, args.single_cycle)
     record_dicts = [r.to_record() for r in records]
     if args.out:
         with _file_errors(args.out):

@@ -393,19 +393,23 @@ def _cut_at(
     given, or None: the one check of a caller's (k, anchors), for
     `decomposition_at` and `extract` alike.
 
-    The candidates of `_anchored_types` from x are scanned for the anchors;
-    the one found must pass `_is_witness`, as in `find_decompositions`.
+    Run c holds (opos(anchor c + 1) - pos(anchor c)) mod m + 1 labels.  The
+    anchors are a candidate of `_anchored_types` exactly when y = flip[x],
+    b = flip[a], the first size is even (anchors x, a of one parity give odd
+    sizes), all are >= 4 and sum to 8k + 8; then `_is_witness` judges it.
     """
     g = tables.genus
     _check_piece_genus(k, g)
     for sym in anchors:
         if not 1 <= sym <= tables.m:
             raise SurgeryError(f"anchor {sym} out of range 1..{tables.m}")
-    for found, quad in _anchored_types(tables, k, g, anchors[:1]):
-        if found == anchors:
-            dec = Decomposition(k, g - k, *anchors, quad)
-            return dec if _is_witness(tables, dec) else None
-    return None
+    x, a, y, b = anchors
+    flip, pos, opos, m = tables.flip(k), tables.pos, tables.opos, tables.m
+    quad = tuple((opos[nxt] - pos[e]) % m + 1 for e, nxt in zip(anchors, (a, y, b, x)))
+    if (y, b) != (flip[x], flip[a]) or quad[0] % 2 or min(quad) < 4 or sum(quad) != 8 * k + 8:
+        return None
+    dec = Decomposition(k, g - k, *anchors, quad)
+    return dec if _is_witness(tables, dec) else None
 
 
 def decomposition_at(

@@ -24,8 +24,7 @@ _IDENT = bytes(range(256))
 
 
 class BoundExceeded(ValueError):
-    """The crossing count n lies outside 1 <= n <= BYTE_MAX_N, or above the
-    census's run-length bound."""
+    """The crossing count n lies outside 1 <= n <= BYTE_MAX_N."""
 
 
 def _check_n(n: int) -> None:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import fillperm.census
+import fillperm.cli
 from fillperm import (
     BoundExceeded,
     CensusRecord,
@@ -242,11 +243,21 @@ def test_forcing_map_has_order_four(n):
             assert labels == sum(1 << (x - 1) for x, _ in pairs)
 
 
-def test_bound_exceeded():
-    with pytest.raises(BoundExceeded):
-        enumerate_filling(9, single_cycle=True)
-    with pytest.raises(BoundExceeded):
-        enumerate_filling(6, single_cycle=False)
+def test_bound_exceeded(capsys, monkeypatch):
+    # the census's run-length bound is the command's: n <= 7 single-cycle and
+    # n <= 5 general by default, refused before anything is enumerated
+    def census_records(*args, **kwargs):
+        raise AssertionError("enumerated before the run-length bound was checked")
+
+    monkeypatch.setattr(fillperm.cli, "census_records", census_records)
+    monkeypatch.delenv("FILLPERM_MAX_N", raising=False)
+    for args, message in (
+        (["--n", "8", "--single-cycle"], "error: n=8 exceeds the configured bound 7\n"),
+        (["--n", "6"], "error: n=6 exceeds the configured bound 5\n"),
+    ):
+        assert fillperm.cli.main(["census", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == message
 
 
 @pytest.mark.parametrize("symmetry_reduced", [False, True])
@@ -264,7 +275,7 @@ def test_enumeration_refuses_labels_beyond_a_byte(monkeypatch):
 
     monkeypatch.setattr(fillperm.census, "_crossing_blocks", blocks)
     with pytest.raises(BoundExceeded, match="n=64 exceeds 63"):
-        enumerate_filling(64, single_cycle=False, max_n=64)
+        enumerate_filling(64, single_cycle=False)
     with pytest.raises(BoundExceeded, match="n must be >= 1"):
         enumerate_filling(0)
 
@@ -287,7 +298,7 @@ def test_census_refuses_labels_beyond_a_byte(monkeypatch):
 
     monkeypatch.setattr(fillperm.census, "enumerate_filling", enumerate_filling)
     with pytest.raises(BoundExceeded, match="n=64 exceeds 63"):
-        census_records(64, max_n=64)
+        census_records(64)
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -522,7 +533,7 @@ def full_sweep_census(n, single_cycle):
 
 @pytest.mark.parametrize(
     "n,single_cycle",
-    [(n, False) for n in range(1, 6)] + [(5, True), (7, True)],
+    [(n, False) for n in range(1, 7)] + [(5, True), (7, True)],
 )
 def test_slice_census_matches_full_sweep(n, single_cycle):
     assert census_records(n, single_cycle=single_cycle) == full_sweep_census(n, single_cycle)
@@ -530,7 +541,7 @@ def test_slice_census_matches_full_sweep(n, single_cycle):
 
 @pytest.mark.parametrize(
     "n,single_cycle",
-    [(n, False) for n in range(1, 6)] + [(n, True) for n in range(1, 6)],
+    [(n, False) for n in range(1, 7)] + [(n, True) for n in range(1, 6)],
 )
 def test_delta_saturation_of_slice_is_full_set(n, single_cycle):
     full = enumerate_filling(n, single_cycle=single_cycle)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gzip
 import json
 import os
 import subprocess
@@ -22,8 +23,11 @@ from fillperm import (
     Permutation,
     assemble,
     attachment_site,
+    census_records,
     generators,
+    read_census,
     validate,
+    write_census,
 )
 
 from conftest import FIXTURE_TEXTS, SIGMA_F6, perm
@@ -355,6 +359,17 @@ def test_census_out_file(tmp_path, capsys):
     assert code == 0
     assert "orbits=5" in out
     assert len(out_path.read_text().splitlines()) == 5
+
+
+def test_census_out_gz_is_gzip(tmp_path, capsys):
+    # read_census reads a .gz path through gzip, so the command writes one so
+    out_path = tmp_path / "n5.jsonl.gz"
+    code, _, _ = run(capsys, "census", "--n", "5", "--single-cycle", "--out", str(out_path))
+    assert code == 0
+    assert read_census(out_path) == census_records(5, True)[1]
+    plain = tmp_path / "n5.jsonl"
+    write_census(census_records(5, True)[1], plain)
+    assert gzip.decompress(out_path.read_bytes()) == plain.read_bytes()
 
 
 @pytest.mark.parametrize("n, bound", [(5, 672), (6, None), (4, None)])

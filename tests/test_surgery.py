@@ -37,6 +37,7 @@ from fillperm import (
 from fillperm.surgery import (
     _CycleTables,
     _anchored_types,
+    _cut_at,
     _decomposes,
     _is_witness,
     _kappa_delta,
@@ -447,6 +448,54 @@ def test_decomposition_at_agrees_with_find_decompositions(oracle_pairs):
                     fp, k, anchors)
                 if dec is not None:
                     assert (dec.anchors, dec.type) == (anchors, quad)
+
+
+def _scan_cut_at(tables, k, anchors):
+    # the cut check as a scan: the candidates of the anchor search from x,
+    # looked up for the anchors and judged by the witness rule
+    g = tables.genus
+    for found, quad in _anchored_types(tables, k, g, anchors[:1]):
+        if found == anchors:
+            dec = Decomposition(k, g - k, *anchors, quad)
+            return dec if _is_witness(tables, dec) else None
+    return None
+
+
+def test_cut_at_matches_anchor_scan(sigma_f, sigma_f6, f4):
+    # every k and every (x, a), with y and b forced and with each of them
+    # moved one label on
+    pairs = [sigma_f, sigma_f6, f4] + [
+        validate(Permutation(rec.canonical_form), rec.n)
+        for rec in read_census(GOLDEN / "census_single_n5.jsonl")
+    ]
+    witnesses = 0
+    for fp in pairs:
+        tables = _CycleTables(fp)
+        m = tables.m
+        for k in range(1, tables.genus):
+            flip = tables.flip(k)
+            for x in range(1, m + 1):
+                for a in range(1, m + 1):
+                    y, b = flip[x], flip[a]
+                    for anchors in ((x, a, y, b), (x, a, y % m + 1, b), (x, a, y, b % m + 1)):
+                        dec = _cut_at(tables, k, anchors)
+                        assert dec == _scan_cut_at(tables, k, anchors), (fp, k, anchors)
+                        witnesses += dec is not None
+    assert witnesses == 200
+
+
+def test_cut_at_refuses_anchors_of_one_parity(sigma_f6):
+    # x and a of one parity read off odd sizes that pass every other test:
+    # they sum to 8k + 8 = 48, and at k = g - 1 every candidate would be a
+    # (torus) witness
+    tables = _CycleTables(sigma_f6)
+    anchors = (1, 3, 23, 25)
+    assert tables.flip(5)[1] == 23 and tables.flip(5)[3] == 25
+    pos, opos, m = tables.pos, tables.opos, tables.m
+    sizes = [(opos[nxt] - pos[e]) % m + 1 for e, nxt in zip(anchors, (3, 23, 25, 1))]
+    assert sizes == [5, 15, 17, 11]
+    assert decomposition_at(sigma_f6, *anchors, 5) is None
+    assert _scan_cut_at(tables, 5, anchors) is None
 
 
 def _oracle_separates(fp, dec):
