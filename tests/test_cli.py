@@ -310,6 +310,16 @@ def test_decompose_record_matches_pinned(capsys, pair):
     assert out == (DATA / f"{pair}.decompose.json").read_text()
 
 
+@pytest.mark.parametrize("pair", ["sigma_f6", "sigma_f6_zeta_prime_5", "g9_f6_z"])
+def test_roundtrip_record_matches_pinned(capsys, pair):
+    # sigma_F6 # zeta' (n = 15) has 54 inexact round trips of its 56 and
+    # sigma_F6 # sigma_Z (n = 17) 60 distinct (p, q) among its 62, so the
+    # pins hold the closed form kappa^-p delta^-q at many powers
+    code, out, _ = run(capsys, "roundtrip", str(DATA / f"{pair}.pair"), "--format", "record")
+    assert code == 0
+    assert out == (DATA / f"{pair}.roundtrip.json").read_text()
+
+
 def test_extract_cuts_once(capsys, monkeypatch):
     # the piece and the remainder are pulled back from the one extraction
     # that is printed, not from a second one
