@@ -12,6 +12,7 @@ curve (forward on plain labels, backward on reversed ones).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -48,6 +49,30 @@ def big_q(n: int) -> Permutation:
     return Permutation(tuple(e % m + 1 for e in range(1, m + 1)))
 
 
+def _arc_of(label: int, n: int) -> tuple[int, bool, bool]:
+    """(arc, even, negative) of a label 1..4n on a pair with n crossings."""
+    negative = label > 2 * n
+    base = label - 2 * n if negative else label
+    return (base + 1) // 2, base % 2 == 0, negative
+
+
+def _label_of(arc: int, even: bool, negative: bool, n: int) -> int:
+    label = 2 * arc if even else 2 * arc - 1
+    return label + 2 * n if negative else label
+
+
+def _arc_map(
+    n: int, move: Callable[[int, bool, bool], tuple[int, bool, bool]]
+) -> Permutation:
+    """The relabeling that sends the label with arc coordinates (arc, even,
+    negative) to the label at move(arc, even, negative), arcs taken mod n."""
+    images = []
+    for label in range(1, 4 * n + 1):
+        arc, even, negative = move(*_arc_of(label, n))
+        images.append(_label_of((arc - 1) % n + 1, even, negative, n))
+    return Permutation(images)
+
+
 @lru_cache(maxsize=None)
 def tau(n: int) -> Permutation:
     """Advance each label along its curve: positives forward, negatives backward.
@@ -56,16 +81,7 @@ def tau(n: int) -> Permutation:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = 4 * n
-    return Permutation.from_cycles(
-        [
-            list(range(1, 2 * n, 2)),
-            list(range(2, 2 * n + 1, 2)),
-            list(range(m - 1, 2 * n, -2)),
-            list(range(m, 2 * n + 1, -2)),
-        ],
-        m,
-    )
+    return _arc_map(n, lambda arc, even, neg: (arc - 1 if neg else arc + 1, even, neg))
 
 
 def opposite(e: int, n: int) -> int:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .filling import FillingPermutation, opposite, validate
+from .filling import FillingPermutation, _arc_map, _arc_of, _label_of, opposite, validate
 from .perm import Permutation
 
 Entry = tuple[int, bool]  # (symbol, decorated); decoration marks duplicate anchor copies
@@ -66,28 +66,11 @@ def attachment_site(host: FillingPermutation, i: int) -> AttachmentSite:
     n = host.n
     if not (1 <= i <= 2 * n and i % 2 == 1):
         raise NotAVertexAnchor(f"{i} is not a positive odd edge for n={n}")
-    orbit = host.vertex_orbit(i)
-    pos_evens = [s for s in orbit if s % 2 == 0 and s <= 2 * n]
-    if len(pos_evens) != 1:
-        raise NotAVertexAnchor(f"crossing at {i} lacks a unique positive even edge")
-    j = pos_evens[0]
-    next_i = i + 2 if i + 2 <= 2 * n else i + 2 - 2 * n
-    next_j = j + 2 if j + 2 <= 2 * n else j + 2 - 2 * n
-    if set(orbit) != {i, j, opposite(next_i, n), opposite(next_j, n)}:
-        raise NotAVertexAnchor(f"left edges {sorted(orbit)} do not match the crossing at {i}")
+    # with A(e) = opp(sigma(e)) the crossing equation gives A^2 = opp o tau,
+    # so the orbit is {i, A(i), opp(tau(i)), opp(tau(A(i)))}: i, one positive
+    # even label j, opp(tau(i)) and opp(tau(j))
+    (j,) = [s for s in host.vertex_orbit(i) if s % 2 == 0 and s <= 2 * n]
     return AttachmentSite(i, j)
-
-
-def _arc_of(label: int, n: int) -> tuple[int, bool, bool]:
-    """(arc, even, negative) of a label 1..4n on a pair with n crossings."""
-    negative = label > 2 * n
-    base = label - 2 * n if negative else label
-    return (base + 1) // 2, base % 2 == 0, negative
-
-
-def _label_of(arc: int, even: bool, negative: bool, n: int) -> int:
-    label = 2 * arc if even else 2 * arc - 1
-    return label + 2 * n if negative else label
 
 
 class AssemblyMap:
@@ -317,10 +300,10 @@ class _CycleTables:
 
 
 def _anchored_types(
-    tables: _CycleTables, k: int, g: int, starts
+    tables: _CycleTables, k: int
 ) -> Iterator[tuple[tuple[int, int, int, int], tuple[int, int, int, int]]]:
-    """Yield (anchors, type) of every genus-k decomposition whose x is in
-    `starts`, lazily, by x and then by r.
+    """Yield (anchors, type) of every genus-k candidate, lazily, by x in cycle
+    order and then by r.
 
     The first region size r forces the rest: a = opp(sigma^(r-1)(x)),
     y = flip[x] and b = flip[a].  Each piece region runs from an anchor to
@@ -347,9 +330,9 @@ def _anchored_types(
     pos, opos, opp_at, d, m = tables.pos, tables.opos, tables.opp_at, tables.d, tables.m
     last = 8 * k - 4
     sizes = range(4, last + 1, 2)
-    if k == g - 1:
+    if k == tables.genus - 1:
         opp = tables.opp
-        for x in starts:
+        for x in tables.cycle:
             px, ox, dx = pos[x], opos[x], d[x]
             # the interval [ox + 3, px - 3] holds span + 1 positions
             span, lo = m - dx - 6, ox + 3
@@ -366,7 +349,7 @@ def _anchored_types(
     flip = tables.flip(k)
     residue = [(de + d[f]) % m for de, f in zip(d, flip)]
     total = 8 * k + 4
-    for x in starts:
+    for x in tables.cycle:
         y = flip[x]
         px, py, ox, oy = pos[x], pos[y], opos[x], opos[y]
         want = (total - residue[x]) % m
@@ -434,9 +417,8 @@ def _candidates(
     Almost every witness of a census class has a torus remainder, so trying
     k = g - 1 first lets a first-hit caller stop early.
     """
-    g = tables.genus
-    for kk in range(g - 1, 0, -1) if k is None else [k]:
-        for anchors, quad in _anchored_types(tables, kk, g, tables.cycle):
+    for kk in range(tables.genus - 1, 0, -1) if k is None else [k]:
+        for anchors, quad in _anchored_types(tables, kk):
             yield kk, anchors, quad
 
 
@@ -628,17 +610,6 @@ class RoundTripReport:
         return self.p == 0 and self.q == 0
 
 
-def _kappa_delta(n: int, p: int, q: int) -> Permutation:
-    """kappa^p delta^q in closed form, in one pass over the 4n labels: odd arcs
-    move p places along the first curve and even arcs q places along the
-    second, each keeping its orientation."""
-    images = []
-    for label in range(1, 4 * n + 1):
-        arc, even, negative = _arc_of(label, n)
-        images.append(_label_of((arc - 1 + (q if even else p)) % n + 1, even, negative, n))
-    return Permutation(images)
-
-
 def round_trip_check(fp: FillingPermutation, dec: Decomposition) -> RoundTripReport:
     """Disassemble, reassemble at the induced site, and check the conjugacy.
 
@@ -653,7 +624,8 @@ def round_trip_check(fp: FillingPermutation, dec: Decomposition) -> RoundTripRep
     of sigma_F6 (site (1, 16), n = 11) that is (0, 4).  Raises
     `NoConjugacyFound` unless t = kappa^p delta^q gives
     t^{-1} * sigma' * t == sigma; t^{-1} = kappa^(-p) delta^(-q) is built in
-    closed form.
+    closed form, as the arc map moving odd arcs back p places and even arcs
+    back q places.
     """
     n = fp.n
     piece, remainder = disassemble(fp, dec)
@@ -662,7 +634,8 @@ def round_trip_check(fp: FillingPermutation, dec: Decomposition) -> RoundTripRep
     site = AttachmentSite(amap.host_preimage(i), amap.host_preimage(j))
     reassembled = assemble(remainder, piece, site)
     p, q = ((1 - (i + 1) // 2) % n, (1 - j // 2) % n) if dec.l == 1 else (0, 0)
-    if reassembled.sigma.conjugated_by(_kappa_delta(n, -p, -q)) != fp.sigma:
+    back = _arc_map(n, lambda arc, even, neg: (arc - (q if even else p), even, neg))
+    if reassembled.sigma.conjugated_by(back) != fp.sigma:
         raise NoConjugacyFound(
             f"kappa^{p} delta^{q} does not carry the rebuild at site ({i}, {j}) to the original"
         )

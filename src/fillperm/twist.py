@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .filling import FillingPermutation
+from .filling import FillingPermutation, _arc_map
 from .perm import Permutation
 
 # the relabeling table and the census key labels 1..4n by bytes
@@ -48,22 +48,10 @@ def generators(n: int) -> tuple[Permutation, Permutation, Permutation, Permutati
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = 4 * n
-    kappa = Permutation.from_cycles(
-        [list(range(1, 2 * n, 2)), list(range(2 * n + 1, m, 2))], m
-    )
-    delta = Permutation.from_cycles(
-        [list(range(2, 2 * n + 1, 2)), list(range(2 * n + 2, m + 1, 2))], m
-    )
-    imgs = list(range(1, m + 1))
-    for i in range(1, n + 1):
-        j = (2 - i) % n or n
-        imgs[(2 * i - 1) - 1] = 2 * j - 1 + 2 * n
-        imgs[(2 * i - 1 + 2 * n) - 1] = 2 * j - 1
-    eta = Permutation(imgs)
-    mu = Permutation.from_cycles(
-        [[e, e + 1] for e in range(1, m, 2)], m
-    )
+    kappa = _arc_map(n, lambda arc, even, neg: (arc + (not even), even, neg))
+    delta = _arc_map(n, lambda arc, even, neg: (arc + even, even, neg))
+    eta = _arc_map(n, lambda arc, even, neg: (arc, even, neg) if even else (2 - arc, even, not neg))
+    mu = _arc_map(n, lambda arc, even, neg: (arc, not even, neg))
     return kappa, delta, eta, mu
 
 

@@ -20,7 +20,7 @@ from fillperm import (
     validate,
 )
 from fillperm.cli import read_filling_file
-from fillperm.surgery import _arc_of, _label_of
+from fillperm.filling import _arc_of, _label_of
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -53,6 +53,27 @@ def test_tau_n6_printed_form():
         "(1,3,5,7,9,11)(2,4,6,8,10,12)(23,21,19,17,15,13)(24,22,20,18,16,14)", 24
     )
     assert tau(6) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_tau_matches_cycle_construction(n):
+    # the reference: one cycle per curve and orientation
+    m = 4 * n
+    cycles = Permutation.from_cycles(
+        [
+            list(range(1, 2 * n, 2)),
+            list(range(2, 2 * n + 1, 2)),
+            list(range(m - 1, 2 * n, -2)),
+            list(range(m, 2 * n + 1, -2)),
+        ],
+        m,
+    )
+    assert tau(n).one_line() == cycles.one_line()
+
+
+def test_tau_refuses_n_below_1():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        tau(0)
 
 
 @pytest.mark.parametrize("n", range(2, 13))

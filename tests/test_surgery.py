@@ -40,8 +40,8 @@ from fillperm.surgery import (
     _cut_at,
     _decomposes,
     _is_witness,
-    _kappa_delta,
 )
+from fillperm.filling import _arc_map
 
 from conftest import SIGMA_PRIME, ChordsCross, perm, reference_separating
 
@@ -99,6 +99,31 @@ def test_attachment_site_rejects_bad_anchor(sigma_f, zeta):
         attachment_site(sigma_f, 13)  # negative
     with pytest.raises(NotAVertexAnchor):
         attachment_site(zeta, 1)  # non-minimal host
+
+
+def test_crossing_orbit_holds_one_positive_even_label():
+    # why attachment_site needs no checks beyond its input's: with A(e) =
+    # opp(sigma(e)) the crossing equation gives A^2 = opp o tau, so the orbit
+    # of a positive odd i is {i, j, opp(tau(i)), opp(tau(j))} for the one
+    # positive even label j in it; every valid pair at n <= 5, then the 168
+    # genus-4 census representatives
+    pairs = [validate(Permutation(one), n)
+             for n in range(1, 6) for one in enumerate_filling(n, single_cycle=False)]
+    assert len(pairs) == 4282
+    pairs += [validate(Permutation(rec.canonical_form), rec.n)
+              for rec in read_census(GOLDEN / "census_single_n7.jsonl")]
+    sites = minimal = 0
+    for fp in pairs:
+        n, t = fp.n, tau(fp.n)
+        for i in range(1, 2 * n, 2):
+            orbit = fp.vertex_orbit(i)
+            (j,) = [s for s in orbit if s % 2 == 0 and s <= 2 * n]
+            assert set(orbit) == {i, j, opposite(t(i), n), opposite(t(j), n)}, (fp, i)
+            sites += 1
+            if fp.is_minimal():
+                assert attachment_site(fp, i).j == j, (fp, i)
+                minimal += 1
+    assert (sites, minimal) == (20898 + 168 * 7, 3002 + 168 * 7)
 
 
 def test_assembly_map_on_host(sigma_f):
@@ -372,13 +397,13 @@ def _flip_by_label(m, k):
     return [0, *up, *down]
 
 
-def _window_scan(tables, k, starts):
+def _window_scan(tables, k):
     # the anchor search without the residue filter: every r in the window
     # gets all three remaining sizes computed, each tested for parity too
     cycle, pos, opp, opos, m = tables.cycle, tables.pos, tables.opp, tables.opos, tables.m
     flip = _flip_by_label(m, k)
     found = []
-    for x in starts:
+    for x in cycle:
         y = flip[x]
         px, py, ox, oy = pos[x], pos[y], opos[x], opos[y]
         for r in range(4, 8 * k - 3, 2):
@@ -410,18 +435,12 @@ def oracle_pairs(reference_pairs, f4, sigma_z, sigma_f6, zeta):
 
 
 def test_anchored_types_matches_window_scan(oracle_pairs):
-    # list for list and in order, for every k, over all starts and one start
-    # at a time (as decomposition_at asks)
+    # list for list and in order, for every k, over every start anchor
     for fp in oracle_pairs:
-        g = fp.genus()
         tables = _CycleTables(fp)
-        for k in range(1, g):
+        for k in range(1, fp.genus()):
             assert tables.flip(k) == _flip_by_label(tables.m, k)
-            assert list(_anchored_types(tables, k, g, tables.cycle)) == _window_scan(
-                tables, k, tables.cycle
-            )
-            for x in tables.cycle:
-                assert list(_anchored_types(tables, k, g, [x])) == _window_scan(tables, k, [x])
+            assert list(_anchored_types(tables, k)) == _window_scan(tables, k)
 
 
 def _canonical(k, g, anchors, quad):
@@ -442,7 +461,7 @@ def test_decomposition_at_agrees_with_find_decompositions(oracle_pairs):
         tables = _CycleTables(fp)
         found = set(find_decompositions(fp))
         for k in range(1, g):
-            for anchors, quad in _anchored_types(tables, k, g, tables.cycle):
+            for anchors, quad in _anchored_types(tables, k):
                 dec = decomposition_at(fp, *anchors, k)
                 assert (dec is not None) == (_canonical(k, g, anchors, quad) in found), (
                     fp, k, anchors)
@@ -450,15 +469,17 @@ def test_decomposition_at_agrees_with_find_decompositions(oracle_pairs):
                     assert (dec.anchors, dec.type) == (anchors, quad)
 
 
-def _scan_cut_at(tables, k, anchors):
-    # the cut check as a scan: the candidates of the anchor search from x,
-    # looked up for the anchors and judged by the witness rule
-    g = tables.genus
-    for found, quad in _anchored_types(tables, k, g, anchors[:1]):
-        if found == anchors:
-            dec = Decomposition(k, g - k, *anchors, quad)
-            return dec if _is_witness(tables, dec) else None
-    return None
+def _scan_cut_at(scans, tables, k, anchors):
+    # the cut check as a scan: the candidates of one full anchor search per
+    # (pair, k), kept in `scans`, looked up for the anchors and judged by the
+    # witness rule
+    if (tables, k) not in scans:
+        scans[tables, k] = dict(_anchored_types(tables, k))
+    quad = scans[tables, k].get(anchors)
+    if quad is None:
+        return None
+    dec = Decomposition(k, tables.genus - k, *anchors, quad)
+    return dec if _is_witness(tables, dec) else None
 
 
 def test_cut_at_matches_anchor_scan(sigma_f, sigma_f6, f4):
@@ -468,7 +489,7 @@ def test_cut_at_matches_anchor_scan(sigma_f, sigma_f6, f4):
         validate(Permutation(rec.canonical_form), rec.n)
         for rec in read_census(GOLDEN / "census_single_n5.jsonl")
     ]
-    witnesses = 0
+    witnesses, scans = 0, {}
     for fp in pairs:
         tables = _CycleTables(fp)
         m = tables.m
@@ -479,7 +500,7 @@ def test_cut_at_matches_anchor_scan(sigma_f, sigma_f6, f4):
                     y, b = flip[x], flip[a]
                     for anchors in ((x, a, y, b), (x, a, y % m + 1, b), (x, a, y, b % m + 1)):
                         dec = _cut_at(tables, k, anchors)
-                        assert dec == _scan_cut_at(tables, k, anchors), (fp, k, anchors)
+                        assert dec == _scan_cut_at(scans, tables, k, anchors), (fp, k, anchors)
                         witnesses += dec is not None
     assert witnesses == 200
 
@@ -495,7 +516,7 @@ def test_cut_at_refuses_anchors_of_one_parity(sigma_f6):
     sizes = [(opos[nxt] - pos[e]) % m + 1 for e, nxt in zip(anchors, (3, 23, 25, 1))]
     assert sizes == [5, 15, 17, 11]
     assert decomposition_at(sigma_f6, *anchors, 5) is None
-    assert _scan_cut_at(tables, 5, anchors) is None
+    assert _scan_cut_at({}, tables, 5, anchors) is None
 
 
 def _oracle_separates(fp, dec):
@@ -532,7 +553,7 @@ def test_is_witness_matches_geometric_oracle(oracle_pairs, sigma_f6, zeta_prime)
         g = fp.genus()
         tables = _CycleTables(fp)
         for k in range(1, g):
-            for anchors, quad in _anchored_types(tables, k, g, tables.cycle):
+            for anchors, quad in _anchored_types(tables, k):
                 dec = Decomposition(k, g - k, *anchors, quad)
                 kind = _witness_class(tables, k, g, anchors, quad)
                 assert _is_witness(tables, dec) == _oracle_separates(fp, dec) == (
@@ -549,7 +570,7 @@ def test_is_witness_rejects_overlapping_runs_that_close(sigma_f6, sigma_f):
     for fp in (sigma_f6, sigma_f):
         g = fp.genus()
         tables = _CycleTables(fp)
-        anchors, quad = next(_anchored_types(tables, g - 1, g, tables.cycle))
+        anchors, quad = next(_anchored_types(tables, g - 1))
         assert _is_witness(tables, Decomposition(g - 1, 1, *anchors, quad))
         assert not _is_witness(tables, Decomposition(g - 2, 2, *anchors, quad))
 
@@ -603,7 +624,7 @@ def test_first_witness_without_hit_checks_what_full_search_checks(flag_pairs, mo
         tables = _CycleTables(fp)
         candidates = [Decomposition(k, g - k, *anchors, quad)
                       for k in range(g - 1, 0, -1)
-                      for anchors, quad in _anchored_types(tables, k, g, tables.cycle)]
+                      for anchors, quad in _anchored_types(tables, k)]
         canonical = {_canonical(d.k, g, d.anchors, d.type) for d in candidates}
         assert candidates and len(set(candidates)) == len(candidates) == 4 * len(canonical), fp
         assert candidates[0].k == g - 1
@@ -627,7 +648,7 @@ def test_separation_rejects_every_nesting_failure(oracle_pairs):
         pos = {sym: idx for idx, sym in enumerate(cycle)}
         tables = _CycleTables(fp)
         for k in range(1, g - 1):
-            for anchors, quad in _anchored_types(tables, k, g, tables.cycle):
+            for anchors, quad in _anchored_types(tables, k):
                 dec = Decomposition(k, g - k, *anchors, quad)
                 if _reference_nesting(pos, cycle, anchors, quad):
                     answer = reference_separating(fp, dec)
@@ -798,7 +819,7 @@ def test_cuts_reject_every_candidate_that_is_no_witness(sigma_f, zeta, sigma_f6,
         g = fp.genus()
         tables = _CycleTables(fp)
         for k in range(1, g):
-            for anchors, quad in _anchored_types(tables, k, g, tables.cycle):
+            for anchors, quad in _anchored_types(tables, k):
                 dec = Decomposition(k, g - k, *anchors, quad)
                 if not _oracle_separates(fp, dec):
                     rejected.append((fp, dec))
@@ -893,13 +914,30 @@ def test_round_trip_rejects_rebuild_off_the_site_powers(sigma_f6, monkeypatch):
         round_trip_check(sigma_f6, dec)
 
 
-def test_kappa_delta_closed_form():
-    # t^-1 = kappa^-p delta^-q from one pass over the labels, for every power
+def test_kappa_delta_closed_form(sigma_f6, monkeypatch):
+    # t^-1 = kappa^-p delta^-q as one arc map, odd arcs p places back and even
+    # arcs q places back, for every power
     for n in range(1, 17):
         kappa, delta, _, _ = generators(n)
         for p in range(n):
             for q in range(n):
-                assert _kappa_delta(n, -p, -q) == (kappa**p * delta**q).inverse(), (n, p, q)
+                back = _arc_map(n, lambda arc, even, neg: (arc - (q if even else p), even, neg))
+                assert back == (kappa**p * delta**q).inverse(), (n, p, q)
+    # and the map round_trip_check conjugates by is that one
+    import fillperm.surgery as surgery
+
+    maps = []
+
+    def spy(n, move):
+        maps.append(_arc_map(n, move))
+        return maps[-1]
+
+    monkeypatch.setattr(surgery, "_arc_map", spy)
+    kappa, delta, _, _ = generators(sigma_f6.n)
+    powers = [round_trip_check(sigma_f6, dec) for dec in find_decompositions(sigma_f6)]
+    assert len(maps) == len(powers) == 26
+    for back, report in zip(maps, powers):
+        assert back == (kappa**report.p * delta**report.q).inverse(), report
 
 
 def _site_powers(dec, n):

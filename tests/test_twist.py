@@ -42,6 +42,36 @@ def test_generators_n6_kappa_delta():
     assert delta == parse_cycles("(2,4,6,8,10,12)(14,16,18,20,22,24)", 24)
 
 
+def _cycle_generators(n):
+    """kappa and delta as cycle lists, eta by an index loop and mu as a list
+    of transpositions: the reference the arc maps are checked against."""
+    m = 4 * n
+    kappa = Permutation.from_cycles([list(range(1, 2 * n, 2)), list(range(2 * n + 1, m, 2))], m)
+    delta = Permutation.from_cycles(
+        [list(range(2, 2 * n + 1, 2)), list(range(2 * n + 2, m + 1, 2))], m
+    )
+    imgs = list(range(1, m + 1))
+    for i in range(1, n + 1):
+        j = (2 - i) % n or n
+        imgs[(2 * i - 1) - 1] = 2 * j - 1 + 2 * n
+        imgs[(2 * i - 1 + 2 * n) - 1] = 2 * j - 1
+    eta = Permutation(imgs)
+    mu = Permutation.from_cycles([[e, e + 1] for e in range(1, m, 2)], m)
+    return kappa, delta, eta, mu
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_generators_match_cycle_construction(n):
+    assert [g.one_line() for g in generators(n)] == [
+        g.one_line() for g in _cycle_generators(n)
+    ]
+
+
+def test_generators_refuse_n_below_1():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        generators(0)
+
+
 def test_eta_matches_plain_bar_swap_for_tiny_n():
     # for n <= 2 orientation reversal degenerates to the bar swap
     assert generators(1)[2] == parse_cycles("(1,3)", 4)
