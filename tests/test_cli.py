@@ -30,7 +30,7 @@ from fillperm import (
     write_census,
 )
 
-from conftest import FIXTURE_TEXTS, SIGMA_F6, perm
+from conftest import FIXTURE_TEXTS, SIGMA_F6, ZETA, perm
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -177,6 +177,45 @@ def test_equivalent_witness(files, tmp_path, capsys):
     code, out, _ = run(capsys, "equivalent", files["f1"], str(other))
     assert code == 0
     assert out.strip()  # a witness in cycle notation
+
+
+NOT_MINIMAL = (
+    "note: inputs are not minimal; a witness certifies relabeling equivalence"
+    " (sufficient, not necessary)"
+)
+ZETA_WITNESS = {
+    "size": 24,
+    "cycles": [[1, 4, 7, 10], [2, 5, 8, 11], [3, 6, 9, 12],
+               [13, 16, 19, 22], [14, 17, 20, 23], [15, 18, 21, 24]],
+}
+
+
+@pytest.mark.parametrize(
+    "other, code, text, payload",
+    [
+        ("zeta_prime", 1, "NOT-EQUIVALENT", {"equivalent": False}),
+        (
+            "relabeled", 0,
+            "(1,4,7,10)(2,5,8,11)(3,6,9,12)(13,16,19,22)(14,17,20,23)(15,18,21,24)",
+            {"equivalent": True, "witness": ZETA_WITNESS},
+        ),
+    ],
+)
+def test_equivalent_states_the_caveat_on_non_minimal_pairs(
+    files, tmp_path, capsys, other, code, text, payload
+):
+    # zeta against zeta' (no relabeling) and against zeta conjugated by
+    # kappa^2 delta mu (the least witness is printed); both have four regions
+    kappa, delta, _, mu = generators(6)
+    relabeled = perm(ZETA, 24).conjugated_by(kappa**2 * delta * mu)
+    path = tmp_path / "relabeled.fp"
+    path.write_text(f"n=6\n{relabeled.cycle_string()}\n")
+    files = {**files, "relabeled": str(path)}
+    got = run(capsys, "equivalent", files["zeta"], files[other])
+    assert got == (code, f"{text}\n{NOT_MINIMAL}\n", "")
+    got = run(capsys, "equivalent", files["zeta"], files[other], "--format", "record")
+    want = json.dumps({**payload, "caveat": NOT_MINIMAL}, separators=(",", ":"))
+    assert got == (code, want + "\n", "")
 
 
 def test_equivalent_beyond_the_byte_bound_exits_2(files, capsys, monkeypatch):
