@@ -1,6 +1,6 @@
 """Filling pairs on closed orientable surfaces, represented as permutations."""
 
-from .perm import CycleParseError, Permutation, format_cycles, parse_cycles
+from .perm import CycleParseError, Permutation
 from .filling import (
     AlternationViolation,
     EquationViolation,
@@ -22,13 +22,10 @@ from .twist import (
     twist_group,
 )
 from .surgery import (
-    ArrangementImpossible,
     AssemblyMap,
     AttachmentSite,
     CaseGap,
     Decomposition,
-    NoConjugacyFound,
-    NotAVertexAnchor,
     RoundTripReport,
     SurgeryError,
     assemble,

@@ -30,7 +30,7 @@ from .filling import opposite, tau, validate
 from .perm import Permutation
 # perfbench/tracing.py wraps census.find_decompositions by name
 from .surgery import _decomposes, find_decompositions  # noqa: F401
-from .twist import BoundExceeded, _check_n, _slice_conjugates  # noqa: F401  (re-exported)
+from .twist import _check_n, _slice_conjugates
 
 
 def upper_bound(g: int) -> int:
@@ -178,25 +178,11 @@ class CensusRecord:
     decomposable: bool
 
     def to_record(self) -> dict:
-        return {
-            "n": self.n,
-            "c": self.c,
-            "genus": self.genus,
-            "canonical_form": list(self.canonical_form),
-            "orbit_size_raw": self.orbit_size_raw,
-            "decomposable": self.decomposable,
-        }
+        return {**vars(self), "canonical_form": list(self.canonical_form)}
 
     @classmethod
     def from_record(cls, rec: dict) -> "CensusRecord":
-        return cls(
-            n=rec["n"],
-            c=rec["c"],
-            genus=rec["genus"],
-            canonical_form=tuple(rec["canonical_form"]),
-            orbit_size_raw=rec["orbit_size_raw"],
-            decomposable=rec["decomposable"],
-        )
+        return cls(**{**rec, "canonical_form": tuple(rec["canonical_form"])})
 
 
 def census_records(n: int, single_cycle: bool = True) -> tuple[int, list[CensusRecord]]:

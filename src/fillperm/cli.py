@@ -250,25 +250,19 @@ def cmd_equivalent(args) -> tuple[int, str, dict]:
         witness = are_equivalent(fp1, fp2)
     except BoundExceeded as exc:
         raise CLIInputError(str(exc)) from exc
-    caveat = None
+    if witness is None:
+        code, text, payload = 1, "NOT-EQUIVALENT", {"equivalent": False}
+    else:
+        code, text = 0, witness.cycle_string()
+        payload = {"equivalent": True, "witness": witness.to_record()}
     if not (fp1.is_minimal() and fp2.is_minimal()):
         caveat = (
             "note: inputs are not minimal; a witness certifies relabeling"
             " equivalence (sufficient, not necessary)"
         )
-    if witness is None:
-        text = "NOT-EQUIVALENT"
-        payload: dict = {"equivalent": False}
-        if caveat:
-            text += "\n" + caveat
-            payload["caveat"] = caveat
-        return 1, text, payload
-    text = witness.cycle_string()
-    payload = {"equivalent": True, "witness": witness.to_record()}
-    if caveat:
         text += "\n" + caveat
         payload["caveat"] = caveat
-    return 0, text, payload
+    return code, text, payload
 
 
 def cmd_census(args) -> tuple[int, str, dict]:

@@ -92,6 +92,15 @@ def opposite(e: int, n: int) -> int:
     return (e + 2 * n - 1) % m + 1
 
 
+@lru_cache(maxsize=None)
+def _opp_tau(n: int, s: int) -> tuple[int, ...]:
+    """opp o tau^s by label, index 0 unused: a positive label moves s arcs
+    forward along its curve and a negative one s arcs back, and each is
+    reversed.  An involution; s = 0 gives opp."""
+    moved = _arc_map(n, lambda arc, even, neg: (arc - s if neg else arc + s, even, not neg))
+    return (0, *moved.one_line())
+
+
 @dataclass(frozen=True)
 class ZType:
     """Region sizes of an attachable piece, in cyclic order around its green vertex.

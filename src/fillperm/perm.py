@@ -221,12 +221,3 @@ def parse_cycle_text(text: str, size: int) -> list[list[int]]:
             raise CycleParseError(f"expected ',' or ')' but found {found!r}", i)
         cycles.append(cycle)
     return cycles
-
-
-def parse_cycles(text: str, size: int) -> Permutation:
-    """Cycle-notation string to Permutation; see `parse_cycle_text`."""
-    return Permutation.from_cycle_string(text, size)
-
-
-def format_cycles(p: Permutation) -> str:
-    return p.cycle_string()

@@ -24,25 +24,13 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .filling import FillingPermutation, _arc_map, _arc_of, _label_of, opposite, validate
+from .filling import FillingPermutation, _arc_map, _arc_of, _label_of, _opp_tau, validate
 from .perm import Permutation
 
 Entry = tuple[int, bool]  # (symbol, decorated); decoration marks duplicate anchor copies
 
 
 class SurgeryError(ValueError):
-    pass
-
-
-class NotAVertexAnchor(SurgeryError):
-    pass
-
-
-class ArrangementImpossible(SurgeryError):
-    pass
-
-
-class NoConjugacyFound(SurgeryError):
     pass
 
 
@@ -62,10 +50,10 @@ class AttachmentSite:
 def attachment_site(host: FillingPermutation, i: int) -> AttachmentSite:
     """Resolve the crossing entered by positive odd edge i on a minimal host."""
     if not host.is_minimal():
-        raise NotAVertexAnchor("host must be minimal (a single complementary region)")
+        raise SurgeryError("host must be minimal (a single complementary region)")
     n = host.n
     if not (1 <= i <= 2 * n and i % 2 == 1):
-        raise NotAVertexAnchor(f"{i} is not a positive odd edge for n={n}")
+        raise SurgeryError(f"{i} is not a positive odd edge for n={n}")
     # with A(e) = opp(sigma(e)) the crossing equation gives A^2 = opp o tau,
     # so the orbit is {i, A(i), opp(tau(i)), opp(tau(A(i)))}: i, one positive
     # even label j, opp(tau(i)) and opp(tau(j))
@@ -187,10 +175,10 @@ def assemble(
     if not piece.is_z_piece(k):
         raise SurgeryError("piece is not an attachable (Z) piece")
     if not piece.green_normalized():
-        raise ArrangementImpossible("piece labeling is not green-normalized")
+        raise SurgeryError("piece labeling is not green-normalized")
     checked = attachment_site(host, site.i)
     if checked.j != site.j:
-        raise NotAVertexAnchor(
+        raise SurgeryError(
             f"edge {site.j} is not the positive even edge at the crossing of {site.i}"
         )
 
@@ -241,15 +229,7 @@ class Decomposition:
         return (self.x, self.a, self.y, self.b)
 
     def to_record(self) -> dict:
-        return {
-            "k": self.k,
-            "l": self.l,
-            "x": self.x,
-            "a": self.a,
-            "y": self.y,
-            "b": self.b,
-            "type": list(self.type),
-        }
+        return {**vars(self), "type": list(self.type)}
 
 
 def _site_labels(anchors: tuple[int, int, int, int], n: int) -> tuple[int, int]:
@@ -264,7 +244,7 @@ def _site_labels(anchors: tuple[int, int, int, int], n: int) -> tuple[int, int]:
 class _CycleTables:
     """Flat lookup tables for the single region cycle of a minimal pair.
 
-    `cycle` is the region's labels in sigma order.  The lists are indexed by
+    `cycle` is the region's labels in sigma order.  The tables are indexed by
     label, index 0 unused: `pos[e]` is e's index in `cycle`, `opp[e]` the
     opposite label, `opos[e] = pos[opp[e]]` and `d[e] = (opos[e] - pos[e])
     mod m`.  `opp_at` is the opposite of the label at each position, twice
@@ -280,23 +260,15 @@ class _CycleTables:
         self.pos = pos = [0] * (m + 1)
         for idx, sym in enumerate(cycle):
             pos[sym] = idx
-        self.opp = opp = [0, *range(m // 2 + 1, m + 1), *range(1, m // 2 + 1)]
+        self.opp = opp = _opp_tau(fp.n, 0)
         self.opos = opos = [pos[e] for e in opp]
         self.d = [(o - p) % m for p, o in zip(pos, opos)]
         self.opp_at = [opp[e] for e in cycle] * 2
 
-    def flip(self, k: int) -> list[int]:
+    def flip(self, k: int) -> tuple[int, ...]:
         """opp o tau^(2k+1) by label, the involution with y = flip[x] and
-        b = flip[a]: tau^(2k+1) moves a positive label 4k + 2 places forward
-        along its curve's 2n labels and a negative one as far back, and opp
-        adds or subtracts 2n."""
-        two_n = self.m // 2
-        up, down = (4 * k + 2) % two_n, -(4 * k + 2) % two_n
-        return [
-            0,
-            *range(two_n + up + 1, 2 * two_n + 1), *range(two_n + 1, two_n + up + 1),
-            *range(down + 1, two_n + 1), *range(1, down + 1),
-        ]
+        b = flip[a]; built once per (n, k)."""
+        return _opp_tau(self.m // 4, 2 * k + 1)
 
 
 def _anchored_types(
@@ -539,7 +511,7 @@ def extract(
     # anchor; the first cut cycle ends at the latter, or at opp(i) when the
     # latter is i itself (a torus remainder)
     odd = [c for c in range(4) if runs[c][-1] % 2 and runs[c][-1] != i]
-    lead = min(odd, key=lambda c: runs[c][-1] == opposite(i, n))
+    lead = min(odd, key=lambda c: runs[c][-1] == tables.opp[i])
     # run c ends at opp(anchors[c+1]) and run c+1 starts at anchors[c+1]
     cut_cycles = [entries(runs[(lead + c) % 4]) for c in range(4)]
 
@@ -622,7 +594,7 @@ def round_trip_check(fp: FillingPermutation, dec: Decomposition) -> RoundTripRep
     b = j/2 back to arc 1: (p, q) = ((1 - a) mod n, (1 - b) mod n) for l = 1,
     and (0, 0) for l > 1, where the rebuild is exact.  For the k = 5 witness
     of sigma_F6 (site (1, 16), n = 11) that is (0, 4).  Raises
-    `NoConjugacyFound` unless t = kappa^p delta^q gives
+    `SurgeryError` unless t = kappa^p delta^q gives
     t^{-1} * sigma' * t == sigma; t^{-1} = kappa^(-p) delta^(-q) is built in
     closed form, as the arc map moving odd arcs back p places and even arcs
     back q places.
@@ -636,7 +608,7 @@ def round_trip_check(fp: FillingPermutation, dec: Decomposition) -> RoundTripRep
     p, q = ((1 - (i + 1) // 2) % n, (1 - j // 2) % n) if dec.l == 1 else (0, 0)
     back = _arc_map(n, lambda arc, even, neg: (arc - (q if even else p), even, neg))
     if reassembled.sigma.conjugated_by(back) != fp.sigma:
-        raise NoConjugacyFound(
+        raise SurgeryError(
             f"kappa^{p} delta^{q} does not carry the rebuild at site ({i}, {j}) to the original"
         )
     return RoundTripReport(p=p, q=q, reassembled=reassembled)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import gzip
 import itertools
 import random
 import tracemalloc
@@ -462,6 +463,15 @@ def test_genus_5_census_golden():
     for rec, fp in random.Random(9).sample(pairs, 200):
         assert canonical_form(fp).one_line() == rec.canonical_form
         assert find_decompositions(fp), rec.canonical_form
+
+
+def test_genus_5_census_reads_back_to_its_bytes(tmp_path):
+    # read_census and write_census are inverse on the golden file: each
+    # record is rebuilt from its fields and written back in field order
+    golden = DATA / "census_single_n9.jsonl.gz"
+    path = tmp_path / "census_single_n9.jsonl"
+    write_census(read_census(golden), path)
+    assert path.read_bytes() == gzip.decompress(golden.read_bytes())
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,25 @@ def files(tmp_path):
     f1.write_text("(1,2,3,4)\n")
     paths["f1"] = str(f1)
     return paths
+
+
+def test_public_names():
+    # the package's surface; adding or removing a name changes this list
+    names = sorted(
+        k for k, v in vars(fillperm).items()
+        if not k.startswith("_") and not isinstance(v, types.ModuleType)
+    )
+    assert names == [
+        "AlternationViolation", "AssemblyMap", "AttachmentSite", "BoundExceeded",
+        "CaseGap", "CensusRecord", "CycleParseError", "Decomposition",
+        "EquationViolation", "FillingError", "FillingPermutation", "Permutation",
+        "RoundTripReport", "SizeNotMultipleOf4", "SurgeryError", "ZType",
+        "are_equivalent", "assemble", "attachment_site", "big_q", "canonical_form",
+        "census_records", "count_orbits", "decomposition_at", "disassemble",
+        "enumerate_filling", "extract", "find_decompositions", "generators",
+        "is_valid", "opposite", "read_census", "round_trip_check", "tau",
+        "twist_group", "upper_bound", "validate", "write_census",
+    ]
 
 
 def run(capsys, *argv):

@@ -15,12 +15,13 @@ from fillperm import (
     ZType,
     big_q,
     opposite,
-    parse_cycles,
     tau,
     validate,
 )
 from fillperm.cli import read_filling_file
-from fillperm.filling import _arc_of, _label_of
+from fillperm.filling import _arc_of, _label_of, _opp_tau
+
+from conftest import perm
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -37,7 +38,7 @@ def naive_vertex_orbit(sigma, n, e):
 
 
 def test_big_q_small():
-    assert big_q(1) == parse_cycles("(1,2,3,4)", 4)
+    assert big_q(1) == perm("(1,2,3,4)", 4)
     q6 = big_q(6)
     assert all(q6(e) == e + 1 for e in range(1, 24))
     assert q6(24) == 1
@@ -49,7 +50,7 @@ def test_tau_n1_is_identity():
 
 
 def test_tau_n6_printed_form():
-    expected = parse_cycles(
+    expected = perm(
         "(1,3,5,7,9,11)(2,4,6,8,10,12)(23,21,19,17,15,13)(24,22,20,18,16,14)", 24
     )
     assert tau(6) == expected
@@ -69,6 +70,19 @@ def test_tau_matches_cycle_construction(n):
         m,
     )
     assert tau(n).one_line() == cycles.one_line()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_opp_tau_matches_composition(n):
+    # opp o tau^s, index 0 unused, for every power up to a full lap 2n
+    opp = big_q(n) ** (2 * n)
+    for s in range(2 * n + 1):
+        table = _opp_tau(n, s)
+        assert table == (0, *(opp * tau(n) ** s).one_line())
+        assert all(table[table[e]] == e for e in range(1, 4 * n + 1))
+    assert [_opp_tau(n, 0)[e] for e in range(1, 4 * n + 1)] == [
+        opposite(e, n) for e in range(1, 4 * n + 1)
+    ]
 
 
 def test_tau_refuses_n_below_1():
@@ -105,14 +119,14 @@ def test_validate_fixtures(zeta, f1):
 
 def test_validate_alternation_violation():
     with pytest.raises(AlternationViolation) as exc:
-        validate(parse_cycles("(1,3,2,4)", 4), 1)
+        validate(perm("(1,3,2,4)", 4), 1)
     assert exc.value.symbol == 1
 
 
 def test_validate_equation_violation():
     # alternating but wrong gluing: swap two images of a valid permutation
     with pytest.raises(EquationViolation):
-        validate(parse_cycles("(1,2)(3,4)", 4), 1)
+        validate(perm("(1,2)(3,4)", 4), 1)
 
 
 def test_validate_size_not_multiple_of_4():
@@ -122,7 +136,7 @@ def test_validate_size_not_multiple_of_4():
 
 def test_validate_inconsistent_n():
     with pytest.raises(ValueError, match="inconsistent"):
-        validate(parse_cycles("(1,2,3,4)", 4), 2)
+        validate(perm("(1,2,3,4)", 4), 2)
 
 
 def test_genus_values(zeta, f1, f4, sigma_f6):
@@ -199,7 +213,7 @@ def test_is_z_piece(zeta, sigma_z, sigma_f):
 def test_bigon_piece_is_not_a_z_piece():
     # n = 6, genus 2, four regions and a green vertex, but regions of 2 labels
     bigon = validate(
-        parse_cycles("(1,4,9,12)(2,13)(3,8,17,18,19,20,5,10,21,6,15,14,23,22,7,16)(11,24)", 24),
+        perm("(1,4,9,12)(2,13)(3,8,17,18,19,20,5,10,21,6,15,14,23,22,7,16)(11,24)", 24),
         6,
     )
     assert (bigon.genus(), bigon.region_count) == (2, 4)

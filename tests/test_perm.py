@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from fillperm import CycleParseError, Permutation, format_cycles, parse_cycles
+from fillperm import CycleParseError, Permutation
 
-from conftest import ZETA
+from conftest import ZETA, perm
 
 
 def random_perm(size):
@@ -18,29 +18,29 @@ perms = st.integers(min_value=1, max_value=12).flatmap(random_perm)
 
 
 def test_parse_four_cycle():
-    p = parse_cycles("(1,2,3,4)", 4)
+    p = perm("(1,2,3,4)", 4)
     assert [p(e) for e in (1, 2, 3, 4)] == [2, 3, 4, 1]
 
 
 def test_parse_empty_is_identity():
-    assert parse_cycles("", 4) == Permutation.identity(4)
-    assert parse_cycles("()", 4) == Permutation.identity(4)
+    assert perm("", 4) == Permutation.identity(4)
+    assert perm("()", 4) == Permutation.identity(4)
 
 
 def test_parse_zeta_spot_values():
-    z = parse_cycles(ZETA, 24)
+    z = perm(ZETA, 24)
     assert z(1) == 10
     assert z(24) == 5
     assert z(13) == 2
 
 
 def test_parse_tolerates_whitespace():
-    assert parse_cycles(" ( 1 , 2 )\n(3, 4) ", 4) == parse_cycles("(1,2)(3,4)", 4)
+    assert perm(" ( 1 , 2 )\n(3, 4) ", 4) == perm("(1,2)(3,4)", 4)
 
 
 def test_parse_nondisjoint_applies_leftmost_first():
     # (1,2) then (2,3): 1 -> 2 -> 3
-    p = parse_cycles("(1,2)(2,3)", 3)
+    p = perm("(1,2)(2,3)", 3)
     assert p(1) == 3 and p(2) == 1 and p(3) == 2
 
 
@@ -57,39 +57,39 @@ def test_parse_nondisjoint_applies_leftmost_first():
 )
 def test_parse_errors_report_position(text, message_part, position):
     with pytest.raises(CycleParseError) as exc:
-        parse_cycles(text, 4)
+        perm(text, 4)
     assert message_part in str(exc.value)
     assert exc.value.position == position
 
 
 def test_compose_identity_law():
-    z = parse_cycles(ZETA, 24)
+    z = perm(ZETA, 24)
     assert Permutation.identity(24) * z == z
     assert z * z.inverse() == Permutation.identity(24)
 
 
 def test_compose_q_squared():
-    q = parse_cycles("(1,2,3,4)", 4)
+    q = perm("(1,2,3,4)", 4)
     assert (q * q).cycle_string() == "(1,3)(2,4)"
 
 
 def test_compose_size_mismatch():
     with pytest.raises(ValueError, match="size mismatch"):
-        parse_cycles("(1,2)", 2) * parse_cycles("(1,2)", 4)
+        perm("(1,2)", 2) * perm("(1,2)", 4)
 
 
 def test_inverse_of_cycle_reverses():
-    assert parse_cycles("(1,2,3,4)", 4).inverse() == parse_cycles("(1,4,3,2)", 4)
+    assert perm("(1,2,3,4)", 4).inverse() == perm("(1,4,3,2)", 4)
 
 
 def test_inverse_zeta_first_cycle():
-    z = parse_cycles(ZETA, 24)
+    z = perm(ZETA, 24)
     assert z.inverse().cycles()[0] == [1, 12, 3, 22, 17, 20, 15, 10]
 
 
 def test_power_shift():
-    q = parse_cycles("(1,2,3,4)", 4)
-    assert q**2 == parse_cycles("(1,3)(2,4)", 4)
+    q = perm("(1,2,3,4)", 4)
+    assert q**2 == perm("(1,3)(2,4)", 4)
     assert q**0 == Permutation.identity(4)
     assert q**-1 == q.inverse()
     assert q ** q.order() == Permutation.identity(4)
@@ -100,20 +100,20 @@ def test_cycles_of_identity():
 
 
 def test_cycles_of_zeta_lengths():
-    z = parse_cycles(ZETA, 24)
+    z = perm(ZETA, 24)
     assert sorted(len(c) for c in z.cycles()) == [4, 4, 8, 8]
 
 
 def test_format_identity():
-    assert format_cycles(Permutation.identity(6)) == "()"
+    assert Permutation.identity(6).cycle_string() == "()"
 
 
 def test_format_four_cycle():
-    assert format_cycles(parse_cycles("(2,3,4,1)", 4)) == "(1,2,3,4)"
+    assert perm("(2,3,4,1)", 4).cycle_string() == "(1,2,3,4)"
 
 
 def test_record_round_trip():
-    z = parse_cycles(ZETA, 24)
+    z = perm(ZETA, 24)
     assert Permutation.from_record(z.to_record()) == z
 
 
@@ -124,7 +124,7 @@ def test_not_a_bijection_rejected():
 
 @given(perms)
 def test_parse_format_round_trip(p):
-    assert parse_cycles(format_cycles(p), p.size) == p
+    assert perm(p.cycle_string(), p.size) == p
 
 
 @given(st.integers(min_value=1, max_value=8).flatmap(

@@ -14,7 +14,6 @@ from fillperm import (
     canonical_form,
     generators,
     is_valid,
-    parse_cycles,
     read_census,
     twist_group,
     validate,
@@ -22,7 +21,7 @@ from fillperm import (
 
 from fillperm.cli import load_valid
 
-from conftest import conjugate_oneline
+from conftest import conjugate_oneline, perm
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 DATA = Path(__file__).resolve().parent / "data"
@@ -32,14 +31,14 @@ def test_generators_n1():
     kappa, delta, eta, mu = generators(1)
     assert kappa.is_identity()
     assert delta.is_identity()
-    assert eta == parse_cycles("(1,3)", 4)
-    assert mu == parse_cycles("(1,2)(3,4)", 4)
+    assert eta == perm("(1,3)", 4)
+    assert mu == perm("(1,2)(3,4)", 4)
 
 
 def test_generators_n6_kappa_delta():
     kappa, delta, _, _ = generators(6)
-    assert kappa == parse_cycles("(1,3,5,7,9,11)(13,15,17,19,21,23)", 24)
-    assert delta == parse_cycles("(2,4,6,8,10,12)(14,16,18,20,22,24)", 24)
+    assert kappa == perm("(1,3,5,7,9,11)(13,15,17,19,21,23)", 24)
+    assert delta == perm("(2,4,6,8,10,12)(14,16,18,20,22,24)", 24)
 
 
 def _cycle_generators(n):
@@ -74,14 +73,14 @@ def test_generators_refuse_n_below_1():
 
 def test_eta_matches_plain_bar_swap_for_tiny_n():
     # for n <= 2 orientation reversal degenerates to the bar swap
-    assert generators(1)[2] == parse_cycles("(1,3)", 4)
-    assert generators(2)[2] == parse_cycles("(1,5)(3,7)", 8)
+    assert generators(1)[2] == perm("(1,3)", 4)
+    assert generators(2)[2] == perm("(1,5)(3,7)", 8)
 
 
 def test_eta_reverses_arc_order():
     # reversing the first curve renumbers arc i to 2-i mod n
     eta = generators(6)[2]
-    assert eta == parse_cycles("(1,13)(3,23)(5,21)(7,19)(9,17)(11,15)", 24)
+    assert eta == perm("(1,13)(3,23)(5,21)(7,19)(9,17)(11,15)", 24)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 11])
@@ -96,9 +95,9 @@ def test_involutions(n):
 
 def test_twist_group_n1_contains_expected():
     group = twist_group(1)
-    assert parse_cycles("(1,3)", 4) in group
-    assert parse_cycles("(2,4)", 4) in group
-    assert parse_cycles("(1,2)(3,4)", 4) in group
+    assert perm("(1,3)", 4) in group
+    assert perm("(2,4)", 4) in group
+    assert perm("(1,2)(3,4)", 4) in group
 
 
 def _closure_search(n):
@@ -196,7 +195,7 @@ def test_are_equivalent_reflexive(zeta):
 
 
 def test_are_equivalent_f1_pair(f1):
-    other = validate(parse_cycles("(1,4,3,2)", 4), 1)
+    other = validate(perm("(1,4,3,2)", 4), 1)
     witness = are_equivalent(f1, other)
     assert witness is not None
     assert f1.sigma.conjugated_by(witness) == other.sigma
@@ -226,7 +225,7 @@ def test_are_equivalent_symmetric_transitive(sigma_f):
 
 
 def test_canonical_form_constant_on_orbit(f1, zeta, zeta_prime):
-    other = validate(parse_cycles("(1,4,3,2)", 4), 1)
+    other = validate(perm("(1,4,3,2)", 4), 1)
     assert canonical_form(f1) == canonical_form(other)
     assert canonical_form(zeta) != canonical_form(zeta_prime)
 
