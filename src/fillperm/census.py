@@ -180,6 +180,11 @@ class CensusRecord:
     def to_record(self) -> dict:
         return {**vars(self), "canonical_form": list(self.canonical_form)}
 
+    def to_line(self) -> str:
+        """One compact JSON line, as `write_census` writes the record and
+        `fillperm census` prints it."""
+        return json.dumps(self.to_record(), separators=(",", ":"))
+
     @classmethod
     def from_record(cls, rec: dict) -> "CensusRecord":
         return cls(**{**rec, "canonical_form": tuple(rec["canonical_form"])})
@@ -247,8 +252,7 @@ def count_orbits(n: int) -> tuple[int, list[CensusRecord]]:
 def write_census(records: list[CensusRecord], path: str | Path) -> None:
     """One JSON record per line, sorted by canonical form for stable diffs;
     a path ending in `.gz` is gzipped, with mtime 0 so the bytes are stable."""
-    lines = [json.dumps(r.to_record(), separators=(",", ":")) for r in records]
-    data = ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
+    data = "".join(r.to_line() + "\n" for r in records).encode("utf-8")
     path = Path(path)
     path.write_bytes(gzip.compress(data, mtime=0) if path.suffix == ".gz" else data)
 

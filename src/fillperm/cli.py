@@ -281,22 +281,16 @@ def cmd_census(args) -> tuple[int, str, dict]:
     if args.n > max_n:
         raise CLIInputError(f"n={args.n} exceeds the configured bound {max_n}")
     total, records = census_records(args.n, args.single_cycle)
-    record_dicts = [r.to_record() for r in records]
     if args.out:
         with _file_errors(args.out):
             write_census(records, args.out)
         text = f"n={args.n} solutions={total} orbits={len(records)} -> {args.out}"
     else:
-        text = "\n".join(json.dumps(r, separators=(",", ":")) for r in record_dicts)
-        if not text:
-            text = f"n={args.n} solutions=0 orbits=0"
+        text = "\n".join(r.to_line() for r in records) or f"n={args.n} solutions=0 orbits=0"
     genus = (args.n + 1) // 2
-    payload = {
-        "n": args.n,
-        "solutions": total,
-        "orbits": len(records),
-        "records": record_dicts,
-    }
+    payload = {"n": args.n, "solutions": total, "orbits": len(records)}
+    if args.format == "record":
+        payload["records"] = [r.to_record() for r in records]
     # the ceiling counts minimal pairs, which only odd n = 2g - 1 has
     if args.single_cycle and args.n % 2 and genus > 2:
         payload["upper_bound"] = upper_bound(genus)

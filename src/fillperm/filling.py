@@ -121,41 +121,49 @@ class ZType:
         return ZType(tuple(quad)).quad == self.quad
 
 
+@dataclass(frozen=True)
 class FillingPermutation:
-    """A validated filling permutation together with its crossing count n.
+    """A filling permutation together with its crossing count n.
 
-    Construct through `validate`; instances are immutable and hashable.
+    Building one checks the filling conditions and raises what `validate`
+    lists, in that order, so every instance is valid; instances are
+    immutable and hashable.
     """
 
-    def __init__(self, sigma: Permutation, n: int, _checked: bool = False):
-        if not _checked:
-            checked = validate(sigma, n)
-            sigma, n = checked.sigma, checked.n
-        self._sigma = sigma
-        self._n = n
+    sigma: Permutation
+    n: int
 
-    @property
-    def sigma(self) -> Permutation:
-        return self._sigma
-
-    @property
-    def n(self) -> int:
-        return self._n
+    def __post_init__(self):
+        n, m = self.n, self.sigma.size
+        if m % 4 != 0 or m == 0:
+            raise SizeNotMultipleOf4(m)
+        if n != m // 4:
+            raise FillingError(f"n={n} inconsistent with permutation size {m}")
+        imgs = self.sigma.one_line()
+        for e in range(1, m + 1):
+            if (imgs[e - 1] - e) % 2 == 0:
+                raise AlternationViolation(e)
+        t = tau(n).one_line()
+        two_n = 2 * n
+        for e in range(1, m + 1):
+            opp = (imgs[e - 1] + two_n - 1) % m + 1
+            if imgs[opp - 1] != t[e - 1]:
+                raise EquationViolation(e)
 
     @property
     def size(self) -> int:
-        return 4 * self._n
+        return 4 * self.n
 
     @cached_property
     def regions(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(c) for c in self._sigma.cycles())
+        return tuple(tuple(c) for c in self.sigma.cycles())
 
     @property
     def region_count(self) -> int:
         return len(self.regions)
 
     def genus(self) -> int:
-        n, c = self._n, self.region_count
+        n, c = self.n, self.region_count
         assert (n - c) % 2 == 0, "parity of region count is forced by validity"
         return 1 + (n - c) // 2
 
@@ -165,13 +173,13 @@ class FillingPermutation:
 
     def vertex_orbit(self, e: int) -> tuple[int, ...]:
         """The four left edges of the crossing at e, in traversal order."""
-        q_n = 2 * self._n
-        m = 4 * self._n
+        q_n = 2 * self.n
+        m = 4 * self.n
         orbit = []
         x = e
         while True:
             orbit.append(x)
-            x = (self._sigma(x) + q_n - 1) % m + 1
+            x = (self.sigma(x) + q_n - 1) % m + 1
             if x == e:
                 return tuple(orbit)
 
@@ -206,7 +214,7 @@ class FillingPermutation:
         This is the labeling convention in which both curves begin and end at
         a green vertex; piece assembly requires it.
         """
-        n = self._n
+        n = self.n
         want = {2 * n - 1, 2 * n, 2 * n + 1, 2 * n + 2}
         orbit = set(self.vertex_orbit(2 * n - 1))
         return orbit == want and tuple(sorted(orbit)) in self.green_vertices
@@ -219,7 +227,7 @@ class FillingPermutation:
         (a region of 2 labels); the size rule is the one `ZType` enforces.
         """
         return (
-            self._n == 2 * k + 2
+            self.n == 2 * k + 2
             and self.genus() == k
             and self.region_count == 4
             and all(len(r) >= 4 for r in self.regions)
@@ -230,7 +238,7 @@ class FillingPermutation:
         """Region sizes in the cyclic order seen from a green vertex."""
         if not self.green_vertices:
             raise FillingError("no vertex is adjacent to every region")
-        n = self._n
+        n = self.n
         normalized = tuple(sorted(self.vertex_orbit(2 * n - 1)))
         anchor = normalized if normalized in self.green_vertices else self.green_vertices[0]
         region_size = {}
@@ -242,45 +250,19 @@ class FillingPermutation:
             raise FillingError(f"a region around the green vertex is a bigon: {sizes}")
         return ZType(sizes)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FillingPermutation)
-            and self._n == other._n
-            and self._sigma == other._sigma
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._n, self._sigma))
-
     def __repr__(self) -> str:
-        return f"<FillingPermutation n={self._n} c={self.region_count} {self._sigma.cycle_string()}>"
+        return f"<FillingPermutation n={self.n} c={self.region_count} {self.sigma.cycle_string()}>"
 
 
 def validate(sigma: Permutation, n: int | None = None) -> FillingPermutation:
-    """Check the two filling conditions and wrap sigma.
+    """Check the two filling conditions and wrap sigma; n defaults to
+    sigma's size / 4.
 
-    Raises SizeNotMultipleOf4, AlternationViolation (first offending symbol),
-    or EquationViolation (first symbol where the crossing equation fails).
+    Raises SizeNotMultipleOf4, FillingError (n inconsistent with the size),
+    AlternationViolation (first offending symbol), or EquationViolation
+    (first symbol where the crossing equation fails).
     """
-    m = sigma.size
-    if m % 4 != 0 or m == 0:
-        raise SizeNotMultipleOf4(m)
-    inferred = m // 4
-    if n is None:
-        n = inferred
-    elif n != inferred:
-        raise FillingError(f"n={n} inconsistent with permutation size {m}")
-    imgs = sigma.one_line()
-    for e in range(1, m + 1):
-        if (imgs[e - 1] - e) % 2 == 0:
-            raise AlternationViolation(e)
-    t = tau(n).one_line()
-    two_n = 2 * n
-    for e in range(1, m + 1):
-        opp = (imgs[e - 1] + two_n - 1) % m + 1
-        if imgs[opp - 1] != t[e - 1]:
-            raise EquationViolation(e)
-    return FillingPermutation(sigma, n, _checked=True)
+    return FillingPermutation(sigma, sigma.size // 4 if n is None else n)
 
 
 def is_valid(sigma: Permutation, n: int | None = None) -> bool:

@@ -35,8 +35,9 @@ class SurgeryError(ValueError):
 
 
 class CaseGap(RuntimeError):
-    """The relabeling map missed a symbol or produced a malformed splice; an
-    internal consistency bug."""
+    """The relabeling map missed a symbol, produced a malformed splice, or
+    pulled an accepted cut back to the wrong pieces; an internal consistency
+    bug, where `SurgeryError` marks bad input."""
 
 
 @dataclass(frozen=True)
@@ -531,7 +532,9 @@ def disassemble(
     """Recover (piece, remainder) filling permutations from a decomposition.
 
     The cut cycles and the remainder cycle are pulled back through the
-    forward `AssemblyMap` at the decomposition's site.
+    forward `AssemblyMap` at the decomposition's site.  Raises `SurgeryError`
+    when `dec` is no decomposition of fp, and `CaseGap` when the accepted
+    cut pulls back to a piece or remainder of the wrong kind.
     """
     return _pull_back(fp, dec, *extract(fp, dec))
 
@@ -553,13 +556,13 @@ def _pull_back(
     piece = validate(piece_perm, 2 * k + 2)
     remainder = validate(remainder_perm, 2 * l - 1)
     if not piece.is_z_piece(k):
-        raise SurgeryError("recovered piece is not an attachable piece")
+        raise CaseGap("recovered piece is not an attachable piece")
     if not piece.z_type().matches(dec.type):
-        raise SurgeryError(
+        raise CaseGap(
             f"recovered piece type {piece.z_type().quad} does not match {dec.type}"
         )
     if not remainder.is_minimal() or remainder.genus() != l:
-        raise SurgeryError("recovered remainder is not a minimal pair of the right genus")
+        raise CaseGap("recovered remainder is not a minimal pair of the right genus")
     return piece, remainder
 
 
@@ -594,10 +597,11 @@ def round_trip_check(fp: FillingPermutation, dec: Decomposition) -> RoundTripRep
     b = j/2 back to arc 1: (p, q) = ((1 - a) mod n, (1 - b) mod n) for l = 1,
     and (0, 0) for l > 1, where the rebuild is exact.  For the k = 5 witness
     of sigma_F6 (site (1, 16), n = 11) that is (0, 4).  Raises
-    `SurgeryError` unless t = kappa^p delta^q gives
-    t^{-1} * sigma' * t == sigma; t^{-1} = kappa^(-p) delta^(-q) is built in
-    closed form, as the arc map moving odd arcs back p places and even arcs
-    back q places.
+    `SurgeryError` when `dec` is no decomposition of fp, as `extract` does.
+    Once the cut is accepted, raises `CaseGap` unless t = kappa^p delta^q
+    gives t^{-1} * sigma' * t == sigma; t^{-1} = kappa^(-p) delta^(-q) is
+    built in closed form, as the arc map moving odd arcs back p places and
+    even arcs back q places.
     """
     n = fp.n
     piece, remainder = disassemble(fp, dec)
@@ -608,7 +612,7 @@ def round_trip_check(fp: FillingPermutation, dec: Decomposition) -> RoundTripRep
     p, q = ((1 - (i + 1) // 2) % n, (1 - j // 2) % n) if dec.l == 1 else (0, 0)
     back = _arc_map(n, lambda arc, even, neg: (arc - (q if even else p), even, neg))
     if reassembled.sigma.conjugated_by(back) != fp.sigma:
-        raise SurgeryError(
+        raise CaseGap(
             f"kappa^{p} delta^{q} does not carry the rebuild at site ({i}, {j}) to the original"
         )
     return RoundTripReport(p=p, q=q, reassembled=reassembled)

@@ -441,6 +441,20 @@ def test_census_out_gz_is_gzip(tmp_path, capsys):
     assert gzip.decompress(out_path.read_bytes()) == plain.read_bytes()
 
 
+@pytest.mark.parametrize("flags, golden", [
+    (["--single-cycle"], "census_single_n5.jsonl"),
+    ([], "census_general_n5.jsonl"),
+])
+def test_census_stdout_matches_golden(capsys, flags, golden):
+    # stdout, --out and --format record write each record as the same line
+    lines = (Path(__file__).resolve().parents[1] / "perfbench" / "golden" / golden).read_text()
+    code, out, _ = run(capsys, "census", "--n", "5", *flags)
+    assert code == 0 and out == lines
+    code, out, _ = run(capsys, "census", "--n", "5", *flags, "--format", "record")
+    assert code == 0
+    assert json.loads(out)["records"] == [json.loads(line) for line in lines.splitlines()]
+
+
 @pytest.mark.parametrize("n, bound", [(5, 672), (6, None), (4, None)])
 def test_census_upper_bound_only_for_odd_n(capsys, n, bound):
     # the ceiling counts minimal pairs, and an even n has none

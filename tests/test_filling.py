@@ -10,6 +10,7 @@ from fillperm import (
     AlternationViolation,
     EquationViolation,
     FillingError,
+    FillingPermutation,
     Permutation,
     SizeNotMultipleOf4,
     ZType,
@@ -137,6 +138,33 @@ def test_validate_size_not_multiple_of_4():
 def test_validate_inconsistent_n():
     with pytest.raises(ValueError, match="inconsistent"):
         validate(perm("(1,2,3,4)", 4), 2)
+
+
+@pytest.mark.parametrize("sigma, n, error, message", [
+    (Permutation.identity(6), 1, SizeNotMultipleOf4, "permutation size 6 is not a multiple of 4"),
+    (perm("(1,2,3,4)", 4), 2, FillingError, "n=2 inconsistent with permutation size 4"),
+    (perm("(1,3,2,4)", 4), 1, AlternationViolation,
+     "cycle entries do not alternate parity at symbol 1"),
+    (perm("(1,2)(3,4)", 4), 1, EquationViolation, "crossing equation fails at symbol 1"),
+])
+def test_construction_checks_as_validate(sigma, n, error, message):
+    # building a pair directly is held to the same checks as validate
+    for build in (FillingPermutation, validate):
+        with pytest.raises(FillingError) as exc:
+            build(sigma, n)
+        assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_constructed_pair_is_validated_pair(zeta, sigma_f6):
+    for fp in (zeta, sigma_f6):
+        checked, direct = validate(fp.sigma), FillingPermutation(fp.sigma, fp.sigma.size // 4)
+        assert checked == direct and hash(checked) == hash(direct)
+        with pytest.raises(AttributeError):
+            direct.sigma = fp.sigma
+        for name in ("regions", "vertices", "green_vertices"):
+            assert name not in vars(direct)
+            assert getattr(direct, name) is getattr(direct, name)
+            assert name in vars(direct)
 
 
 def test_genus_values(zeta, f1, f4, sigma_f6):

@@ -36,8 +36,9 @@ from fillperm.surgery import (
     _cut_at,
     _decomposes,
     _is_witness,
+    _pull_back,
 )
-from fillperm.filling import _arc_map
+from fillperm.filling import FillingPermutation, ZType, _arc_map
 
 from conftest import SIGMA_PRIME, ChordsCross, perm, reference_separating
 
@@ -896,8 +897,8 @@ def test_round_trip_k5_conjugate(sigma_f6):
 
 
 def test_round_trip_rejects_rebuild_off_the_site_powers(sigma_f6, monkeypatch):
-    # a rebuild the site's kappa^p delta^q does not carry back is an error,
-    # even when another relabeling would
+    # a rebuild the site's kappa^p delta^q does not carry back is an internal
+    # fault, even when another relabeling would: the cut itself was accepted
     import fillperm.surgery as surgery
 
     kappa = generators(11)[0]
@@ -907,10 +908,27 @@ def test_round_trip_rejects_rebuild_off_the_site_powers(sigma_f6, monkeypatch):
     )
     dec = Decomposition(k=3, l=3, x=3, a=38, y=39, b=2, type=(12, 4, 12, 4))
     with pytest.raises(
-        SurgeryError,
+        CaseGap,
         match=r"^kappa\^0 delta\^0 does not carry the rebuild at site \(3, 2\) to the original$",
     ):
         round_trip_check(sigma_f6, dec)
+
+
+@pytest.mark.parametrize("cls, method, message", [
+    (FillingPermutation, "is_z_piece", r"recovered piece is not an attachable piece"),
+    (ZType, "matches", r"recovered piece type \(4, 28, 6, 10\) does not match \(28, 6, 10, 4\)"),
+    (FillingPermutation, "is_minimal", r"recovered remainder is not a minimal pair"),
+])
+def test_pull_back_of_an_accepted_cut_fails_as_case_gap(
+    sigma_f6, monkeypatch, cls, method, message
+):
+    # once extract has accepted the cut, a wrong piece or remainder is an
+    # internal fault, not bad input
+    dec = decomposition_at(sigma_f6, 23, 38, 1, 16, 5)
+    cut = extract(sigma_f6, dec)
+    monkeypatch.setattr(cls, method, lambda *args: False)
+    with pytest.raises(CaseGap, match=f"^{message}"):
+        _pull_back(sigma_f6, dec, *cut)
 
 
 def test_kappa_delta_closed_form(sigma_f6, monkeypatch):
