@@ -259,6 +259,17 @@ def test_assemble_matches_fixture(files, tmp_path, capsys):
     assert sigma == perm(SIGMA_F6, 44)
 
 
+def test_assemble_record_matches_pinned(capsys):
+    # zeta's green crossing has the other chirality from every crossing of
+    # sigma_F, and site (1, 10) is the wrap-around site
+    code, out, _ = run(
+        capsys, "assemble", "--host", str(DATA / "sigma_f.pair"),
+        "--piece", str(DATA / "zeta.pair"), "--i", "1", "--format", "record",
+    )
+    assert code == 0
+    assert out == (DATA / "sigma_f_zeta_1.assemble.json").read_text()
+
+
 def test_assemble_unwritable_out_exits_2(files, tmp_path, capsys):
     out_path = tmp_path / "missing" / "f6.fp"
     code, out, err = run(

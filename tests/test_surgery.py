@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gzip
 from collections import Counter
 from pathlib import Path
 
@@ -43,6 +44,7 @@ from fillperm.filling import FillingPermutation, ZType, _arc_map
 from conftest import SIGMA_PRIME, ChordsCross, perm, reference_separating
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+DATA = Path(__file__).resolve().parent / "data"
 
 A_SIGMA_F = "(1,2,25,44,19,18,43,38,17,22,23,40,21,20,39,24,3,16,41,42)"
 A_SIGMA_Z_INV = (
@@ -254,6 +256,32 @@ def test_assemble_wraparound_site(sigma_f, zeta):
     site = attachment_site(sigma_f, i)
     result = assemble(sigma_f, zeta, site)
     assert result.genus() == 5 and result.is_minimal()
+
+
+def test_genus2_sums_match_their_pin(f1):
+    # the 56 bigon-free green-normalized genus-2 pieces, summed with the 5
+    # genus-3 census classes at each of their 5 sites and with the torus:
+    # line "host site piece sum", hosts in golden order and the torus last
+    hosts = [validate(Permutation(rec.canonical_form), rec.n)
+             for rec in read_census(GOLDEN / "census_single_n5.jsonl")]
+    pieces = [validate(perm(line, 24))
+              for line in (DATA / "genus2_pieces.txt").read_text().splitlines()]
+    assert len(pieces) == 56
+    lines, opposite_chirality = [], 0
+    for h, host in enumerate([*hosts, f1]):
+        for i in range(1, 2 * host.n, 2):
+            site = attachment_site(host, i)
+            host_turn = host.vertex_orbit(i)[1] == site.j
+            for p, piece in enumerate(pieces):
+                sigma = assemble(host, piece, site).sigma
+                lines.append(f"{h} {i} {p} {sigma.cycle_string()}\n")
+                # a crossing's left-edge orbit steps from the odd in-edge
+                # straight to the even one, or the other way round
+                piece_turn = piece.vertex_orbit(2 * piece.n - 1)[1] == 2 * piece.n
+                opposite_chirality += host.n > 1 and host_turn != piece_turn
+    assert len(lines) == 1456 and opposite_chirality == 700
+    pinned = gzip.decompress((DATA / "genus2_sums.txt.gz").read_bytes())
+    assert "".join(lines).encode() == pinned
 
 
 def test_decomposition_at_worked_values(sigma_f6, sigma_f):
