@@ -197,7 +197,8 @@ def census_records(n: int, single_cycle: bool = True) -> tuple[int, list[CensusR
     form).  Only the slice S (one sigma per delta-orbit) is enumerated, so
     the raw count is n * |S|.  The enumeration's bytes are the sweep's keys,
     so n outside 1..twist.BYTE_MAX_N, the only bound on n, raises BoundExceeded
-    before anything is enumerated; `fillperm census` also bounds the run length.
+    from `enumerate_filling` before it searches; `fillperm census` also bounds
+    the run length.
     Each orbit is swept once, from its first unclassified member, by its
     slice conjugates (`twist._slice_conjugates`), the conjugates t sigma
     t^-1 that land in S.  Every such conjugate must itself be an enumerated
@@ -208,7 +209,6 @@ def census_records(n: int, single_cycle: bool = True) -> tuple[int, list[CensusR
     decomposition search stops at its first witness, trying a torus
     remainder first, instead of listing them all.
     """
-    _check_n(n)
     unseen = set(enumerate_filling(n, single_cycle, symmetry_reduced=True))
     total = n * len(unseen)
     orbits: list[tuple[bytes, int]] = []  # (least conjugate, orbit size)

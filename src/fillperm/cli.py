@@ -285,8 +285,10 @@ def cmd_census(args) -> tuple[int, str, dict]:
         with _file_errors(args.out):
             write_census(records, args.out)
         text = f"n={args.n} solutions={total} orbits={len(records)} -> {args.out}"
-    else:
+    elif args.format == "text":
         text = "\n".join(r.to_line() for r in records) or f"n={args.n} solutions=0 orbits=0"
+    else:  # record format prints the payload instead
+        text = ""
     genus = (args.n + 1) // 2
     payload = {"n": args.n, "solutions": total, "orbits": len(records)}
     if args.format == "record":

@@ -14,8 +14,9 @@ caller's anchors are found in that scan and judged by the same rule before
 anything is cut.  Both directions work purely on labels, through one arc-shift
 relabeling, `AssemblyMap`: on each curve the piece's inner arcs form one
 cyclic block right after the site arc and the host's arcs fill the rest in
-order; piece orientations are reversed, except on the piece's second curve
-when the two crossings have opposite chirality.  Disassembly runs the same
+order, and piece orientations are reversed.  When the two crossings have
+opposite chirality, assembly first relabels the piece by the element of the
+relabeling group that reverses its second curve.  Disassembly runs the same
 map backwards.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .filling import FillingPermutation, _arc_map, _arc_of, _label_of, _opp_tau, validate
 from .perm import Permutation
@@ -73,19 +75,17 @@ class AssemblyMap:
     arcs run cyclically forward from the site arc, so its n_p - 2 inner arcs
     form one block right after it; the host's arcs fill the rest in order,
     ending at the site arc, so host arc 1 lands on result arc max(1, a-n_h+1).
-    Host orientations are kept and piece orientations reversed, except that
-    with `forward` false the piece's even arc p lands on b + n_p - p and keeps
-    its orientation.
+    Host orientations are kept and piece orientations reversed.
 
     When l = 1 the piece's first and last arcs share the site arc, so each of
     i, j, opp(i), opp(j) has two piece preimages: a decorated entry takes the
     one in {4k+3, 4k+4, 8k+7, 8k+8}, an undecorated entry the other.
     """
 
-    def __init__(self, k: int, l: int, i: int, j: int, forward: bool = True):
+    def __init__(self, k: int, l: int, i: int, j: int):
         if k < 1 or l < 1:
             raise SurgeryError("both genera must be >= 1")
-        self.k, self.l, self.i, self.j, self.forward = k, l, i, j, forward
+        self.k, self.l, self.i, self.j = k, l, i, j
         self.n_host, self.n_piece = 2 * l - 1, 2 * k + 2
         self.n = self.n_host + self.n_piece - 2
         if not (i % 2 == 1 and 1 <= i < 2 * self.n and j % 2 == 0 and 2 <= j <= 2 * self.n):
@@ -93,8 +93,8 @@ class AssemblyMap:
         self._site_arc = ((i + 1) // 2, j // 2)  # indexed by `even`
 
     def __repr__(self) -> str:
-        k, l, i, j, forward = self.k, self.l, self.i, self.j, self.forward
-        return f"AssemblyMap({k=}, {l=}, {i=}, {j=}, {forward=})"
+        k, l, i, j = self.k, self.l, self.i, self.j
+        return f"AssemblyMap({k=}, {l=}, {i=}, {j=})"
 
     def _gap(self, side: str, symbol: int, problem: str) -> CaseGap:
         return CaseGap(f"{self!r}, {side} side: symbol {symbol} {problem}")
@@ -104,21 +104,6 @@ class AssemblyMap:
             raise self._gap(side, label, f"out of range 1..{4 * n}")
         return _arc_of(label, n)
 
-    @classmethod
-    def for_site(
-        cls, host: FillingPermutation, piece: FillingPermutation, site: AttachmentSite
-    ) -> AssemblyMap:
-        """The map `assemble` splices with: forward when the host crossing and
-        the piece's green crossing have the same chirality (a left-edge orbit
-        stepping from the odd in-edge straight to the even one), or when the
-        host is a chirality-neutral torus."""
-        n_p = piece.n
-        forward = host.n == 1 or (
-            (host.vertex_orbit(site.i)[1] == site.j)
-            == (piece.vertex_orbit(2 * n_p - 1)[1] == 2 * n_p)
-        )
-        return cls(piece.genus(), host.genus(), site.i, site.j, forward)
-
     def host(self, v: int) -> int:
         arc, even, negative = self._arc(v, self.n_host, "host")
         a = self._site_arc[even]
@@ -127,11 +112,9 @@ class AssemblyMap:
 
     def piece(self, w: int) -> int:
         arc, even, negative = self._arc(w, self.n_piece, "piece")
-        a = self._site_arc[even]
-        backward = even and not self.forward
-        c = a + self.n_piece - arc if backward else a + arc - 1
-        # piece arcs reverse orientation unless traversed backward
-        return _label_of((c - 1) % self.n + 1, even, negative == backward, self.n)
+        c = self._site_arc[even] + arc - 1
+        # piece arcs reverse orientation
+        return _label_of((c - 1) % self.n + 1, even, not negative, self.n)
 
     def host_preimage(self, r: int) -> int:
         c, even, negative = self._arc(r, self.n, "host")
@@ -148,14 +131,21 @@ class AssemblyMap:
         ahead = (c - a) % self.n
         if ahead >= self.n_piece:
             raise self._gap("piece", r, "has no preimage")
-        backward = even and not self.forward
-        if self.l == 1 and ahead == 0:
-            arc = self.n_piece if decorated else 1
-        elif decorated:
+        if decorated and (self.l > 1 or ahead):
             raise self._gap("piece", r, "is decorated, but the host is not a torus")
-        else:
-            arc = self.n_piece - ahead if backward else ahead + 1
-        return _label_of(arc, even, negative == backward, self.n_piece)
+        arc = self.n_piece if decorated else ahead + 1
+        return _label_of(arc, even, not negative, self.n_piece)
+
+
+@lru_cache(maxsize=None)
+def _reverse_second(n: int) -> Permutation:
+    """delta^-1 mu eta mu, which reverses the second curve: even arc p goes to
+    arc 1 - p, reversed, and odd labels are fixed.  An involution that fixes
+    2n-1 and 2n+1 and swaps 2n and 2n+2, so a green-normalized piece stays so
+    and its green crossing turns to the other chirality."""
+    return _arc_map(
+        n, lambda arc, even, neg: (1 - arc, even, not neg) if even else (arc, even, neg)
+    )
 
 
 def assemble(
@@ -164,10 +154,12 @@ def assemble(
     """Connected sum of a minimal genus-l host and a genus-k piece at `site`.
 
     Both crossings are drilled out and both sides are relabeled by
-    `AssemblyMap.for_site`, so the host's in-arcs fuse with the piece's first
-    arcs and its out-arcs with the piece's last arcs.  Every surviving region
+    `AssemblyMap`, so the host's in-arcs fuse with the piece's first arcs and
+    its out-arcs with the piece's last arcs.  Every surviving region
     adjacency of either side carries over; the opened corners reconnect
-    through the merged arcs.
+    through the merged arcs.  When the host crossing and the piece's green
+    crossing have opposite chirality, the piece is spliced as relabeled by
+    `_reverse_second`.
     """
     l = host.genus()
     k = piece.genus()
@@ -183,14 +175,18 @@ def assemble(
             f"edge {site.j} is not the positive even edge at the crossing of {site.i}"
         )
 
-    amap = AssemblyMap.for_site(host, piece, site)
+    amap = AssemblyMap(k, l, site.i, site.j)
     result_size = 4 * amap.n
-    orbit = set(host.vertex_orbit(site.i))
-    green = set(piece.vertex_orbit(2 * piece.n - 1))
+    orbit = host.vertex_orbit(site.i)
+    green = piece.vertex_orbit(2 * piece.n - 1)
+    sigma_h, sigma_p = host.sigma, piece.sigma
+    # a crossing's chirality: whether its left-edge orbit steps from the odd
+    # in-edge straight to the even one; a torus host has none
+    if host.n > 1 and (orbit[1] == site.j) != (green[1] == 2 * piece.n):
+        sigma_p = sigma_p.conjugated_by(_reverse_second(piece.n))
 
     hmap = {e: amap.host(e) for e in range(1, host.size + 1)}
     pmap = {u: amap.piece(u) for u in range(1, piece.size + 1)}
-    sigma_h, sigma_p = host.sigma, piece.sigma
     merged = {hmap[e]: hmap[sigma_h(e)] for e in hmap if e not in orbit}
     merged.update({pmap[sigma_p(u)]: pmap[u] for u in pmap if u not in green})
 
@@ -532,7 +528,7 @@ def disassemble(
     """Recover (piece, remainder) filling permutations from a decomposition.
 
     The cut cycles and the remainder cycle are pulled back through the
-    forward `AssemblyMap` at the decomposition's site.  Raises `SurgeryError`
+    `AssemblyMap` at the decomposition's site.  Raises `SurgeryError`
     when `dec` is no decomposition of fp, and `CaseGap` when the accepted
     cut pulls back to a piece or remainder of the wrong kind.
     """
@@ -553,8 +549,11 @@ def _pull_back(
         remainder_cycle = [amap.host_preimage(v) for v in remainder_cycle]
     remainder_perm = Permutation.from_cycles([remainder_cycle], 8 * l - 4)
     piece_perm = Permutation.from_cycles(piece_cycles, 8 * k + 8).inverse()
-    piece = validate(piece_perm, 2 * k + 2)
-    remainder = validate(remainder_perm, 2 * l - 1)
+    try:
+        piece = validate(piece_perm, 2 * k + 2)
+        remainder = validate(remainder_perm, 2 * l - 1)
+    except ValueError as exc:
+        raise CaseGap(f"recovered piece or remainder is not a filling pair: {exc}") from exc
     if not piece.is_z_piece(k):
         raise CaseGap("recovered piece is not an attachable piece")
     if not piece.z_type().matches(dec.type):
@@ -588,8 +587,8 @@ class RoundTripReport:
 def round_trip_check(fp: FillingPermutation, dec: Decomposition) -> RoundTripReport:
     """Disassemble, reassemble at the induced site, and check the conjugacy.
 
-    The site is the host preimage of the anchors (i, j) under the forward
-    `AssemblyMap`.  On a genus-1 remainder that is always (1, 2), which may
+    The site is the host preimage of the anchors (i, j) under the
+    `AssemblyMap` at the cut's site.  On a genus-1 remainder that is always (1, 2), which may
     differ from the anchors used during disassembly; the result is then only
     conjugate to the original by label cycling.
 

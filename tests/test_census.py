@@ -294,10 +294,11 @@ def test_census_holds_one_form_of_each_solution():
 
 
 def test_census_refuses_labels_beyond_a_byte(monkeypatch):
-    def enumerate_filling(*args, **kwargs):
-        raise AssertionError("enumerated before the byte bound was checked")
+    # no crossing block is built, so nothing is enumerated either
+    def blocks(n):
+        raise AssertionError("searched before the byte bound was checked")
 
-    monkeypatch.setattr(fillperm.census, "enumerate_filling", enumerate_filling)
+    monkeypatch.setattr(fillperm.census, "_crossing_blocks", blocks)
     with pytest.raises(BoundExceeded, match="n=64 exceeds 63"):
         census_records(64)
 

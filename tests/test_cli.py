@@ -466,6 +466,20 @@ def test_census_stdout_matches_golden(capsys, flags, golden):
     assert json.loads(out)["records"] == [json.loads(line) for line in lines.splitlines()]
 
 
+def test_census_record_format_joins_no_lines(capsys, monkeypatch):
+    # record format prints the payload, so stdout needs no JSONL line
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+    lines = (golden / "census_single_n5.jsonl").read_text().splitlines()
+
+    def to_line(record):
+        raise AssertionError("a JSONL line was built for record output")
+
+    monkeypatch.setattr(fillperm.census.CensusRecord, "to_line", to_line)
+    code, out, err = run(capsys, "census", "--n", "5", "--single-cycle", "--format", "record")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["records"] == [json.loads(line) for line in lines]
+
+
 @pytest.mark.parametrize("n, bound", [(5, 672), (6, None), (4, None)])
 def test_census_upper_bound_only_for_odd_n(capsys, n, bound):
     # the ceiling counts minimal pairs, and an even n has none

@@ -28,6 +28,7 @@ from fillperm import (
     read_census,
     round_trip_check,
     tau,
+    twist_group,
     validate,
 )
 
@@ -38,6 +39,7 @@ from fillperm.surgery import (
     _decomposes,
     _is_witness,
     _pull_back,
+    _reverse_second,
 )
 from fillperm.filling import FillingPermutation, ZType, _arc_map
 
@@ -159,24 +161,33 @@ def test_assembly_map_matches_assemble_at_every_site(sigma_f, f4, zeta, sigma_z)
     assert AssemblyMap(3, 3, 1, 10).piece(32) == 2
     # a symbol the map cannot take names the map, the side and the symbol
     with pytest.raises(CaseGap, match=(
-        r"^AssemblyMap\(k=3, l=3, i=1, j=10, forward=True\), host side: "
+        r"^AssemblyMap\(k=3, l=3, i=1, j=10\), host side: "
         r"symbol 99 out of range 1\.\.20$"
     )):
         AssemblyMap(3, 3, 1, 10).host(99)
+    # at crossings of opposite chirality the map splices the piece relabeled
+    # by _reverse_second, which leaves its green labels where they were
+    opposite_sites = 0
     for host in (sigma_f, f4):
         for piece in (zeta, sigma_z):
             green = set(piece.vertex_orbit(2 * piece.n - 1))
+            piece_turn = piece.vertex_orbit(2 * piece.n - 1)[1] == 2 * piece.n
             for i in range(1, 2 * host.n, 2):
                 site = attachment_site(host, i)
                 sigma = assemble(host, piece, site).sigma
-                amap = AssemblyMap.for_site(host, piece, site)
+                amap = AssemblyMap(piece.genus(), host.genus(), site.i, site.j)
+                sigma_p = piece.sigma
+                if (host.vertex_orbit(i)[1] == site.j) != piece_turn:
+                    sigma_p = sigma_p.conjugated_by(_reverse_second(piece.n))
+                    opposite_sites += 1
                 orbit = set(host.vertex_orbit(i))
                 for v in range(1, host.size + 1):
                     if v not in orbit:
                         assert sigma(amap.host(v)) == amap.host(host.sigma(v)), (i, v)
                 for w in range(1, piece.size + 1):
                     if w not in green:
-                        assert sigma(amap.piece(piece.sigma(w))) == amap.piece(w), (i, w)
+                        assert sigma(amap.piece(sigma_p(w))) == amap.piece(w), (i, w)
+    assert opposite_sites == 12
 
 
 @pytest.mark.parametrize("l", [1, 3, 5])
@@ -187,27 +198,49 @@ def test_assembly_map_preimage_is_inverse(k, l):
     last_arc = {2 * n_piece - 1, 2 * n_piece, 4 * n_piece - 1, 4 * n_piece}
     for i in range(1, 2 * n, 2):
         for j in range(2, 2 * n + 1, 2):
-            for forward in (True, False):
-                amap = AssemblyMap(k, l, i, j, forward)
-                host_images = set()
-                for v in range(1, 4 * n_host + 1):
-                    r = amap.host(v)
-                    assert amap.host_preimage(r) == v
-                    host_images.add(r)
-                piece_images = set()
-                for w in range(1, 4 * n_piece + 1):
-                    r = amap.piece(w)
-                    decorated = l == 1 and w in last_arc
-                    assert amap.piece_preimage(r, decorated) == w
-                    piece_images.add(r)
-                assert host_images | piece_images == set(range(1, 4 * n + 1))
-                for r in range(1, 4 * n + 1):
-                    if r in host_images:
-                        assert amap.host(amap.host_preimage(r)) == r
-                    if r in piece_images:
-                        assert amap.piece(amap.piece_preimage(r)) == r
-                        if l == 1 and r in (i, j, opposite(i, n), opposite(j, n)):
-                            assert amap.piece(amap.piece_preimage(r, True)) == r
+            amap = AssemblyMap(k, l, i, j)
+            host_images = set()
+            for v in range(1, 4 * n_host + 1):
+                r = amap.host(v)
+                assert amap.host_preimage(r) == v
+                host_images.add(r)
+            piece_images = set()
+            for w in range(1, 4 * n_piece + 1):
+                r = amap.piece(w)
+                decorated = l == 1 and w in last_arc
+                assert amap.piece_preimage(r, decorated) == w
+                piece_images.add(r)
+            assert host_images | piece_images == set(range(1, 4 * n + 1))
+            for r in range(1, 4 * n + 1):
+                if r in host_images:
+                    assert amap.host(amap.host_preimage(r)) == r
+                if r in piece_images:
+                    assert amap.piece(amap.piece_preimage(r)) == r
+                    if l == 1 and r in (i, j, opposite(i, n), opposite(j, n)):
+                        assert amap.piece(amap.piece_preimage(r, True)) == r
+
+
+def test_reverse_second_is_the_involution_that_turns_a_piece_over(zeta, sigma_z, z5):
+    # delta^-1 mu eta mu reverses the second curve; it moves neither the
+    # green labels nor green normalization, and it turns the green crossing
+    for n in (4, 6, 8, 12):
+        _, delta, eta, mu = generators(n)
+        r = _reverse_second(n)
+        assert r == delta.inverse() * mu * eta * mu
+        assert r * r == Permutation(range(1, 4 * n + 1))
+        assert r in twist_group(n)
+        green = range(2 * n - 1, 2 * n + 3)
+        assert [r(e) for e in green] == [2 * n - 1, 2 * n + 2, 2 * n + 1, 2 * n]
+    pieces = [validate(perm(line, 24))
+              for line in (DATA / "genus2_pieces.txt").read_text().splitlines()]
+    for piece in [*pieces, zeta, sigma_z, z5]:
+        n = piece.n
+        turned = validate(piece.sigma.conjugated_by(_reverse_second(n)))
+        assert turned.green_normalized() and turned.is_z_piece(piece.genus())
+        assert turned.z_type() == piece.z_type()
+        assert set(turned.vertex_orbit(2 * n - 1)) == set(piece.vertex_orbit(2 * n - 1))
+        turns = [fp.vertex_orbit(2 * n - 1)[1] == 2 * n for fp in (piece, turned)]
+        assert turns[0] != turns[1]
 
 
 def test_arrange_piece_cycles_sigma_z(sigma_z):
@@ -877,7 +910,7 @@ def test_decorated_map_fixed_values():
     assert amap.piece_preimage(16, decorated=True) == 8 * 5 + 8
     assert amap.piece_preimage(opposite(1, 11), decorated=True) == 4 * 5 + 3
     assert amap.piece_preimage(opposite(16, 11), decorated=True) == 4 * 5 + 4
-    prefix = r"^AssemblyMap\(k=5, l=1, i=1, j=16, forward=True\), "
+    prefix = r"^AssemblyMap\(k=5, l=1, i=1, j=16\), "
     with pytest.raises(CaseGap, match=prefix + r"host side: symbol 5 has no preimage$"):
         amap.host_preimage(5)
     with pytest.raises(CaseGap, match=prefix + r"piece side: symbol 0 out of range 1\.\.48$"):
@@ -946,6 +979,8 @@ def test_round_trip_rejects_rebuild_off_the_site_powers(sigma_f6, monkeypatch):
     (FillingPermutation, "is_z_piece", r"recovered piece is not an attachable piece"),
     (ZType, "matches", r"recovered piece type \(4, 28, 6, 10\) does not match \(28, 6, 10, 4\)"),
     (FillingPermutation, "is_minimal", r"recovered remainder is not a minimal pair"),
+    (None, None, r"recovered piece or remainder is not a filling pair: "
+                 r"cycle entries do not alternate parity at symbol 40$"),
 ])
 def test_pull_back_of_an_accepted_cut_fails_as_case_gap(
     sigma_f6, monkeypatch, cls, method, message
@@ -953,10 +988,15 @@ def test_pull_back_of_an_accepted_cut_fails_as_case_gap(
     # once extract has accepted the cut, a wrong piece or remainder is an
     # internal fault, not bad input
     dec = decomposition_at(sigma_f6, 23, 38, 1, 16, 5)
-    cut = extract(sigma_f6, dec)
-    monkeypatch.setattr(cls, method, lambda *args: False)
+    cut_cycles, remainder_cycle = extract(sigma_f6, dec)
+    if cls is None:
+        # two entries of a cut cycle swapped pull back to no filling pair
+        first = cut_cycles[0]
+        first[1], first[2] = first[2], first[1]
+    else:
+        monkeypatch.setattr(cls, method, lambda *args: False)
     with pytest.raises(CaseGap, match=f"^{message}"):
-        _pull_back(sigma_f6, dec, *cut)
+        _pull_back(sigma_f6, dec, cut_cycles, remainder_cycle)
 
 
 def test_kappa_delta_closed_form(sigma_f6, monkeypatch):
