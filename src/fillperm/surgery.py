@@ -588,9 +588,9 @@ def round_trip_check(fp: FillingPermutation, dec: Decomposition) -> RoundTripRep
     """Disassemble, reassemble at the induced site, and check the conjugacy.
 
     The site is the host preimage of the anchors (i, j) under the
-    `AssemblyMap` at the cut's site.  On a genus-1 remainder that is always (1, 2), which may
-    differ from the anchors used during disassembly; the result is then only
-    conjugate to the original by label cycling.
+    `AssemblyMap` at the cut's site.  On a genus-1 remainder that is always
+    (1, 2), which may differ from the anchors used during disassembly; the
+    result is then only conjugate to the original by label cycling.
 
     The powers are those that carry the cut's site arcs a = (i+1)/2 and
     b = j/2 back to arc 1: (p, q) = ((1 - a) mod n, (1 - b) mod n) for l = 1,
