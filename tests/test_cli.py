@@ -371,6 +371,14 @@ def test_equivalent_record_matches_pinned(capsys, pair):
     assert out == (DATA / f"{pair}.equivalent.json").read_text()
 
 
+@pytest.mark.parametrize("pair", ["sigma_f6", "zeta"])
+def test_info_record_matches_pinned(capsys, pair):
+    # the vertices and green vertices walk every crossing's orbit
+    code, out, _ = run(capsys, "info", str(DATA / f"{pair}.pair"), "--format", "record")
+    assert code == 0
+    assert out == (DATA / f"{pair}.info.json").read_text()
+
+
 @pytest.mark.parametrize("pair", ["sigma_f6", "sigma_f6_zeta_prime_5"])
 def test_decompose_record_matches_pinned(capsys, pair):
     # sigma_F6 # zeta' at site 5 has four candidates whose runs are disjoint

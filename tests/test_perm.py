@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, strategies as st
 
 from fillperm import CycleParseError, Permutation
+from fillperm.perm import parse_cycle_text
 
 from conftest import ZETA, perm
 
@@ -44,6 +45,34 @@ def test_parse_nondisjoint_applies_leftmost_first():
     assert p(1) == 3 and p(2) == 1 and p(3) == 2
 
 
+def _cycle(cycle, size):
+    """One cycle as a permutation, by an index loop."""
+    imgs = list(range(1, size + 1))
+    for s, t in zip(cycle, cycle[1:] + cycle[:1]):
+        imgs[s - 1] = t
+    return Permutation(imgs)
+
+
+cycle_lists = st.integers(min_value=1, max_value=10).flatmap(
+    lambda size: st.tuples(
+        st.just(size),
+        st.lists(st.lists(st.integers(1, size), unique=True), max_size=6),
+    )
+)
+
+
+@seed(1603)
+@given(cycle_lists)
+def test_from_cycles_is_the_leftmost_first_product(case):
+    # the reference: each cycle as its own permutation, composed so that the
+    # leftmost acts first; the cycles may overlap
+    size, cycles = case
+    product = Permutation.identity(size)
+    for cycle in cycles:
+        product = _cycle(cycle, size) * product
+    assert Permutation.from_cycles(cycles, size) == product
+
+
 @pytest.mark.parametrize(
     "text,message_part,position",
     [
@@ -53,12 +82,29 @@ def test_parse_nondisjoint_applies_leftmost_first():
         ("(1,,2)", "expected a symbol", 3),
         ("1,2)", "expected '('", 0),
         ("(1,2", "expected ',' or ')'", 4),
+        ("(1 2)", "expected ',' or ')' but found '2'", 3),
+        ("(1,2 ", "expected ',' or ')' but found 'end of input'", 5),
+        ("(", "expected a symbol but found 'end of input'", 1),
+        (")(", "expected '(' but found ')'", 0),
+        # accepted: any whitespace inside a cycle, a decimal digit of any script
+        ("(1,\t2)\n(3\n,4)", [[1, 2], [3, 4]], None),
+        ("(\uff11,2)", [[1, 2]], None),
+        # a digit that is not decimal joins the symbol, which int() refuses
+        ("(\u00b2,1)", "invalid literal for int() with base 10: '\u00b2'", None),
     ],
 )
 def test_parse_errors_report_position(text, message_part, position):
-    with pytest.raises(CycleParseError) as exc:
+    if isinstance(message_part, list):
+        assert parse_cycle_text(text, 4) == message_part
+        return
+    with pytest.raises(ValueError) as exc:
         perm(text, 4)
+    if position is None:
+        assert type(exc.value) is ValueError and str(exc.value) == message_part
+        return
+    assert type(exc.value) is CycleParseError
     assert message_part in str(exc.value)
+    assert str(exc.value).endswith(f" (at position {position})")
     assert exc.value.position == position
 
 

@@ -41,7 +41,7 @@ from fillperm.surgery import (
     _pull_back,
     _reverse_second,
 )
-from fillperm.filling import FillingPermutation, ZType, _arc_map
+from fillperm.filling import FillingPermutation, ZType, _arc_map, _arc_of, _label_of
 
 from conftest import SIGMA_PRIME, ChordsCross, perm, reference_separating
 
@@ -218,6 +218,71 @@ def test_assembly_map_preimage_is_inverse(k, l):
                     assert amap.piece(amap.piece_preimage(r)) == r
                     if l == 1 and r in (i, j, opposite(i, n), opposite(j, n)):
                         assert amap.piece(amap.piece_preimage(r, True)) == r
+
+
+def _arc_arithmetic(k, l, i, j):
+    """AssemblyMap's relabeling as arc arithmetic, one label at a time: the
+    reference its tables are checked against.  Returns host(v), piece(w),
+    host_preimage(r) and piece_preimage(r, decorated), the last two None
+    where r has no preimage."""
+    n_host, n_piece = 2 * l - 1, 2 * k + 2
+    n = n_host + n_piece - 2
+    site_arc = ((i + 1) // 2, j // 2)  # indexed by `even`
+
+    def host(v):
+        arc, even, negative = _arc_of(v, n_host)
+        a = site_arc[even]
+        back = (min(a, n_host) - arc) % n_host
+        return _label_of((a - back - 1) % n + 1, even, negative, n)
+
+    def piece(w):
+        arc, even, negative = _arc_of(w, n_piece)
+        return _label_of((site_arc[even] + arc - 2) % n + 1, even, not negative, n)
+
+    def host_preimage(r):
+        c, even, negative = _arc_of(r, n)
+        a = site_arc[even]
+        back = (a - c) % n
+        if back >= n_host:
+            return None
+        return _label_of((min(a, n_host) - back - 1) % n_host + 1, even, negative, n_host)
+
+    def piece_preimage(r, decorated):
+        c, even, negative = _arc_of(r, n)
+        ahead = (c - site_arc[even]) % n
+        if ahead >= n_piece or decorated and (l > 1 or ahead):
+            return None
+        return _label_of(n_piece if decorated else ahead + 1, even, not negative, n_piece)
+
+    return host, piece, host_preimage, piece_preimage
+
+
+@pytest.mark.parametrize("l", [1, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_assembly_map_matches_arc_arithmetic(k, l):
+    # every label, both directions, decorated and undecorated, at every site
+    n_host, n_piece = 2 * l - 1, 2 * k + 2
+    n = n_host + n_piece - 2
+    for i in range(1, 2 * n, 2):
+        for j in range(2, 2 * n + 1, 2):
+            amap = AssemblyMap(k, l, i, j)
+            host, piece, host_preimage, piece_preimage = _arc_arithmetic(k, l, i, j)
+            hosts = range(1, 4 * n_host + 1)
+            assert [amap.host(v) for v in hosts] == [host(v) for v in hosts]
+            pieces = range(1, 4 * n_piece + 1)
+            assert [amap.piece(w) for w in pieces] == [piece(w) for w in pieces]
+            for r in range(1, 4 * n + 1):
+                calls = [(amap.host_preimage, (r,), host_preimage(r))] + [
+                    (amap.piece_preimage, (r, decorated), piece_preimage(r, decorated))
+                    for decorated in (False, True)
+                ]
+                for method, args, want in calls:
+                    try:
+                        got = method(*args)
+                    except CaseGap as exc:
+                        assert want is None, (amap, args, exc)
+                    else:
+                        assert got == want, (amap, args)
 
 
 def test_reverse_second_is_the_involution_that_turns_a_piece_over(zeta, sigma_z, z5):
