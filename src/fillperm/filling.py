@@ -175,11 +175,14 @@ class FillingPermutation:
         """The four left edges of the crossing at e, in traversal order."""
         q_n = 2 * self.n
         m = 4 * self.n
+        if not 1 <= e <= m:
+            raise ValueError(f"symbol {e} out of range 1..{m}")
+        imgs = self.sigma.one_line()
         orbit = []
         x = e
         while True:
             orbit.append(x)
-            x = (self.sigma(x) + q_n - 1) % m + 1
+            x = (imgs[x - 1] + q_n - 1) % m + 1
             if x == e:
                 return tuple(orbit)
 

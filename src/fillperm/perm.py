@@ -8,7 +8,9 @@ census) is built on the `Permutation` class defined here.  Symbols are always
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+import re
+from itertools import takewhile
+from typing import Iterable, NoReturn, Sequence
 
 
 class CycleParseError(ValueError):
@@ -48,20 +50,23 @@ class Permutation:
         immaterial.  Entries must be distinct within each cycle and lie in
         {1..size}.
         """
-        imgs = list(range(size + 1))  # identity; index 0 unused
+        # the product so far and its inverse, index 0 unused: a cycle applied
+        # after it moves only the images its symbols are
+        imgs = list(range(size + 1))
+        inv = list(range(size + 1))
         for cycle in cycles:
             cyc = list(cycle)
             if not cyc:
                 continue
             if len(set(cyc)) != len(cyc):
                 raise ValueError(f"repeated symbol in cycle {cyc!r}")
-            step = list(range(size + 1))
-            for idx, s in enumerate(cyc):
+            for s in cyc:
                 if not 1 <= s <= size:
                     raise ValueError(f"symbol {s} out of range 1..{size}")
-                step[s] = cyc[(idx + 1) % len(cyc)]
-            # leftmost-first: the new cycle acts after what we already have
-            imgs = [0] + [step[imgs[e]] for e in range(1, size + 1)]
+            preimages = [inv[s] for s in cyc]
+            for e, t in zip(preimages, cyc[1:] + cyc[:1]):
+                imgs[e] = t
+                inv[t] = e
         return cls(imgs[1:])
 
     @classmethod
@@ -173,6 +178,12 @@ class Permutation:
         return f"Permutation.from_cycle_string({self.cycle_string()!r}, {self.size})"
 
 
+_SPACE = re.compile(r"\s*")
+# one cycle and the whitespace after it, its symbols in group 1 ("()" has
+# none); \s and \d are exactly str.isspace and str.isdecimal
+_CYCLE = re.compile(r"\(\s*(?:\)|(\d+\s*(?:,\s*\d+\s*)*)\))\s*")
+
+
 def parse_cycle_text(text: str, size: int) -> list[list[int]]:
     """Parse "(1,2,3)(4,5)" into [[1,2,3],[4,5]], validating symbols against size.
 
@@ -180,44 +191,50 @@ def parse_cycle_text(text: str, size: int) -> list[list[int]]:
     product.  Errors report the offending position in the input text.
     """
     cycles: list[list[int]] = []
-    i, n = 0, len(text)
-
-    def skip_ws(j: int) -> int:
-        while j < n and text[j].isspace():
-            j += 1
-        return j
-
-    i = skip_ws(i)
-    while i < n:
-        if text[i] != "(":
-            raise CycleParseError(f"expected '(' but found {text[i]!r}", i)
-        i = skip_ws(i + 1)
-        cycle: list[int] = []
-        if i < n and text[i] == ")":
-            cycles.append(cycle)
-            i = skip_ws(i + 1)
-            continue
-        while True:
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            if i == start:
-                found = text[i] if i < n else "end of input"
-                raise CycleParseError(f"expected a symbol but found {found!r}", start)
-            sym = int(text[start:i])
-            if not 1 <= sym <= size:
-                raise CycleParseError(f"symbol {sym} out of range 1..{size}", start)
-            if sym in cycle:
-                raise CycleParseError(f"repeated symbol {sym} in cycle", start)
-            cycle.append(sym)
-            i = skip_ws(i)
-            if i < n and text[i] == ",":
-                i = skip_ws(i + 1)
-                continue
-            if i < n and text[i] == ")":
-                i = skip_ws(i + 1)
-                break
-            found = text[i] if i < n else "end of input"
-            raise CycleParseError(f"expected ',' or ')' but found {found!r}", i)
+    at, end = _SPACE.match(text).end(), len(text)
+    while at < end:
+        match = _CYCLE.match(text, at)
+        if match is None:
+            _raise_first_error(text, at, size)
+        symbols = match[1]
+        try:
+            # int() keeps "\x1c".."\x1f" around a symbol, which strip() removes
+            cycle = list(map(int, map(str.strip, symbols.split(",")))) if symbols else []
+        except ValueError:  # a symbol longer than int() converts
+            _raise_first_error(text, at, size)
+        if cycle and (min(cycle) < 1 or max(cycle) > size or len(set(cycle)) < len(cycle)):
+            _raise_first_error(text, at, size)
         cycles.append(cycle)
+        at = match.end()
     return cycles
+
+
+def _raise_first_error(text: str, at: int, size: int) -> NoReturn:
+    """Raise the first error, in text order, of the cycle starting at `at`,
+    which `_CYCLE` refused or whose symbols failed a check.
+
+    A symbol is the longest run of digits (`str.isdigit`), converted by
+    `int()`, so a digit that is not decimal, such as "²", raises
+    `int()`'s ValueError.
+    """
+    if text[at] != "(":
+        raise CycleParseError(f"expected '(' but found {text[at]!r}", at)
+    cycle: list[int] = []
+    at = _SPACE.match(text, at + 1).end()
+    while True:
+        run = "".join(takewhile(str.isdigit, text[at:]))
+        if not run:
+            found = text[at] if at < len(text) else "end of input"
+            raise CycleParseError(f"expected a symbol but found {found!r}", at)
+        sym = int(run)
+        if not 1 <= sym <= size:
+            raise CycleParseError(f"symbol {sym} out of range 1..{size}", at)
+        if sym in cycle:
+            raise CycleParseError(f"repeated symbol {sym} in cycle", at)
+        cycle.append(sym)
+        at = _SPACE.match(text, at + len(run)).end()
+        if not text.startswith(",", at):
+            # a ")" here would close a cycle without an error
+            found = text[at] if at < len(text) else "end of input"
+            raise CycleParseError(f"expected ',' or ')' but found {found!r}", at)
+        at = _SPACE.match(text, at + 1).end()

@@ -26,7 +26,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .filling import FillingPermutation, _arc_map, _arc_of, _label_of, _opp_tau, validate
+from .filling import FillingPermutation, _arc_map, _opp_tau, validate
 from .perm import Permutation
 
 Entry = tuple[int, bool]  # (symbol, decorated); decoration marks duplicate anchor copies
@@ -86,11 +86,34 @@ class AssemblyMap:
         if k < 1 or l < 1:
             raise SurgeryError("both genera must be >= 1")
         self.k, self.l, self.i, self.j = k, l, i, j
-        self.n_host, self.n_piece = 2 * l - 1, 2 * k + 2
-        self.n = self.n_host + self.n_piece - 2
-        if not (i % 2 == 1 and 1 <= i < 2 * self.n and j % 2 == 0 and 2 <= j <= 2 * self.n):
-            raise SurgeryError(f"({i}, {j}) is not a positive odd/even site for n={self.n}")
-        self._site_arc = ((i + 1) // 2, j // 2)  # indexed by `even`
+        self.n_host, self.n_piece = n_host, n_piece = 2 * l - 1, 2 * k + 2
+        self.n = n = n_host + n_piece - 2
+        if not (i % 2 == 1 and 1 <= i < 2 * n and j % 2 == 0 and 2 <= j <= 2 * n):
+            raise SurgeryError(f"({i}, {j}) is not a positive odd/even site for n={n}")
+        site_arcs = ((i + 1) // 2, j // 2)
+        # the result arc of each host and each piece arc, odd curve then even
+        host_arcs = [
+            [(a - (min(a, n_host) - arc) % n_host - 1) % n + 1 for arc in range(1, n_host + 1)]
+            for a in site_arcs
+        ]
+        piece_arcs = [[(a + arc - 2) % n + 1 for arc in range(1, n_piece + 1)] for a in site_arcs]
+        # result label by host or piece label, and back, index 0 unused; 0
+        # marks a result label with no preimage
+        self._host = host = _label_table(host_arcs, n, reverse=False)
+        self._piece = piece = _label_table(piece_arcs, n, reverse=True)
+        host_pre = [0] * (4 * n + 1)
+        for v, r in enumerate(host):
+            host_pre[r] = v
+        # descending, so that on a torus host the first arc wins the site arc
+        piece_pre = [0] * (4 * n + 1)
+        for w in range(4 * n_piece, 0, -1):
+            piece_pre[piece[w]] = w
+        decorated_pre = [0] * (4 * n + 1)
+        if l == 1:
+            for w in (2 * n_piece - 1, 2 * n_piece, 4 * n_piece - 1, 4 * n_piece):
+                decorated_pre[piece[w]] = w
+        self._host_pre, self._piece_pre = tuple(host_pre), tuple(piece_pre)
+        self._decorated_pre = tuple(decorated_pre)
 
     def __repr__(self) -> str:
         k, l, i, j = self.k, self.l, self.i, self.j
@@ -99,42 +122,49 @@ class AssemblyMap:
     def _gap(self, side: str, symbol: int, problem: str) -> CaseGap:
         return CaseGap(f"{self!r}, {side} side: symbol {symbol} {problem}")
 
-    def _arc(self, label: int, n: int, side: str) -> tuple[int, bool, bool]:
+    def _check(self, label: int, n: int, side: str) -> None:
         if not 1 <= label <= 4 * n:
             raise self._gap(side, label, f"out of range 1..{4 * n}")
-        return _arc_of(label, n)
 
     def host(self, v: int) -> int:
-        arc, even, negative = self._arc(v, self.n_host, "host")
-        a = self._site_arc[even]
-        back = (min(a, self.n_host) - arc) % self.n_host
-        return _label_of((a - back - 1) % self.n + 1, even, negative, self.n)
+        self._check(v, self.n_host, "host")
+        return self._host[v]
 
     def piece(self, w: int) -> int:
-        arc, even, negative = self._arc(w, self.n_piece, "piece")
-        c = self._site_arc[even] + arc - 1
-        # piece arcs reverse orientation
-        return _label_of((c - 1) % self.n + 1, even, not negative, self.n)
+        self._check(w, self.n_piece, "piece")
+        return self._piece[w]
 
     def host_preimage(self, r: int) -> int:
-        c, even, negative = self._arc(r, self.n, "host")
-        a = self._site_arc[even]
-        back = (a - c) % self.n
-        if back >= self.n_host:
+        self._check(r, self.n, "host")
+        v = self._host_pre[r]
+        if not v:
             raise self._gap("host", r, "has no preimage")
-        arc = (min(a, self.n_host) - back - 1) % self.n_host + 1
-        return _label_of(arc, even, negative, self.n_host)
+        return v
 
     def piece_preimage(self, r: int, decorated: bool = False) -> int:
-        c, even, negative = self._arc(r, self.n, "piece")
-        a = self._site_arc[even]
-        ahead = (c - a) % self.n
-        if ahead >= self.n_piece:
+        self._check(r, self.n, "piece")
+        w = (self._decorated_pre if decorated else self._piece_pre)[r]
+        if w:
+            return w
+        if not self._piece_pre[r]:
             raise self._gap("piece", r, "has no preimage")
-        if decorated and (self.l > 1 or ahead):
+        if self.l > 1:
             raise self._gap("piece", r, "is decorated, but the host is not a torus")
-        arc = self.n_piece if decorated else ahead + 1
-        return _label_of(arc, even, not negative, self.n_piece)
+        raise self._gap("piece", r, "is decorated, but is not on the site arc")
+
+
+def _label_table(arcs: list[list[int]], n: int, reverse: bool) -> tuple[int, ...]:
+    """Result labels by source label, index 0 unused, from the result arcs of
+    the source's odd and even arcs; `reverse` turns every arc around."""
+    positive = [label for odd, even in zip(*arcs) for label in (2 * odd - 1, 2 * even)]
+    negative = [label + 2 * n for label in positive]
+    return (0, *negative, *positive) if reverse else (0, *positive, *negative)
+
+
+# A map is immutable, and a round trip pulls back and splices through the
+# same few maps again and again: the surgery benchmark's query stream builds
+# 75,027 maps in 1,200 passes, 183 of them distinct.
+_assembly_map = lru_cache(maxsize=256)(AssemblyMap)
 
 
 @lru_cache(maxsize=None)
@@ -175,20 +205,21 @@ def assemble(
             f"edge {site.j} is not the positive even edge at the crossing of {site.i}"
         )
 
-    amap = AssemblyMap(k, l, site.i, site.j)
+    amap = _assembly_map(k, l, site.i, site.j)
     result_size = 4 * amap.n
     orbit = host.vertex_orbit(site.i)
     green = piece.vertex_orbit(2 * piece.n - 1)
-    sigma_h, sigma_p = host.sigma, piece.sigma
+    sigma_p = piece.sigma
     # a crossing's chirality: whether its left-edge orbit steps from the odd
     # in-edge straight to the even one; a torus host has none
     if host.n > 1 and (orbit[1] == site.j) != (green[1] == 2 * piece.n):
         sigma_p = sigma_p.conjugated_by(_reverse_second(piece.n))
 
-    hmap = {e: amap.host(e) for e in range(1, host.size + 1)}
-    pmap = {u: amap.piece(u) for u in range(1, piece.size + 1)}
-    merged = {hmap[e]: hmap[sigma_h(e)] for e in hmap if e not in orbit}
-    merged.update({pmap[sigma_p(u)]: pmap[u] for u in pmap if u not in green})
+    hmap, pmap = amap._host, amap._piece
+    merged = {hmap[e]: hmap[v] for e, v in enumerate(host.sigma.one_line(), 1) if e not in orbit}
+    merged.update(
+        {pmap[v]: pmap[u] for u, v in enumerate(sigma_p.one_line(), 1) if u not in green}
+    )
 
     if len(merged) != result_size:
         raise CaseGap(f"splice covered {len(merged)} of {result_size} labels")
@@ -254,18 +285,26 @@ class _CycleTables:
         self.genus = fp.genus()
         self.cycle = cycle = fp.regions[0]
         self.m = m = len(cycle)
-        self.pos = pos = [0] * (m + 1)
+        pos = [0] * (m + 1)
         for idx, sym in enumerate(cycle):
             pos[sym] = idx
+        self.pos = pos = tuple(pos)
         self.opp = opp = _opp_tau(fp.n, 0)
-        self.opos = opos = [pos[e] for e in opp]
-        self.d = [(o - p) % m for p, o in zip(pos, opos)]
-        self.opp_at = [opp[e] for e in cycle] * 2
+        self.opos = opos = tuple(map(pos.__getitem__, opp))
+        self.d = tuple([(o - p) % m for p, o in zip(pos, opos)])
+        self.opp_at = tuple(map(opp.__getitem__, cycle)) * 2
 
     def flip(self, k: int) -> tuple[int, ...]:
         """opp o tau^(2k+1) by label, the involution with y = flip[x] and
         b = flip[a]; built once per (n, k)."""
         return _opp_tau(self.m // 4, 2 * k + 1)
+
+
+@lru_cache(maxsize=1)
+def _tables_of(fp: FillingPermutation) -> _CycleTables:
+    """The tables of the last pair asked for, so that a query's search and
+    the cuts and round trips of its witnesses build them once."""
+    return _CycleTables(fp)
 
 
 def _anchored_types(
@@ -317,13 +356,19 @@ def _anchored_types(
         return
     flip = tables.flip(k)
     residue = [(de + d[f]) % m for de, f in zip(d, flip)]
+    # the residue of the candidate a at each cycle position, twice round
+    residue_at = list(map(residue.__getitem__, opp_at))
     total = 8 * k + 4
     for x in tables.cycle:
-        y = flip[x]
-        px, py, ox, oy = pos[x], pos[y], opos[x], opos[y]
+        px = pos[x]
         want = (total - residue[x]) % m
-        for r, a in zip(sizes, opp_at[px + 3 : px + last : 2]):
-            if residue[a] != want:
+        window = residue_at[px + 3 : px + last : 2]
+        if want not in window:
+            continue
+        y = flip[x]
+        py, ox, oy = pos[y], opos[x], opos[y]
+        for r, a, ra in zip(sizes, opp_at[px + 3 : px + last : 2], window):
+            if ra != want:
                 continue
             s = (oy - pos[a]) % m + 1
             if s < 4:
@@ -374,7 +419,7 @@ def decomposition_at(
     remaining equations or do not cut off the piece, by the same rule as
     `find_decompositions`.
     """
-    return _cut_at(_CycleTables(fp), k, (x, a, y, b))
+    return _cut_at(_tables_of(fp), k, (x, a, y, b))
 
 
 def _candidates(
@@ -405,7 +450,7 @@ def find_decompositions(fp: FillingPermutation, k: int | None = None) -> list[De
     """
     if k is not None:
         _check_piece_genus(k, fp.genus())
-    tables = _CycleTables(fp)
+    tables = _tables_of(fp)
     g = tables.genus
     found = []
     for kk, anchors, quad in _candidates(tables, k):
@@ -487,7 +532,7 @@ def extract(
     returns for its k and anchors: the one check `_cut_at` makes, so a
     caller's cut is held to the rule the search uses.
     """
-    tables = _CycleTables(fp)
+    tables = _tables_of(fp)
     anchors, n = dec.anchors, fp.n
     if _cut_at(tables, dec.k, anchors) != dec:
         raise SurgeryError(
@@ -543,10 +588,16 @@ def _pull_back(
 ) -> tuple[FillingPermutation, FillingPermutation]:
     """`disassemble` given what `extract(fp, dec)` returned."""
     k, l = dec.k, dec.l
-    amap = AssemblyMap(k, l, *_site_labels(dec.anchors, fp.n))
-    piece_cycles = [[amap.piece_preimage(*entry) for entry in cyc] for cyc in cut_cycles]
+    amap = _assembly_map(k, l, *_site_labels(dec.anchors, fp.n))
+    # a label with no preimage reads 0 and goes to the method, which raises
+    pre = (amap._piece_pre, amap._decorated_pre)
+    piece_cycles = [
+        [pre[decorated][s] or amap.piece_preimage(s, decorated) for s, decorated in cyc]
+        for cyc in cut_cycles
+    ]
     if l > 1:  # a torus remainder comes back from `extract` already as [1, 2, 3, 4]
-        remainder_cycle = [amap.host_preimage(v) for v in remainder_cycle]
+        host_pre = amap._host_pre
+        remainder_cycle = [host_pre[v] or amap.host_preimage(v) for v in remainder_cycle]
     remainder_perm = Permutation.from_cycles([remainder_cycle], 8 * l - 4)
     piece_perm = Permutation.from_cycles(piece_cycles, 8 * k + 8).inverse()
     try:
@@ -563,6 +614,13 @@ def _pull_back(
     if not remainder.is_minimal() or remainder.genus() != l:
         raise CaseGap("recovered remainder is not a minimal pair of the right genus")
     return piece, remainder
+
+
+@lru_cache(maxsize=None)
+def _kappa_delta_inverse(n: int, p: int, q: int) -> Permutation:
+    """kappa^(-p) delta^(-q), the arc map moving odd arcs back p places and
+    even arcs back q places; built once per (n, p, q)."""
+    return _arc_map(n, lambda arc, even, neg: (arc - (q if even else p), even, neg))
 
 
 @dataclass(frozen=True)
@@ -605,11 +663,11 @@ def round_trip_check(fp: FillingPermutation, dec: Decomposition) -> RoundTripRep
     n = fp.n
     piece, remainder = disassemble(fp, dec)
     i, j = _site_labels(dec.anchors, n)
-    amap = AssemblyMap(dec.k, dec.l, i, j)
+    amap = _assembly_map(dec.k, dec.l, i, j)
     site = AttachmentSite(amap.host_preimage(i), amap.host_preimage(j))
     reassembled = assemble(remainder, piece, site)
     p, q = ((1 - (i + 1) // 2) % n, (1 - j // 2) % n) if dec.l == 1 else (0, 0)
-    back = _arc_map(n, lambda arc, even, neg: (arc - (q if even else p), even, neg))
+    back = _kappa_delta_inverse(n, p, q)
     if reassembled.sigma.conjugated_by(back) != fp.sigma:
         raise CaseGap(
             f"kappa^{p} delta^{q} does not carry the rebuild at site ({i}, {j}) to the original"

@@ -41,7 +41,7 @@ from fillperm.surgery import (
     _pull_back,
     _reverse_second,
 )
-from fillperm.filling import FillingPermutation, ZType, _arc_map, _arc_of, _label_of
+from fillperm.filling import FillingPermutation, ZType, _arc_of, _label_of
 
 from conftest import SIGMA_PRIME, ChordsCross, perm, reference_separating
 
@@ -982,6 +982,11 @@ def test_decorated_map_fixed_values():
         amap.piece(0)
     with pytest.raises(CaseGap, match=r"l=3.*piece side: symbol 16 is decorated, but the host"):
         AssemblyMap(5, 3, 1, 16).piece_preimage(16, decorated=True)
+    # on a torus host only the site arc's labels have a decorated preimage
+    with pytest.raises(
+        CaseGap, match=prefix + r"piece side: symbol 3 is decorated, but is not on the site arc$"
+    ):
+        amap.piece_preimage(3, decorated=True)
 
 
 def test_disassemble_k5_bit_exact(sigma_f6, z5, f1):
@@ -1067,27 +1072,31 @@ def test_pull_back_of_an_accepted_cut_fails_as_case_gap(
 def test_kappa_delta_closed_form(sigma_f6, monkeypatch):
     # t^-1 = kappa^-p delta^-q as one arc map, odd arcs p places back and even
     # arcs q places back, for every power
+    import fillperm.surgery as surgery
+
+    cached = surgery._kappa_delta_inverse
     for n in range(1, 17):
         kappa, delta, _, _ = generators(n)
         for p in range(n):
             for q in range(n):
-                back = _arc_map(n, lambda arc, even, neg: (arc - (q if even else p), even, neg))
-                assert back == (kappa**p * delta**q).inverse(), (n, p, q)
-    # and the map round_trip_check conjugates by is that one
-    import fillperm.surgery as surgery
-
+                assert cached(n, p, q) == (kappa**p * delta**q).inverse(), (n, p, q)
+    # and the map round_trip_check conjugates by is that one, built once per
+    # (n, p, q)
+    cached.cache_clear()
     maps = []
 
-    def spy(n, move):
-        maps.append(_arc_map(n, move))
-        return maps[-1]
+    def spy(n, p, q):
+        maps.append((n, p, q, cached(n, p, q)))
+        return maps[-1][-1]
 
-    monkeypatch.setattr(surgery, "_arc_map", spy)
+    monkeypatch.setattr(surgery, "_kappa_delta_inverse", spy)
     kappa, delta, _, _ = generators(sigma_f6.n)
     powers = [round_trip_check(sigma_f6, dec) for dec in find_decompositions(sigma_f6)]
     assert len(maps) == len(powers) == 26
-    for back, report in zip(maps, powers):
+    for (n, p, q, back), report in zip(maps, powers):
+        assert (n, p, q) == (sigma_f6.n, report.p, report.q)
         assert back == (kappa**report.p * delta**report.q).inverse(), report
+    assert cached.cache_info().misses == len({(p, q) for _, p, q, _ in maps})
 
 
 def _site_powers(dec, n):
