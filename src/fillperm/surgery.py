@@ -22,7 +22,7 @@ map backwards.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -80,6 +80,9 @@ class AssemblyMap:
     When l = 1 the piece's first and last arcs share the site arc, so each of
     i, j, opp(i), opp(j) has two piece preimages: a decorated entry takes the
     one in {4k+3, 4k+4, 8k+7, 8k+8}, an undecorated entry the other.
+
+    The map is built once, as tables indexed by label in both directions;
+    the methods are range-checked lookups.
     """
 
     def __init__(self, k: int, l: int, i: int, j: int):
@@ -101,19 +104,11 @@ class AssemblyMap:
         # marks a result label with no preimage
         self._host = host = _label_table(host_arcs, n, reverse=False)
         self._piece = piece = _label_table(piece_arcs, n, reverse=True)
-        host_pre = [0] * (4 * n + 1)
-        for v, r in enumerate(host):
-            host_pre[r] = v
+        self._host_pre = _preimages(host, n, range(1, 4 * n_host + 1))
         # descending, so that on a torus host the first arc wins the site arc
-        piece_pre = [0] * (4 * n + 1)
-        for w in range(4 * n_piece, 0, -1):
-            piece_pre[piece[w]] = w
-        decorated_pre = [0] * (4 * n + 1)
-        if l == 1:
-            for w in (2 * n_piece - 1, 2 * n_piece, 4 * n_piece - 1, 4 * n_piece):
-                decorated_pre[piece[w]] = w
-        self._host_pre, self._piece_pre = tuple(host_pre), tuple(piece_pre)
-        self._decorated_pre = tuple(decorated_pre)
+        self._piece_pre = _preimages(piece, n, range(4 * n_piece, 0, -1))
+        last_arc = (2 * n_piece - 1, 2 * n_piece, 4 * n_piece - 1, 4 * n_piece)
+        self._decorated_pre = _preimages(piece, n, last_arc if l == 1 else ())
 
     def __repr__(self) -> str:
         k, l, i, j = self.k, self.l, self.i, self.j
@@ -159,6 +154,15 @@ def _label_table(arcs: list[list[int]], n: int, reverse: bool) -> tuple[int, ...
     positive = [label for odd, even in zip(*arcs) for label in (2 * odd - 1, 2 * even)]
     negative = [label + 2 * n for label in positive]
     return (0, *negative, *positive) if reverse else (0, *positive, *negative)
+
+
+def _preimages(table: tuple[int, ...], n: int, labels: Iterable[int]) -> tuple[int, ...]:
+    """The source label of each of the 4n result labels that `table` sends
+    one of `labels` to, 0 for the rest; a later label wins a shared image."""
+    pre = [0] * (4 * n + 1)
+    for w in labels:
+        pre[table[w]] = w
+    return tuple(pre)
 
 
 # A map is immutable, and a round trip pulls back and splices through the
