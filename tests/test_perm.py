@@ -86,6 +86,7 @@ def test_from_cycles_is_the_leftmost_first_product(case):
         ("(1,2 ", "expected ',' or ')' but found 'end of input'", 5),
         ("(", "expected a symbol but found 'end of input'", 1),
         (")(", "expected '(' but found ')'", 0),
+        ("(1,5)", "symbol 5 out of range 1..4", 3),
         # accepted: any whitespace inside a cycle, a decimal digit of any script
         ("(1,\t2)\n(3\n,4)", [[1, 2], [3, 4]], None),
         ("(\uff11,2)", [[1, 2]], None),
