@@ -165,8 +165,16 @@ def test_record_round_trip():
 
 
 def test_not_a_bijection_rejected():
-    with pytest.raises(ValueError, match="bijection"):
-        Permutation([1, 1, 3])
+    # the public constructor checks every image, whatever the builders skip
+    for images in (
+        [1, 1, 3],  # a repeat
+        [0, 1, 2],  # an image 0
+        [1, 2, 4],  # an image m + 1
+        [1.0, 2, 3],
+        ["1", 2, 3],
+    ):
+        with pytest.raises(ValueError, match=r"^not a bijection on 1\.\.3: images "):
+            Permutation(images)
 
 
 @given(perms)
