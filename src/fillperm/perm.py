@@ -8,6 +8,7 @@ census) is built on the `Permutation` class defined here.  Symbols are always
 from __future__ import annotations
 
 import math
+import operator
 import re
 from itertools import takewhile
 from typing import Iterable, NoReturn, Sequence
@@ -22,7 +23,18 @@ class CycleParseError(ValueError):
 
 
 class Permutation:
-    """An immutable bijection on {1..M}."""
+    """An immutable bijection on {1..M}, held as the tuple of its images.
+
+    `Permutation(images)` checks every image.  The builders whose output is
+    a bijection because their inputs are skip that check through `_built`:
+    `identity`, `__mul__`, `inverse`, `conjugated_by` (and so `__pow__`),
+    `from_cycles` after its own symbol checks, and, in `twist`, the
+    relabeling group, the `are_equivalent` witness and `canonical_form`.
+    Images that nothing proves a bijection keep the checked constructor:
+    `surgery.assemble`'s splice, whose refusal is a `CaseGap` guard;
+    `filling._arc_map`, whose moves are arbitrary callables; census
+    representatives; and anything read from a file or given by a caller.
+    """
 
     __slots__ = ("_imgs",)
 
@@ -37,10 +49,22 @@ class Permutation:
         self._imgs = imgs
 
     @classmethod
+    def _built(cls, images: tuple[int, ...]) -> "Permutation":
+        """The permutation with these images, unchecked.
+
+        Only for a tuple of ints that is a bijection on 1..len(images) by
+        construction, as the class docstring lists; a list or `bytes` here
+        would break equality and hashing with checked permutations.
+        """
+        p = object.__new__(cls)
+        p._imgs = images
+        return p
+
+    @classmethod
     def identity(cls, size: int) -> "Permutation":
         if size < 0:
             raise ValueError("size must be nonnegative")
-        return cls(tuple(range(1, size + 1)))
+        return cls._built(tuple(range(1, size + 1)))
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[Sequence[int]], size: int) -> "Permutation":
@@ -55,7 +79,8 @@ class Permutation:
         imgs = list(range(size + 1))
         inv = list(range(size + 1))
         for cycle in cycles:
-            cyc = list(cycle)
+            # only ints reach the images: operator.index refuses a float
+            cyc = list(map(operator.index, cycle))
             if not cyc:
                 continue
             if len(set(cyc)) != len(cyc):
@@ -67,7 +92,7 @@ class Permutation:
             for e, t in zip(preimages, cyc[1:] + cyc[:1]):
                 imgs[e] = t
                 inv[t] = e
-        return cls(imgs[1:])
+        return cls._built(tuple(imgs[1:]))
 
     @classmethod
     def from_cycle_string(cls, text: str, size: int) -> "Permutation":
@@ -93,13 +118,13 @@ class Permutation:
         if other.size != self.size:
             raise ValueError(f"size mismatch: {self.size} vs {other.size}")
         s = self._imgs
-        return Permutation(tuple(s[v - 1] for v in other._imgs))
+        return Permutation._built(tuple(s[v - 1] for v in other._imgs))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.size
         for e, v in enumerate(self._imgs, start=1):
             inv[v - 1] = e
-        return Permutation(inv)
+        return Permutation._built(tuple(inv))
 
     def __pow__(self, k: int) -> "Permutation":
         """k-fold composition; negative k gives powers of the inverse."""
@@ -121,7 +146,7 @@ class Permutation:
         out = [0] * self.size
         for e, v in enumerate(self._imgs, start=1):
             out[timg[e - 1] - 1] = timg[v - 1]
-        return Permutation(out)
+        return Permutation._built(tuple(out))
 
     def cycles(self) -> list[list[int]]:
         """Disjoint cycles covering {1..M}, min-rotated, sorted by minimum.

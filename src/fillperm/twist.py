@@ -119,8 +119,10 @@ def twist_group(n: int) -> tuple[Permutation, ...]:
     """Every relabeling kappa^p delta^q h (0 <= p, q < n, h in <eta, mu>),
     8n^2 elements in sorted one-line order."""
     _check_n(n)
+    # every translate table is a product of the generators' tables, so each
+    # element is a bijection by construction and is built unchecked
     elements = {t for row in _slice_table(n) for cell in row for _, t in cell}
-    return tuple(Permutation(t[1 : 4 * n + 1]) for t in sorted(elements))
+    return tuple(Permutation._built(tuple(t[1 : 4 * n + 1])) for t in sorted(elements))
 
 
 def are_equivalent(fp1: FillingPermutation, fp2: FillingPermutation) -> Permutation | None:
@@ -141,7 +143,8 @@ def are_equivalent(fp1: FillingPermutation, fp2: FillingPermutation) -> Permutat
     if least1 != least2:
         return None
     back = bytes.maketrans(to_least2[0], _IDENT)
-    return Permutation(min(u.translate(back) for u in to_least1)[1 : 4 * fp1.n + 1])
+    witness = min(u.translate(back) for u in to_least1)
+    return Permutation._built(tuple(witness[1 : 4 * fp1.n + 1]))
 
 
 def canonical_form(fp: FillingPermutation) -> Permutation:
@@ -149,4 +152,4 @@ def canonical_form(fp: FillingPermutation) -> Permutation:
 
     Equal for two filling permutations exactly when `are_equivalent` succeeds.
     """
-    return Permutation(_least(fp)[0])
+    return Permutation._built(tuple(_least(fp)[0]))

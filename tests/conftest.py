@@ -50,6 +50,17 @@ def perm(text: str, size: int) -> Permutation:
     return Permutation.from_cycle_string(text, size)
 
 
+def assert_as_if_checked(p: Permutation) -> None:
+    """p holds a tuple of ints, and the checked constructor, given its
+    images, builds a permutation equal to it with the same hash; a list or
+    `bytes` held by a builder that skips the check fails here."""
+    imgs = p.one_line()
+    assert type(imgs) is tuple
+    assert all(type(v) is int for v in imgs)
+    checked = Permutation(imgs)
+    assert checked == p and hash(checked) == hash(p)
+
+
 def conjugate_oneline(sigma: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
     """Oracle: the one-line images of t sigma t^-1, one label at a time."""
     out = [0] * len(sigma)

@@ -8,7 +8,7 @@ from hypothesis import given, seed, strategies as st
 from fillperm import CycleParseError, Permutation
 from fillperm.perm import parse_cycle_text
 
-from conftest import ZETA, perm
+from conftest import ZETA, assert_as_if_checked, perm
 
 
 def random_perm(size):
@@ -214,3 +214,51 @@ def test_conjugation_definition(p, t):
     if p.size != t.size:
         return
     assert p.conjugated_by(t) == t * p * t.inverse()
+
+
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda m: st.tuples(random_perm(m), random_perm(m))
+    ),
+    st.integers(-6, 6),
+)
+def test_unchecked_builders_hold_checked_images(pair, k):
+    p, t = pair
+    for built in (
+        p * t,
+        p.inverse(),
+        p.conjugated_by(t),
+        p**k,
+        Permutation.identity(p.size),
+        Permutation.from_cycles(p.cycles(), p.size),
+    ):
+        assert_as_if_checked(built)
+
+
+@given(cycle_lists)
+def test_from_cycles_holds_checked_images(case):
+    size, cycles = case
+    assert_as_if_checked(Permutation.from_cycles(cycles, size))
+
+
+def test_identity_of_size_zero_holds_checked_images():
+    assert_as_if_checked(Permutation.identity(0))
+
+
+class _Symbol:
+    """An integer symbol that is not an int, as a numpy integer is."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_from_cycles_takes_symbols_as_ints():
+    p = Permutation.from_cycles([[_Symbol(1), _Symbol(3)]], 3)
+    assert p == perm("(1,3)", 3)
+    assert_as_if_checked(p)
+    for cycle in ([1.0, 2], ["1", 2]):
+        with pytest.raises(TypeError):
+            Permutation.from_cycles([cycle], 3)

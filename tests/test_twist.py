@@ -21,7 +21,7 @@ from fillperm import (
 
 from fillperm.cli import load_valid
 
-from conftest import conjugate_oneline, perm
+from conftest import FIXTURE_TEXTS, assert_as_if_checked, conjugate_oneline, perm
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 DATA = Path(__file__).resolve().parent / "data"
@@ -156,6 +156,24 @@ def test_elements_preserve_or_swap_parity_classes(n):
             {(0, 0), (1, 1)},  # preserves curve roles
             {(0, 1), (1, 0)},  # swaps curve roles
         )
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_twist_group_elements_hold_checked_images(n):
+    for t in twist_group(n):
+        assert_as_if_checked(t)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_TEXTS))
+def test_canonical_form_and_witness_hold_checked_images(name, request):
+    fp = request.getfixturevalue(name)
+    assert_as_if_checked(canonical_form(fp))
+    group = twist_group(fp.n)
+    for t in (group[0], group[len(group) // 2], group[-1]):
+        relabeled = validate(fp.sigma.conjugated_by(t), fp.n)
+        witness = are_equivalent(fp, relabeled)
+        assert_as_if_checked(witness)
+        assert fp.sigma.conjugated_by(witness) == relabeled.sigma
 
 
 def test_bound_checks():
