@@ -33,7 +33,9 @@ class Permutation:
     Images that nothing proves a bijection keep the checked constructor:
     `surgery.assemble`'s splice, whose refusal is a `CaseGap` guard;
     `filling._arc_map`, whose moves are arbitrary callables; census
-    representatives; and anything read from a file or given by a caller.
+    representatives, read back from their keys; and one-line images given
+    by a caller.  Cycle text, from a file or a caller, reaches `_built`
+    only through `from_cycles`' own checks on every symbol.
     """
 
     __slots__ = ("_imgs",)
@@ -79,7 +81,8 @@ class Permutation:
         imgs = list(range(size + 1))
         inv = list(range(size + 1))
         for cycle in cycles:
-            # only ints reach the images: operator.index refuses a float
+            # operator.index refuses a float and makes an int of any other
+            # integer type, so only ints reach the images
             cyc = list(map(operator.index, cycle))
             if not cyc:
                 continue

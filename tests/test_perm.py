@@ -70,7 +70,9 @@ def test_from_cycles_is_the_leftmost_first_product(case):
     product = Permutation.identity(size)
     for cycle in cycles:
         product = _cycle(cycle, size) * product
-    assert Permutation.from_cycles(cycles, size) == product
+    built = Permutation.from_cycles(cycles, size)
+    assert built == product
+    assert_as_if_checked(built)
 
 
 @pytest.mark.parametrize(
@@ -233,16 +235,6 @@ def test_unchecked_builders_hold_checked_images(pair, k):
         Permutation.from_cycles(p.cycles(), p.size),
     ):
         assert_as_if_checked(built)
-
-
-@given(cycle_lists)
-def test_from_cycles_holds_checked_images(case):
-    size, cycles = case
-    assert_as_if_checked(Permutation.from_cycles(cycles, size))
-
-
-def test_identity_of_size_zero_holds_checked_images():
-    assert_as_if_checked(Permutation.identity(0))
 
 
 class _Symbol:
