@@ -8,8 +8,6 @@ from .filling import (
     FillingPermutation,
     SizeNotMultipleOf4,
     ZType,
-    big_q,
-    is_valid,
     opposite,
     tau,
     validate,
@@ -39,7 +37,6 @@ from .surgery import (
 from .census import (
     CensusRecord,
     census_records,
-    count_orbits,
     enumerate_filling,
     read_census,
     upper_bound,

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .filling import opposite, tau, validate
 from .perm import Permutation
-# perfbench/tracing.py wraps census.find_decompositions by name
+# perfbench/tracing.py wraps census.find_decompositions; see tests/test_perfbench_surface.py
 from .surgery import _decomposes, find_decompositions  # noqa: F401
 from .twist import _check_n, _slice_conjugates
 
@@ -239,14 +239,6 @@ def census_records(n: int, single_cycle: bool = True) -> tuple[int, list[CensusR
             )
         )
     return total, records
-
-
-def count_orbits(n: int) -> tuple[int, list[CensusRecord]]:
-    """Number of relabeling classes among minimal (single-region) solutions."""
-    if n % 2 == 0:
-        raise ValueError("minimal pairs have odd crossing count (n = 2g-1)")
-    _, records = census_records(n, single_cycle=True)
-    return len(records), records
 
 
 def write_census(records: list[CensusRecord], path: str | Path) -> None:

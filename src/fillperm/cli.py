@@ -25,7 +25,7 @@ from .surgery import (
     assemble,
     attachment_site,
     decomposition_at,
-    disassemble,  # noqa: F401  (perfbench/tracing.py wraps cli.disassemble by name)
+    disassemble,  # noqa: F401  (wrapped by perfbench; tests/test_perfbench_surface.py)
     extract,
     find_decompositions,
     round_trip_check,

@@ -41,14 +41,6 @@ class EquationViolation(FillingError):
         self.symbol = symbol
 
 
-def big_q(n: int) -> Permutation:
-    """The 4n-cycle shifting every label forward by one."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    m = 4 * n
-    return Permutation(tuple(e % m + 1 for e in range(1, m + 1)))
-
-
 def _arc_of(label: int, n: int) -> tuple[int, bool, bool]:
     """(arc, even, negative) of a label 1..4n on a pair with n crossings."""
     negative = label > 2 * n
@@ -267,10 +259,3 @@ def validate(sigma: Permutation, n: int | None = None) -> FillingPermutation:
     """
     return FillingPermutation(sigma, sigma.size // 4 if n is None else n)
 
-
-def is_valid(sigma: Permutation, n: int | None = None) -> bool:
-    try:
-        validate(sigma, n)
-        return True
-    except FillingError:
-        return False

@@ -7,7 +7,6 @@ census) is built on the `Permutation` class defined here.  Symbols are always
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from itertools import takewhile
@@ -27,9 +26,9 @@ class Permutation:
 
     `Permutation(images)` checks every image.  The builders whose output is
     a bijection because their inputs are skip that check through `_built`:
-    `identity`, `__mul__`, `inverse`, `conjugated_by` (and so `__pow__`),
-    `from_cycles` after its own symbol checks, and, in `twist`, the
-    relabeling group, the `are_equivalent` witness and `canonical_form`.
+    `__mul__`, `inverse`, `conjugated_by`, `__pow__`, `from_cycles` after
+    its own symbol checks, and, in `twist`, the relabeling group, the
+    `are_equivalent` witness and `canonical_form`.
     Images that nothing proves a bijection keep the checked constructor:
     `surgery.assemble`'s splice, whose refusal is a `CaseGap` guard;
     `filling._arc_map`, whose moves are arbitrary callables; census
@@ -63,12 +62,6 @@ class Permutation:
         return p
 
     @classmethod
-    def identity(cls, size: int) -> "Permutation":
-        if size < 0:
-            raise ValueError("size must be nonnegative")
-        return cls._built(tuple(range(1, size + 1)))
-
-    @classmethod
     def from_cycles(cls, cycles: Iterable[Sequence[int]], size: int) -> "Permutation":
         """Product of cycles, leftmost cycle applied first.
 
@@ -76,6 +69,8 @@ class Permutation:
         immaterial.  Entries must be distinct within each cycle and lie in
         {1..size}.
         """
+        if size < 0:
+            raise ValueError("size must be nonnegative")
         # the product so far and its inverse, index 0 unused: a cycle applied
         # after it moves only the images its symbols are
         imgs = list(range(size + 1))
@@ -133,7 +128,7 @@ class Permutation:
         """k-fold composition; negative k gives powers of the inverse."""
         base = self if k >= 0 else self.inverse()
         k = abs(k)
-        result = Permutation.identity(self.size)
+        result = Permutation._built(tuple(range(1, self.size + 1)))
         while k:
             if k & 1:
                 result = base * result
@@ -169,15 +164,6 @@ class Permutation:
                 e = self._imgs[e - 1]
             out.append(cyc)
         return out
-
-    def num_cycles(self) -> int:
-        return len(self.cycles())
-
-    def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles()))
-
-    def is_identity(self) -> bool:
-        return all(v == e for e, v in enumerate(self._imgs, start=1))
 
     def cycle_string(self) -> str:
         """Canonical cycle notation; fixed points omitted, identity is "()"."""

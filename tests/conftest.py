@@ -1,13 +1,15 @@
-"""Shared fixtures: the worked filling permutations used across the suite, and
-the geometric separation check that the witness rule is tested against."""
+"""Shared fixtures: the worked filling permutations used across the suite,
+small permutation and filling oracles, and the geometric separation check
+that the witness rule is tested against."""
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 
 import pytest
 
-from fillperm import Permutation, opposite, validate
+from fillperm import FillingError, Permutation, opposite, validate
 
 # genus-2 piece with 6 crossings (two octagons, two rectangles)
 ZETA = "(1,10,15,20,17,22,3,12)(24,5,18,11)(23,16,9,6,7,4,21,14)(2,19,8,13)"
@@ -48,6 +50,29 @@ FIXTURE_TEXTS = {
 
 def perm(text: str, size: int) -> Permutation:
     return Permutation.from_cycle_string(text, size)
+
+
+def identity(m: int) -> Permutation:
+    return Permutation(range(1, m + 1))
+
+
+def opp_shift(n: int) -> Permutation:
+    """Oracle: Q^N, N = 2n, where Q is the 4n-cycle shifting every label
+    forward by one; Q^N sends each label to the reversed copy of its arc."""
+    m = 4 * n
+    return Permutation([e % m + 1 for e in range(1, m + 1)]) ** (2 * n)
+
+
+def is_valid(sigma: Permutation, n: int | None = None) -> bool:
+    try:
+        validate(sigma, n)
+    except FillingError:
+        return False
+    return True
+
+
+def order(p: Permutation) -> int:
+    return math.lcm(*(len(c) for c in p.cycles()))
 
 
 def assert_as_if_checked(p: Permutation) -> None:

@@ -21,13 +21,11 @@ from fillperm import (
     are_equivalent,
     assemble,
     AttachmentSite,
-    big_q,
-    count_orbits,
+    census_records,
     disassemble,
     enumerate_filling,
     find_decompositions,
     generators,
-    is_valid,
     round_trip_check,
     tau,
     twist_group,
@@ -35,7 +33,15 @@ from fillperm import (
     validate,
 )
 
-from conftest import FIXTURE_TEXTS, SIGMA_PRIME, perm, reference_separating
+from conftest import (
+    FIXTURE_TEXTS,
+    SIGMA_PRIME,
+    identity,
+    is_valid,
+    opp_shift,
+    perm,
+    reference_separating,
+)
 
 
 def report(criterion: str, ok: bool, elapsed: float, detail: str = "") -> None:
@@ -189,9 +195,9 @@ def test_criterion_6_single_delta_step_as_stated(sigma_f6):
 def test_criterion_7_census():
     t0 = time.perf_counter()
     n1 = enumerate_filling(1, single_cycle=True)
-    n1_orbits, _ = count_orbits(1)
+    n1_orbits = len(census_records(1, single_cycle=True)[1])
     n3 = enumerate_filling(3, single_cycle=True)
-    n5_orbits, records = count_orbits(5)
+    n5_orbits = len(census_records(5, single_cycle=True)[1])
     solutions = {Permutation(p).one_line() for p in enumerate_filling(5, single_cycle=True)}
     closed = all(
         Permutation(one).conjugated_by(g).one_line() in solutions
@@ -228,14 +234,14 @@ def test_criterion_8_property_suites(zeta, sigma_f, sigma_f6, f4, f1):
     pool += [validate(Permutation(p), 2) for p in enumerate_filling(2, single_cycle=False)]
     pool += [validate(Permutation(p), 3) for p in enumerate_filling(3, single_cycle=False)]
     for fp in pool:
-        q_n = big_q(fp.n) ** (2 * fp.n)
-        if not ((q_n * fp.sigma) ** 4).is_identity():
+        q_n = opp_shift(fp.n)
+        if (q_n * fp.sigma) ** 4 != identity(4 * fp.n):
             failures.append(f"left-turn order at {fp!r}")
         cases += 1
 
     # tau and the opposite shift anticommute
     for n in range(1, 13):
-        q_n = big_q(n) ** (2 * n)
+        q_n = opp_shift(n)
         if tau(n) * q_n != q_n * tau(n).inverse():
             failures.append(f"anticommutation at n={n}")
         cases += 1

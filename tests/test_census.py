@@ -18,13 +18,10 @@ from fillperm import (
     BoundExceeded,
     CensusRecord,
     Permutation,
-    big_q,
     canonical_form,
     census_records,
-    count_orbits,
     enumerate_filling,
     generators,
-    is_valid,
     opposite,
     read_census,
     tau,
@@ -37,7 +34,7 @@ from fillperm.census import _crossing_blocks
 from fillperm.surgery import find_decompositions
 from fillperm.twist import _slice_conjugates, _slice_table
 
-from conftest import conjugate_oneline
+from conftest import conjugate_oneline, is_valid, opp_shift
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 DATA = Path(__file__).resolve().parent / "data"
@@ -50,7 +47,7 @@ def brute_force_solutions(n):
     """
     m = 4 * n
     t = tau(n)
-    q_n = big_q(n) ** (2 * n)
+    q_n = opp_shift(n)
     out = []
     for images in itertools.permutations(range(1, m + 1)):
         if any((img - e - 1) % 2 for e, img in enumerate(images, start=1)):
@@ -98,7 +95,7 @@ def test_enumerate_n5_nonempty_and_valid():
     assert len(sols) == 600
     for p in map(Permutation, sols[::37]):
         assert is_valid(p, 5)
-        assert p.num_cycles() == 1
+        assert len(p.cycles()) == 1
 
 
 def test_enumerate_leaves_no_cyclic_garbage():
@@ -345,8 +342,7 @@ def test_sweep_conjugates_by_two_translates():
 
 
 def test_count_orbits_n1():
-    total, records = count_orbits(1)
-    assert total == 1
+    _, records = census_records(1, single_cycle=True)
     assert len(records) == 1
     assert records[0].orbit_size_raw == 2
     assert records[0].genus == 1
@@ -354,19 +350,13 @@ def test_count_orbits_n1():
 
 
 def test_count_orbits_n3():
-    total, records = count_orbits(3)
-    assert total == 0 and records == []
-
-
-def test_count_orbits_requires_odd_n():
-    with pytest.raises(ValueError):
-        count_orbits(4)
+    assert census_records(3, single_cycle=True) == (0, [])
 
 
 def test_count_orbits_n5():
-    total, records = count_orbits(5)
-    assert 1 <= total <= upper_bound(3)
-    assert total == 5
+    _, records = census_records(5, single_cycle=True)
+    assert 1 <= len(records) <= upper_bound(3)
+    assert len(records) == 5
     assert sum(r.orbit_size_raw for r in records) == 600
     assert all(r.genus == 3 and r.c == 1 for r in records)
     # every genus-3 minimal pair splits off a genus-2 piece
@@ -398,7 +388,7 @@ def test_upper_bound_monotone():
 
 
 def test_census_round_trip(tmp_path):
-    _, records = count_orbits(5)
+    _, records = census_records(5, single_cycle=True)
     path = tmp_path / "n5.census"
     write_census(records, path)
     assert read_census(path) == records
@@ -410,7 +400,7 @@ def test_census_round_trip(tmp_path):
 
 
 def test_census_canonical_forms_validate():
-    _, records = count_orbits(5)
+    _, records = census_records(5, single_cycle=True)
     for rec in records:
         assert is_valid(Permutation(rec.canonical_form), 5)
 

@@ -14,7 +14,6 @@ from fillperm import (
     Permutation,
     SizeNotMultipleOf4,
     ZType,
-    big_q,
     opposite,
     tau,
     validate,
@@ -22,7 +21,7 @@ from fillperm import (
 from fillperm.cli import read_filling_file
 from fillperm.filling import _arc_of, _label_of, _opp_tau
 
-from conftest import perm
+from conftest import identity, opp_shift, order, perm
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -38,16 +37,8 @@ def naive_vertex_orbit(sigma, n, e):
             return orbit
 
 
-def test_big_q_small():
-    assert big_q(1) == perm("(1,2,3,4)", 4)
-    q6 = big_q(6)
-    assert all(q6(e) == e + 1 for e in range(1, 24))
-    assert q6(24) == 1
-    assert big_q(3) ** 12 == Permutation.identity(12)
-
-
 def test_tau_n1_is_identity():
-    assert tau(1) == Permutation.identity(4)
+    assert tau(1) == identity(4)
 
 
 def test_tau_n6_printed_form():
@@ -76,7 +67,7 @@ def test_tau_matches_cycle_construction(n):
 @pytest.mark.parametrize("n", range(1, 17))
 def test_opp_tau_matches_composition(n):
     # opp o tau^s, index 0 unused, for every power up to a full lap 2n
-    opp = big_q(n) ** (2 * n)
+    opp = opp_shift(n)
     for s in range(2 * n + 1):
         table = _opp_tau(n, s)
         assert table == (0, *(opp * tau(n) ** s).one_line())
@@ -93,12 +84,12 @@ def test_tau_refuses_n_below_1():
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_tau_order(n):
-    assert tau(n).order() == n
+    assert order(tau(n)) == n
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_tau_anticommutes_with_opposite_shift(n):
-    q_n = big_q(n) ** (2 * n)
+    q_n = opp_shift(n)
     t = tau(n)
     assert t * q_n == q_n * t.inverse()
 
@@ -132,7 +123,7 @@ def test_validate_equation_violation():
 
 def test_validate_size_not_multiple_of_4():
     with pytest.raises(SizeNotMultipleOf4):
-        validate(Permutation.identity(6))
+        validate(identity(6))
 
 
 def test_validate_inconsistent_n():
@@ -141,7 +132,7 @@ def test_validate_inconsistent_n():
 
 
 @pytest.mark.parametrize("sigma, n, error, message", [
-    (Permutation.identity(6), 1, SizeNotMultipleOf4, "permutation size 6 is not a multiple of 4"),
+    (identity(6), 1, SizeNotMultipleOf4, "permutation size 6 is not a multiple of 4"),
     (perm("(1,2,3,4)", 4), 2, FillingError, "n=2 inconsistent with permutation size 4"),
     (perm("(1,3,2,4)", 4), 1, AlternationViolation,
      "cycle entries do not alternate parity at symbol 1"),
@@ -295,10 +286,9 @@ def test_surface_info(zeta):
 def test_left_turn_map_has_order_four(name, request):
     fp = request.getfixturevalue(name)
     n = fp.n
-    q_n = big_q(n) ** (2 * n)
-    left = q_n * fp.sigma
-    assert left**4 == Permutation.identity(4 * n)
-    assert not (left**2).is_identity()
+    left = opp_shift(n) * fp.sigma
+    assert left**4 == identity(4 * n)
+    assert left**2 != identity(4 * n)
 
 
 @pytest.mark.parametrize("name", ["zeta", "sigma_z", "sigma_f", "sigma_f6", "f4", "zeta_prime", "z5"])

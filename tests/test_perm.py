@@ -8,7 +8,7 @@ from hypothesis import given, seed, strategies as st
 from fillperm import CycleParseError, Permutation
 from fillperm.perm import parse_cycle_text
 
-from conftest import ZETA, assert_as_if_checked, perm
+from conftest import ZETA, assert_as_if_checked, identity, order, perm
 
 
 def random_perm(size):
@@ -24,8 +24,8 @@ def test_parse_four_cycle():
 
 
 def test_parse_empty_is_identity():
-    assert perm("", 4) == Permutation.identity(4)
-    assert perm("()", 4) == Permutation.identity(4)
+    assert perm("", 4) == identity(4)
+    assert perm("()", 4) == identity(4)
 
 
 def test_parse_zeta_spot_values():
@@ -67,7 +67,7 @@ def test_from_cycles_is_the_leftmost_first_product(case):
     # the reference: each cycle as its own permutation, composed so that the
     # leftmost acts first; the cycles may overlap
     size, cycles = case
-    product = Permutation.identity(size)
+    product = identity(size)
     for cycle in cycles:
         product = _cycle(cycle, size) * product
     built = Permutation.from_cycles(cycles, size)
@@ -113,8 +113,8 @@ def test_parse_errors_report_position(text, message_part, position):
 
 def test_compose_identity_law():
     z = perm(ZETA, 24)
-    assert Permutation.identity(24) * z == z
-    assert z * z.inverse() == Permutation.identity(24)
+    assert identity(24) * z == z
+    assert z * z.inverse() == identity(24)
 
 
 def test_compose_q_squared():
@@ -139,13 +139,13 @@ def test_inverse_zeta_first_cycle():
 def test_power_shift():
     q = perm("(1,2,3,4)", 4)
     assert q**2 == perm("(1,3)(2,4)", 4)
-    assert q**0 == Permutation.identity(4)
+    assert q**0 == identity(4)
     assert q**-1 == q.inverse()
-    assert q ** q.order() == Permutation.identity(4)
+    assert q ** order(q) == identity(4)
 
 
 def test_cycles_of_identity():
-    assert Permutation.identity(4).cycles() == [[1], [2], [3], [4]]
+    assert identity(4).cycles() == [[1], [2], [3], [4]]
 
 
 def test_cycles_of_zeta_lengths():
@@ -154,7 +154,7 @@ def test_cycles_of_zeta_lengths():
 
 
 def test_format_identity():
-    assert Permutation.identity(6).cycle_string() == "()"
+    assert identity(6).cycle_string() == "()"
 
 
 def test_format_four_cycle():
@@ -194,7 +194,7 @@ def test_compose_associative(triple):
 
 @given(perms)
 def test_inverse_two_sided(p):
-    ident = Permutation.identity(p.size)
+    ident = identity(p.size)
     assert p * p.inverse() == ident
     assert p.inverse() * p == ident
 
@@ -231,7 +231,6 @@ def test_unchecked_builders_hold_checked_images(pair, k):
         p.inverse(),
         p.conjugated_by(t),
         p**k,
-        Permutation.identity(p.size),
         Permutation.from_cycles(p.cycles(), p.size),
     ):
         assert_as_if_checked(built)
@@ -254,3 +253,11 @@ def test_from_cycles_takes_symbols_as_ints():
     for cycle in ([1.0, 2], ["1", 2]):
         with pytest.raises(TypeError):
             Permutation.from_cycles([cycle], 3)
+
+
+def test_negative_size_refused():
+    # both once gave a size-0 permutation
+    with pytest.raises(ValueError, match=r"^size must be nonnegative$"):
+        Permutation.from_cycles([], -3)
+    with pytest.raises(ValueError, match=r"^size must be nonnegative$"):
+        Permutation.from_cycle_string("()", -2)

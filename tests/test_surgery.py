@@ -17,7 +17,6 @@ from fillperm import (
     SurgeryError,
     assemble,
     attachment_site,
-    big_q,
     decomposition_at,
     disassemble,
     enumerate_filling,
@@ -43,7 +42,7 @@ from fillperm.surgery import (
 )
 from fillperm.filling import FillingPermutation, ZType, _arc_of, _label_of
 
-from conftest import SIGMA_PRIME, ChordsCross, perm, reference_separating
+from conftest import SIGMA_PRIME, ChordsCross, identity, opp_shift, perm, reference_separating
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 DATA = Path(__file__).resolve().parent / "data"
@@ -857,14 +856,14 @@ def test_decomposition_soundness(sigma_f6, sigma_f):
 def test_anchor_involution_property(sigma_f6, sigma_f):
     for fp in (sigma_f6, sigma_f):
         n = fp.n
-        q_n = big_q(n) ** (2 * n)
+        q_n = opp_shift(n)
         tables = _CycleTables(fp)
         for k in range(1, fp.genus()):
             flip = q_n * tau(n) ** (2 * k + 1)
             assert tables.flip(k) == (0, *flip.one_line())
         for dec in find_decompositions(fp):
             flip = q_n * tau(n) ** (2 * dec.k + 1)
-            assert (flip * flip).is_identity()
+            assert flip * flip == identity(4 * n)
             assert flip(dec.x) == dec.y and flip(dec.y) == dec.x
             assert flip(dec.a) == dec.b and flip(dec.b) == dec.a
             if dec.k == fp.genus() - 1:
