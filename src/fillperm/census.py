@@ -11,10 +11,17 @@ cycle that closes early.  The search joins a block's four arrows one at a
 time in straight-line code, undoing each join from the two path ends it
 saved.
 
-The census enumerates only the slice S = {sigma : sigma(1) in {2, 2n+2}}.
-Conjugating by delta fixes label 1 and cycles the even labels in two n-cycles,
-so it moves sigma(1) around its cycle; delta acts freely, S holds exactly one
-sigma per delta-orbit, and the full solution set has n * |S| members.
+The census enumerates only the slice S = {sigma : sigma(1) = 2}.  The
+relabelings that fix label 1 form the group <delta, R> of order 8n^2 / 4n =
+2n, where R = surgery._reverse_second(n) = delta^-1 mu eta mu reverses the
+second curve.  Both generators fix every odd label; delta cycles the plain
+and the reversed even labels in two n-cycles and R swaps the two halves, so
+<delta, R> acts freely and transitively on the 2n even labels.  Conjugating
+by its element s sends the head sigma(1) to s(sigma(1)), so each orbit of
+<delta, R> on the solutions holds exactly one member of S: an orbit of the
+relabeling group has 2n times as many members as it has in S, and the full
+solution set has 2n * |S|.  S holds each orbit's least conjugate, since 2 is
+the least head a conjugate can have.
 """
 
 from __future__ import annotations
@@ -85,8 +92,9 @@ def enumerate_filling(
     the path ends s_i, t_i it rewrote and undone in reverse from them, and
     an arrow that closes a cycle prunes the branch, except the 4th arrow of
     the block that covers the last labels, which is kept without its join.
-    `symmetry_reduced` restricts the first image of 1 to {2, 2n+2}: one
-    sigma per delta-orbit, and the full set has n times as many members.
+    `symmetry_reduced` restricts the first image of 1 to 2: one sigma per
+    orbit of <delta, R>, the relabelings that fix label 1, and the full set
+    has 2n times as many members.
     Labels must fit a byte: n outside 1..twist.BYTE_MAX_N raises BoundExceeded.
     """
     _check_n(n)
@@ -94,9 +102,9 @@ def enumerate_filling(
     full = (1 << m) - 1
     rows = _crossing_blocks(n)
     if symmetry_reduced:
-        # label 1 is the lowest label, so only the root reads row 1
-        first = tuple(b for b in rows[1] if b[1][0][1] in (2, 2 * n + 2))
-        rows = (rows[0], first, *rows[2:])
+        # label 1 is the lowest label, so only the root reads row 1, whose
+        # first block is sigma(1) = 2
+        rows = (rows[0], rows[1][:1], *rows[2:])
     sigma = bytearray(m)
     start_of = list(range(m + 1))  # start of the open path ending at label
     end_of = list(range(m + 1))  # end of the open path starting at label
@@ -194,23 +202,27 @@ def census_records(n: int, single_cycle: bool = True) -> tuple[int, list[CensusR
     """Enumerate, group into relabeling orbits, and describe each orbit.
 
     Returns (number of raw solutions, per-orbit records sorted by canonical
-    form).  Only the slice S (one sigma per delta-orbit) is enumerated, so
-    the raw count is n * |S|.  The enumeration's bytes are the sweep's keys,
-    so n outside 1..twist.BYTE_MAX_N, the only bound on n, raises BoundExceeded
-    from `enumerate_filling` before it searches; `fillperm census` also bounds
+    form).  Only the slice S = {sigma : sigma(1) = 2} is enumerated.  The
+    relabelings that fix label 1 form <delta, R> (R reverses the second
+    curve), of order 2n, and it permutes the 2n even labels freely and
+    transitively, so it moves a head sigma(1) onto 2 in exactly one way: S
+    holds one sigma per orbit of <delta, R>, and the raw count is 2n * |S|.
+    The enumeration's bytes are the sweep's keys, so n outside
+    1..twist.BYTE_MAX_N, the only bound on n, raises BoundExceeded from
+    `enumerate_filling` before it searches; `fillperm census` also bounds
     the run length.
     Each orbit is swept once, from its first unclassified member, by its
     slice conjugates (`twist._slice_conjugates`), the conjugates t sigma
     t^-1 that land in S.  Every such conjugate must itself be an enumerated
     solution: a solution set not closed under relabeling raises
-    RuntimeError.  An orbit has n times as many members as it has in S.
+    RuntimeError.  An orbit has 2n times as many members as it has in S.
     The decomposable flag is computed on each orbit representative (only
     minimal representatives can decompose) as a first hit: the
     decomposition search stops at its first witness, trying a torus
     remainder first, instead of listing them all.
     """
     unseen = set(enumerate_filling(n, single_cycle, symmetry_reduced=True))
-    total = n * len(unseen)
+    total = 2 * n * len(unseen)
     orbits: list[tuple[bytes, int]] = []  # (least conjugate, orbit size)
     for one in list(unseen):
         if one not in unseen:
@@ -223,7 +235,7 @@ def census_records(n: int, single_cycle: bool = True) -> tuple[int, list[CensusR
                 f"{missing} is a conjugate of the solution {tuple(one)} but was not enumerated"
             )
         unseen -= in_slice
-        orbits.append((min(in_slice), n * len(in_slice)))
+        orbits.append((min(in_slice), 2 * n * len(in_slice)))
     records = []
     for key, size in sorted(orbits):
         canon = tuple(key)

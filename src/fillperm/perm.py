@@ -94,6 +94,9 @@ class Permutation:
 
     @classmethod
     def from_cycle_string(cls, text: str, size: int) -> "Permutation":
+        # the parser checks symbols against the size, so refuse a bad size first
+        if size < 0:
+            raise ValueError("size must be nonnegative")
         return cls.from_cycles(parse_cycle_text(text, size), size)
 
     @property

@@ -56,10 +56,16 @@ def generators(n: int) -> tuple[Permutation, Permutation, Permutation, Permutati
 
 
 @lru_cache(maxsize=None)
-def _slice_table(n: int) -> tuple[tuple[tuple[tuple[bytes, bytes], ...], ...], ...]:
-    """The relabeling group as cells: cell [x - 1][y] holds every t with
-    t^-1(1) = x and y in {t^-1(2), t^-1(2n+2)}, as the pair (one-line bytes
-    of t^-1, t as a 256-byte translate table), so each t is filed twice.
+def _slice_table(n: int) -> tuple[tuple[tuple[bytes, bytes] | None, ...], ...]:
+    """The relabeling group as cells: cell [x - 1][y] holds the one t with
+    t^-1(1) = x and t^-1(2) = y, as the pair (one-line bytes of t^-1, t as
+    a 256-byte translate table), so each t is filed once; a cell whose y has
+    the parity of x (or is 0) holds None.
+
+    The t with t(x) = 1 form one coset of the stabilizer of label 1, which
+    is <delta, R> (R = surgery._reverse_second(n)) of order 2n and permutes
+    the 2n even labels freely and transitively, so t^-1(2) takes each of
+    the 2n labels of the other parity once.
 
     Built from the closed form on translate tables, where s o t is
     `t.translate(s)` and t^-1 is `bytes.maketrans(t, identity)`.  kappa and
@@ -74,7 +80,7 @@ def _slice_table(n: int) -> tuple[tuple[tuple[tuple[bytes, bytes], ...], ...], .
     for _ in range(4):
         dihedral += [rotation, eta.translate(rotation)]
         rotation = rotation.translate(mu.translate(eta))
-    table = [[[] for _ in range(m + 1)] for _ in range(m)]
+    table = [[None] * (m + 1) for _ in range(m)]
     kappa_p = _IDENT
     for _ in range(n):
         shift = kappa_p
@@ -82,28 +88,26 @@ def _slice_table(n: int) -> tuple[tuple[tuple[tuple[bytes, bytes], ...], ...], .
             for h in dihedral:
                 t = h.translate(shift)
                 inv = bytes.maketrans(t, _IDENT)
-                kernel = (inv[1 : m + 1], t)
-                row = table[inv[1] - 1]
-                row[inv[2]].append(kernel)
-                row[inv[2 * n + 2]].append(kernel)
+                table[inv[1] - 1][inv[2]] = (inv[1 : m + 1], t)
             shift = shift.translate(delta)
         kappa_p = kappa_p.translate(kappa)
-    return tuple(tuple(map(tuple, row)) for row in table)
+    return tuple(map(tuple, table))
 
 
 def _slice_conjugates(one: bytes) -> list[tuple[bytes, bytes]]:
-    """(t sigma t^-1, t) for the 8n relabelings t that carry sigma, given by
-    its one-line bytes, into the slice S = {sigma : sigma(1) in {2, 2n+2}}.
+    """(t sigma t^-1, t) for the 4n relabelings t that carry sigma, given by
+    its one-line bytes, into the slice S = {sigma : sigma(1) = 2}: for each
+    label x, the t with t(x) = 1 and t(sigma(x)) = 2.
 
     The head of t sigma t^-1 is t(sigma(t^-1(1))), so these t are the cells
-    (x, sigma(x)) of `_slice_table`.  Conjugating by delta fixes 1 and moves
-    an even head around its n-cycle, so the least conjugate lies in S.
+    (x, sigma(x)) of `_slice_table`.  The least conjugate has head 2, the
+    least head a conjugate can have, so every t that carries sigma to it is
+    among them.
     """
     at = b"\0" + one + bytes(255 - len(one))
     return [
         (inv.translate(at).translate(t), t)
-        for row, y in zip(_slice_table(len(one) // 4), one)
-        for inv, t in row[y]
+        for inv, t in map(tuple.__getitem__, _slice_table(len(one) // 4), one)
     ]
 
 
@@ -121,8 +125,8 @@ def twist_group(n: int) -> tuple[Permutation, ...]:
     _check_n(n)
     # every translate table is a product of the generators' tables, so each
     # element is a bijection by construction and is built unchecked
-    elements = {t for row in _slice_table(n) for cell in row for _, t in cell}
-    return tuple(Permutation._built(tuple(t[1 : 4 * n + 1])) for t in sorted(elements))
+    elements = sorted(cell[1] for row in _slice_table(n) for cell in row if cell)
+    return tuple(Permutation._built(tuple(t[1 : 4 * n + 1])) for t in elements)
 
 
 def are_equivalent(fp1: FillingPermutation, fp2: FillingPermutation) -> Permutation | None:

@@ -31,7 +31,7 @@ from fillperm import (
     write_census,
 )
 from fillperm.census import _crossing_blocks
-from fillperm.surgery import find_decompositions
+from fillperm.surgery import _reverse_second, find_decompositions
 from fillperm.twist import _slice_conjugates, _slice_table
 
 from conftest import conjugate_oneline, is_valid, opp_shift
@@ -131,7 +131,6 @@ def propagation_enumeration(n, single_cycle, symmetry_reduced):
     sigma(opp f) = tau e and sigma(tau^-1 f) = opp e, which are propagated
     to a fixpoint; single-cycle mode rejects a cycle that closes early."""
     m = 4 * n
-    two_n = 2 * n
     # 1-based arrays; index 0 unused
     tau_arr = [0, *tau(n).one_line()]
     tau_inv = [0] * (m + 1)
@@ -194,7 +193,7 @@ def propagation_enumeration(n, single_cycle, symmetry_reduced):
             return
         e = next(e for e in range(1, m + 1) if not sigma[e])
         if symmetry_reduced and assigned == 0 and e == 1:
-            candidates = [2, two_n + 2]
+            candidates = [2]
         else:
             first = 2 if e % 2 == 1 else 1
             candidates = [f for f in range(first, m + 1, 2) if not preimage[f]]
@@ -302,20 +301,25 @@ def test_census_refuses_labels_beyond_a_byte(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_sweep_kernels_file_each_relabeling_under_its_two_heads(n):
+    # the two heads of t are t^-1(1) and t^-1(2); a cell is empty exactly
+    # when its y is 0 or has the parity of its x
     m = 4 * n
     table = _slice_table(n)
     assert len(table) == m and all(len(row) == m + 1 for row in table)
     cells = {}
     for x, row in enumerate(table, start=1):
         for y, cell in enumerate(row):
-            for inv, t0 in cell:
-                assert len(t0) == 256 and t0[0] == 0
-                cells.setdefault((inv, t0[1 : m + 1]), []).append((x, y))
+            if y == 0 or (x - y) % 2 == 0:
+                assert cell is None
+                continue
+            inv, t0 = cell
+            assert len(t0) == 256 and t0[0] == 0
+            cells.setdefault((inv, t0[1 : m + 1]), []).append((x, y))
     assert len(cells) == 8 * n * n
     assert sorted(tuple(t) for _, t in cells) == [t.one_line() for t in twist_group(n)]
     for (inv, t), found in cells.items():
         assert [t[x - 1] for x in inv] == list(range(1, m + 1))  # inv is t^-1
-        assert sorted(found) == sorted([(inv[0], inv[1]), (inv[0], inv[2 * n + 1])])
+        assert found == [(inv[0], inv[1])]
 
 
 def test_sweep_conjugates_by_two_translates():
@@ -323,8 +327,10 @@ def test_sweep_conjugates_by_two_translates():
     # and the slice conjugates of sigma are exactly the conjugates in the slice
     n = 5
     kernels = [
-        (inv, t0, tuple(t0[1 : 4 * n + 1]))
-        for inv, t0 in {k for row in _slice_table(n) for cell in row for k in cell}
+        (*cell, tuple(cell[1][1 : 4 * n + 1]))
+        for row in _slice_table(n)
+        for cell in row
+        if cell is not None
     ]
     assert len(kernels) == 8 * n * n
     pad = bytes(255 - 4 * n)
@@ -334,10 +340,10 @@ def test_sweep_conjugates_by_two_translates():
         for inv, t0, t in kernels:
             conjugate = conjugate_oneline(sigma, t)
             assert tuple(inv.translate(at).translate(t0)) == conjugate
-            if conjugate[0] in (2, 2 * n + 2):
+            if conjugate[0] == 2:
                 in_slice.append((conjugate, t))
         found = [(tuple(c), tuple(t0[1 : 4 * n + 1])) for c, t0 in _slice_conjugates(bytes(sigma))]
-        assert len(found) == 8 * n
+        assert len(found) == 4 * n
         assert sorted(found) == sorted(in_slice)
 
 
@@ -494,7 +500,7 @@ def test_orbit_size_times_stabilizer_is_group_order(path, stabilizers):
 def test_census_rejects_solutions_not_closed_under_relabeling(monkeypatch):
     # drop each of the slice's solutions in turn
     reduced = enumerate_filling(5, single_cycle=True, symmetry_reduced=True)
-    assert len(reduced) == 120
+    assert len(reduced) == 60
     for i in range(len(reduced)):
         kept = reduced[:i] + reduced[i + 1:]
         monkeypatch.setattr(fillperm.census, "enumerate_filling", lambda *a, **kw: kept)
@@ -545,9 +551,13 @@ def test_slice_census_matches_full_sweep(n, single_cycle):
     [(n, False) for n in range(1, 7)] + [(n, True) for n in range(1, 6)],
 )
 def test_delta_saturation_of_slice_is_full_set(n, single_cycle):
+    # saturated by the 2n relabelings that fix label 1: <delta, R>, where R
+    # reverses the second curve
     full = enumerate_filling(n, single_cycle=single_cycle)
     reduced = enumerate_filling(n, single_cycle=single_cycle, symmetry_reduced=True)
-    powers = [(generators(n)[1] ** k).one_line() for k in range(n)]  # delta^0, ..., delta^(n-1)
-    saturation = {conjugate_oneline(s, d) for s in reduced for d in powers}
+    delta, r = generators(n)[1], _reverse_second(n)
+    stabilizer = {(delta**k * h).one_line() for k in range(n) for h in (delta**0, r)}
+    assert len(stabilizer) == 2 * n
+    saturation = {conjugate_oneline(s, d) for s in reduced for d in stabilizer}
     assert saturation == set(map(tuple, full))
-    assert len(full) == n * len(reduced) == len(set(full))
+    assert len(full) == 2 * n * len(reduced) == len(set(full))

@@ -261,3 +261,11 @@ def test_negative_size_refused():
         Permutation.from_cycles([], -3)
     with pytest.raises(ValueError, match=r"^size must be nonnegative$"):
         Permutation.from_cycle_string("()", -2)
+
+
+def test_negative_size_refused_before_parsing():
+    # a symbol in the text once reached the parser's range check first:
+    # "symbol 1 out of range 1..-2"
+    for text in ("(1,2)", "(1)", "(5,3)"):
+        with pytest.raises(ValueError, match=r"^size must be nonnegative$"):
+            Permutation.from_cycle_string(text, -2)

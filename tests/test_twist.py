@@ -19,6 +19,7 @@ from fillperm import (
 )
 
 from fillperm.cli import load_valid
+from fillperm.surgery import _reverse_second
 
 from conftest import (
     FIXTURE_TEXTS,
@@ -163,6 +164,21 @@ def test_elements_preserve_or_swap_parity_classes(n):
             {(0, 0), (1, 1)},  # preserves curve roles
             {(0, 1), (1, 0)},  # swaps curve roles
         )
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), 63])
+def test_stabilizer_of_label_1_is_regular_on_even_labels(n):
+    # the census slice sigma(1) = 2 rests on this: the relabelings that fix
+    # label 1 fix every odd label and move label 2 onto each even label once,
+    # so each orbit meets the slice in 1 / 2n of its members
+    m = 4 * n
+    stabilizer = [t.one_line() for t in twist_group(n) if t(1) == 1]
+    assert len(stabilizer) == 2 * n
+    assert generators(n)[1].one_line() in stabilizer
+    assert _reverse_second(n).one_line() in stabilizer
+    for t in stabilizer:
+        assert all(t[x - 1] == x for x in range(1, m + 1, 2))
+    assert sorted(t[1] for t in stabilizer) == list(range(2, m + 1, 2))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
