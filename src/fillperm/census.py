@@ -4,12 +4,15 @@ The crossing equation, read as a functional constraint, makes each free choice
 sigma(e) = f force sigma(opposite(f)) = tau(e), and so on around the crossing:
 the map (e, f) -> (opposite(f), tau(e)) has order 4, so one choice forces
 exactly the four left edges of one crossing, a block that never conflicts with
-itself.  Blocks are tabulated once per n, and enumeration is an exact cover of
-the 4n labels by blocks (Knuth, "Dancing Links", 2000).  Single-cycle mode
-additionally tracks the open paths of the partial permutation and rejects any
-cycle that closes early.  The search joins a block's four arrows one at a
-time in straight-line code, undoing each join from the two path ends it
-saved.
+itself.  Enumeration is an exact cover of the 4n labels by blocks (Knuth,
+"Dancing Links", 2000) that always extends at the lowest free label, so every
+label below it is covered and a block holding one could never be kept: the
+blocks are tabulated once per n, each once, under its least label.  One
+region needs odd n = 2g - 1, so single-cycle mode returns at once for even
+n; otherwise it tracks the open paths of the partial permutation and
+rejects any cycle that closes early.  The search joins a block's four arrows
+one at a time in straight-line code, undoing each join from the two path
+ends it saved.
 
 The census enumerates only the slice S = {sigma : sigma(1) = 2}.  The
 relabelings that fix label 1 form the group <delta, R> of order 8n^2 / 4n =
@@ -50,9 +53,9 @@ def upper_bound(g: int) -> int:
 @lru_cache(maxsize=None)
 def _crossing_blocks(n: int) -> tuple[tuple[tuple[int, tuple], ...], ...]:
     """For each label e (row e; row 0 is empty) and each image f of the other
-    parity, in increasing order, the crossing block that sigma(e) = f forces:
-    (label bitmask, its four (label, image) pairs, (e, f) first).  Label e is
-    bit e - 1 of a mask.
+    parity, in increasing order, the crossing block that sigma(e) = f forces,
+    kept only when e is its least label: (label bitmask, its four (label,
+    image) pairs, (e, f) first).  Label e is bit e - 1 of a mask.
 
     The forcing map A(e, f) = (opp f, tau e) has order 4, because A^2 sends
     e to opp tau e and (opp tau)^2 = id.  Its four pairs have distinct
@@ -60,6 +63,11 @@ def _crossing_blocks(n: int) -> tuple[tuple[tuple[int, tuple], ...], ...]:
     they lie in, since tau keeps both and opp keeps parity but swaps halves.
     The block's images are tau of its labels, so blocks with disjoint labels
     also have disjoint images.
+
+    A block is forced from each of its four labels alike, but the search
+    reads row e only when every label below e is covered, so a copy in the
+    row of a label other than its least could never be kept: each of the
+    2n^2 blocks is filed once, in the row of its least label.
     """
     m = 4 * n
     t = (0, *tau(n).one_line())
@@ -71,7 +79,8 @@ def _crossing_blocks(n: int) -> tuple[tuple[tuple[int, tuple], ...], ...]:
             for _ in range(3):
                 x, y = pairs[-1]
                 pairs.append((opposite(y, n), t[x]))
-            row.append((sum(1 << (x - 1) for x, _ in pairs), tuple(pairs)))
+            if min(x for x, _ in pairs) == e:
+                row.append((sum(1 << (x - 1) for x, _ in pairs), tuple(pairs)))
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -83,21 +92,26 @@ def enumerate_filling(
     as the bytes of their one-line images (sigma(1), ..., sigma(4n)).
 
     The search is an exact cover of the 4n labels by crossing blocks: it
-    takes the lowest unassigned label e, tries every image f in increasing
-    order, and keeps the block sigma(e) = f forces when none of its labels
-    is assigned yet (its images are then free too); only then are its four
-    arrows unpacked.  With `single_cycle` only one-region (minimal)
+    takes the lowest unassigned label e, tries the blocks of row e (those
+    whose least label is e, so every other block sigma(e) = f forces holds
+    an assigned label) in increasing f, and keeps one when none of its
+    labels is assigned yet (its images are then free too); only then are
+    its four arrows unpacked.  With `single_cycle` only one-region (minimal)
     solutions are produced: the block's arrows e_i -> f_i are joined in
     order to the open paths of the partial permutation, each join saving
     the path ends s_i, t_i it rewrote and undone in reverse from them, and
     an arrow that closes a cycle prunes the branch, except the 4th arrow of
     the block that covers the last labels, which is kept without its join.
+    One region means n = 2g - 1, so with `single_cycle` an even n returns
+    [] before any block is built.
     `symmetry_reduced` restricts the first image of 1 to 2: one sigma per
     orbit of <delta, R>, the relabelings that fix label 1, and the full set
     has 2n times as many members.
     Labels must fit a byte: n outside 1..twist.BYTE_MAX_N raises BoundExceeded.
     """
     _check_n(n)
+    if single_cycle and n % 2 == 0:
+        return []
     m = 4 * n
     full = (1 << m) - 1
     rows = _crossing_blocks(n)
@@ -227,7 +241,7 @@ def census_records(n: int, single_cycle: bool = True) -> tuple[int, list[CensusR
     for one in list(unseen):
         if one not in unseen:
             continue
-        in_slice = {c for c, _ in _slice_conjugates(one)}
+        in_slice = set(_slice_conjugates(one))
         if not in_slice <= unseen:
             missing = tuple(min(in_slice - unseen))
             raise RuntimeError(

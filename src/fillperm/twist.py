@@ -94,10 +94,10 @@ def _slice_table(n: int) -> tuple[tuple[tuple[bytes, bytes] | None, ...], ...]:
     return tuple(map(tuple, table))
 
 
-def _slice_conjugates(one: bytes) -> list[tuple[bytes, bytes]]:
-    """(t sigma t^-1, t) for the 4n relabelings t that carry sigma, given by
-    its one-line bytes, into the slice S = {sigma : sigma(1) = 2}: for each
-    label x, the t with t(x) = 1 and t(sigma(x)) = 2.
+def _slice_conjugates(one: bytes) -> list[bytes]:
+    """t sigma t^-1 for the 4n relabelings t that carry sigma, given by its
+    one-line bytes, into the slice S = {sigma : sigma(1) = 2}: for each
+    label x, the t with t(x) = 1 and t(sigma(x)) = 2, in order of x.
 
     The head of t sigma t^-1 is t(sigma(t^-1(1))), so these t are the cells
     (x, sigma(x)) of `_slice_table`.  The least conjugate has head 2, the
@@ -106,7 +106,7 @@ def _slice_conjugates(one: bytes) -> list[tuple[bytes, bytes]]:
     """
     at = b"\0" + one + bytes(255 - len(one))
     return [
-        (inv.translate(at).translate(t), t)
+        inv.translate(at).translate(t)
         for inv, t in map(tuple.__getitem__, _slice_table(len(one) // 4), one)
     ]
 
@@ -114,9 +114,11 @@ def _slice_conjugates(one: bytes) -> list[tuple[bytes, bytes]]:
 def _least(fp: FillingPermutation) -> tuple[bytes, list[bytes]]:
     """The least conjugate of sigma and every t that carries sigma to it."""
     _check_n(fp.n)
-    conjugates = _slice_conjugates(bytes(fp.sigma.one_line()))
-    least = min(c for c, _ in conjugates)
-    return least, [t for c, t in conjugates if c == least]
+    one = bytes(fp.sigma.one_line())
+    conjugates = _slice_conjugates(one)
+    least = min(conjugates)
+    cells = map(tuple.__getitem__, _slice_table(fp.n), one)
+    return least, [t for c, (_, t) in zip(conjugates, cells) if c == least]
 
 
 def twist_group(n: int) -> tuple[Permutation, ...]:

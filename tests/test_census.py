@@ -74,10 +74,18 @@ def test_enumerate_n3_single_cycle_empty():
 @pytest.mark.parametrize("symmetry_reduced", [False, True])
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_single_cycle_is_empty_at_even_n(n, symmetry_reduced):
-    # n - c is even, so one region needs odd n.  On the last block a 3rd
-    # arrow that closes a cycle leaves the 4th to close a second one: a kernel
-    # that kept it would list two-region pairs here, which odd n cannot show
+    # n - c is even, so one region needs odd n
     assert enumerate_filling(n, single_cycle=True, symmetry_reduced=symmetry_reduced) == []
+
+
+def test_single_cycle_returns_before_any_block_at_even_n(monkeypatch):
+    def blocks(n):
+        raise AssertionError("built crossing blocks for an even single-cycle n")
+
+    monkeypatch.setattr(fillperm.census, "_crossing_blocks", blocks)
+    for n in (2, 4, 10, 62):
+        for symmetry_reduced in (False, True):
+            assert enumerate_filling(n, True, symmetry_reduced) == []
 
 
 def test_enumerate_n3_general_solutions_are_genus_one():
@@ -218,15 +226,25 @@ def test_crossing_blocks_match_propagation(n, single_cycle, symmetry_reduced):
     assert list(map(tuple, got)) == propagation_enumeration(n, single_cycle, symmetry_reduced)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_propagation_finds_no_single_cycle_at_even_n(n):
+    # the oracle searches even n in full, where enumerate_filling returns early
+    for symmetry_reduced in (False, True):
+        assert propagation_enumeration(n, True, symmetry_reduced) == []
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_forcing_map_has_order_four(n):
-    # A(e, f) = (opp f, tau e): the assignment sigma(e) = f forces A(e, f)
+    # A(e, f) = (opp f, tau e): the assignment sigma(e) = f forces A(e, f).
+    # The full forcing table files each block under each of its four labels;
+    # the search's rows keep one copy, under the least label
     t = tau(n)
     rows = _crossing_blocks(n)
+    assert rows[0] == ()
+    blocks, kept = set(), []
     for e in range(1, 4 * n + 1):
-        images = range(2 if e % 2 else 1, 4 * n + 1, 2)
-        assert len(rows[e]) == len(images)
-        for f, (labels, pairs) in zip(images, rows[e]):
+        full = []
+        for f in range(2 if e % 2 else 1, 4 * n + 1, 2):
             orbit = [(e, f)]
             for _ in range(4):
                 x, y = orbit[-1]
@@ -236,8 +254,19 @@ def test_forcing_map_has_order_four(n):
             # the images are tau of the labels, so they are distinct too, and
             # blocks with disjoint labels have disjoint images
             assert {y for _, y in orbit} == {t(x) for x, _ in orbit}
-            assert pairs == tuple(orbit[:4])
-            assert labels == sum(1 << (x - 1) for x, _ in pairs)
+            pairs = tuple(orbit[:4])
+            full.append((sum(1 << (x - 1) for x, _ in pairs), pairs))
+            blocks.add(frozenset(pairs))
+        # row e holds, in increasing f, the blocks whose least label is e
+        assert rows[e] == tuple(b for b in full if min(x for x, _ in b[1]) == e)
+        # every dropped copy holds a label below e, which is covered whenever
+        # the search reads row e, so the copy would fail `labels & used`
+        below = (1 << (e - 1)) - 1
+        assert all(labels & below for labels, pairs in full if (labels, pairs) not in rows[e])
+        kept += [frozenset(pairs) for _, pairs in rows[e]]
+    # each of the 2n^2 blocks is kept once, a quarter of the 8n^2 copies
+    assert len(kept) == len(set(kept)) == len(blocks) == 2 * n * n
+    assert set(kept) == blocks
 
 
 def test_bound_exceeded(capsys, monkeypatch):
@@ -342,7 +371,9 @@ def test_sweep_conjugates_by_two_translates():
             assert tuple(inv.translate(at).translate(t0)) == conjugate
             if conjugate[0] == 2:
                 in_slice.append((conjugate, t))
-        found = [(tuple(c), tuple(t0[1 : 4 * n + 1])) for c, t0 in _slice_conjugates(bytes(sigma))]
+        cells = map(tuple.__getitem__, _slice_table(n), bytes(sigma))
+        found = [(tuple(c), tuple(t0[1 : 4 * n + 1]))
+                 for c, (_, t0) in zip(_slice_conjugates(bytes(sigma)), cells)]
         assert len(found) == 4 * n
         assert sorted(found) == sorted(in_slice)
 
@@ -422,6 +453,15 @@ def test_census_matches_golden(tmp_path, n, single_cycle):
     assert path.read_bytes() == golden.read_bytes()
 
 
+def test_general_census_n6_matches_golden(tmp_path):
+    # general mode at the first size above the n <= 5 goldens
+    total, records = census_records(6, single_cycle=False)
+    assert (total, len(records)) == (46_080, 199)
+    path = tmp_path / "census_general_n6.jsonl"
+    write_census(records, path)
+    assert path.read_bytes() == (DATA / "census_general_n6.jsonl").read_bytes()
+
+
 def signs_agree(fp):
     """Whether all crossings have the same sign.  Crossing i (i = 1, 3, ...,
     2n - 1) is positive when the second left edge of its orbit is a positive
@@ -487,7 +527,7 @@ def test_orbit_size_times_stabilizer_is_group_order(path, stabilizers):
     # standing for two merged orbits would read too large an orbit size
     found = Counter()
     for rec in read_census(path):
-        conjugates = [c for c, _ in _slice_conjugates(bytes(rec.canonical_form))]
+        conjugates = _slice_conjugates(bytes(rec.canonical_form))
         least = min(conjugates)
         assert tuple(least) == rec.canonical_form
         stabilizer = conjugates.count(least)

@@ -698,14 +698,53 @@ def test_is_witness_rejects_overlapping_runs_that_close(sigma_f6, sigma_f):
 
 
 @pytest.fixture(scope="module")
-def flag_pairs(oracle_pairs):
-    # the 5 genus-3 and 168 genus-4 census representatives, then the oracle
-    # pairs (genus 3 to 8)
+def census_reps():
+    # the 5 genus-3 and 168 genus-4 census representatives
     pairs = [validate(Permutation(rec.canonical_form), rec.n)
              for name in ("census_single_n5.jsonl", "census_single_n7.jsonl")
              for rec in read_census(GOLDEN / name)]
     assert len(pairs) == 5 + 168
-    return pairs + oracle_pairs
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def flag_pairs(census_reps, oracle_pairs):
+    # the census representatives, then the oracle pairs (genus 3 to 8)
+    return census_reps + oracle_pairs
+
+
+def test_lazy_cycle_tables_match_their_definitions(census_reps):
+    for fp in census_reps:
+        tables = _CycleTables(fp)
+        lazy = ("opos", "d", "opp_at")
+        assert not set(lazy) & set(vars(tables))
+        cycle, pos, opp, m = tables.cycle, tables.pos, tables.opp, tables.m
+        assert [pos[e] for e in cycle] == list(range(m))
+        opos = tuple(pos[opp[e]] for e in range(m + 1))
+        assert tables.opos == opos
+        assert tables.d == tuple((opos[e] - pos[e]) % m for e in range(m + 1))
+        assert tables.opp_at == tuple(opp[cycle[p % m]] for p in range(2 * m))
+        # each is built once and then read back as stored
+        assert all(getattr(tables, name) is vars(tables)[name] for name in lazy)
+
+
+def test_decomposable_flag_leaves_inner_tables_unbuilt(census_reps, monkeypatch):
+    # every census class has a torus witness, and the torus scan reads
+    # neither opos nor d
+    built = []
+
+    class Recorded(_CycleTables):
+        def __init__(self, fp):
+            super().__init__(fp)
+            built.append(self)
+
+    monkeypatch.setattr("fillperm.surgery._CycleTables", Recorded)
+    for fp in census_reps:
+        built.clear()
+        assert _decomposes(fp)
+        (tables,) = built
+        assert "opp_at" in vars(tables)
+        assert "opos" not in vars(tables) and "d" not in vars(tables), fp
 
 
 def test_first_witness_matches_full_search(flag_pairs, f1):
