@@ -273,43 +273,14 @@ def _site_labels(anchors: tuple[int, int, int, int], n: int) -> tuple[int, int]:
     return i, j
 
 
-class _built_on_first_read:
-    """A table attribute that is built when first read and then stored on
-    the instance by plain assignment.
-
-    `functools.cached_property` stores through `instance.__dict__`, and on
-    CPython 3.11 that makes every later attribute read of the instance
-    slower (about 2.5 times, for a plain attribute): with it,
-    `find_decompositions` took about 3% longer at genus 4 (CPython 3.11.7,
-    2-core Xeon).
-    """
-
-    def __init__(self, build):
-        self.build = build
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, tables, owner=None):
-        if tables is None:
-            return self
-        value = self.build(tables)
-        setattr(tables, self.name, value)
-        return value
-
-
 class _CycleTables:
     """Flat lookup tables for the single region cycle of a minimal pair.
 
-    `cycle` is the region's labels in sigma order.  The tables are indexed by
-    label, index 0 unused: `pos[e]` is e's index in `cycle`, `opp[e]` the
-    opposite label, `opos[e] = pos[opp[e]]` and `d[e] = (opos[e] - pos[e])
-    mod m`.  `opp_at` is the opposite of the label at each position, twice
-    round, so an anchor window is one slice.  `genus` is the pair's genus.
-
-    `pos` and `opp` are built at once, `opos`, `d` and `opp_at` when first
-    read: the torus scan reads only `opp_at` of them, and the census's
-    first-hit flag stops in that scan on every class so far.
+    `cycle` is the region's labels in sigma order and `m` its length.  The
+    tables are indexed by label, index 0 unused: `pos[e]` is e's index in
+    `cycle` and `opp[e]` the opposite label.  `opp_at` is the opposite of the
+    label at each position, twice round, so an anchor window is one slice.
+    `genus` is the pair's genus.
     """
 
     def __init__(self, fp: FillingPermutation):
@@ -322,25 +293,8 @@ class _CycleTables:
         for idx, sym in enumerate(cycle):
             pos[sym] = idx
         self.pos = tuple(pos)
-        self.opp = _opp_tau(fp.n, 0)
-
-    @_built_on_first_read
-    def opos(self) -> tuple[int, ...]:
-        return tuple(map(self.pos.__getitem__, self.opp))
-
-    @_built_on_first_read
-    def d(self) -> tuple[int, ...]:
-        m = self.m
-        return tuple([(o - p) % m for p, o in zip(self.pos, self.opos)])
-
-    @_built_on_first_read
-    def opp_at(self) -> tuple[int, ...]:
-        return tuple(map(self.opp.__getitem__, self.cycle)) * 2
-
-    def flip(self, k: int) -> tuple[int, ...]:
-        """opp o tau^(2k+1) by label, the involution with y = flip[x] and
-        b = flip[a]; built once per (n, k)."""
-        return _opp_tau(self.m // 4, 2 * k + 1)
+        self.opp = opp = _opp_tau(fp.n, 0)
+        self.opp_at = tuple(map(opp.__getitem__, cycle)) * 2
 
 
 @lru_cache(maxsize=1)
@@ -357,33 +311,34 @@ def _anchored_types(
     order and then by r.
 
     The first region size r forces the rest: a = opp(sigma^(r-1)(x)),
-    y = flip[x] and b = flip[a].  Each piece region runs from an anchor to
-    the opposite of the next one, so reading the type off the anchors makes
-    the four span equations and the two tau^(2k+1) equations hold by
-    construction.  What is left is that every region size is at least 4 and
-    the sizes sum to 8k + 8.  They are all even: labels alternate parity
-    along the cycle, and opp and tau keep a label's parity.  These are
-    candidates only; whether they cut off the piece (their runs may overlap,
-    or not close under opp) is for `_is_witness` to decide.
+    y = flip[x] and b = flip[a], with flip = opp o tau^(2k+1) by label.
+    Each piece region runs from an anchor to the opposite of the next one,
+    so reading the type off the anchors makes the four span equations and
+    the two tau^(2k+1) equations hold by construction.  What is left is that
+    every region size is at least 4 and the sizes sum to 8k + 8.  They are
+    all even: labels alternate parity along the cycle, and opp and tau keep
+    a label's parity.  These are candidates only; whether they cut off the
+    piece (their runs may overlap, or not close under opp) is for
+    `_is_witness` to decide.
 
-    The sizes less one sum to d(x) + d(y) + d(a) + d(b) modulo m, that is to
-    D(x) + D(a) with D(e) = d(e) + d(flip[e]), and that sum must be 8k + 4.
-    So a candidate a is tested against the residue class 8k + 4 - D(x) first,
-    and s, t and u are computed only for the candidates in it.
+    With d(e) = (pos(opp e) - pos(e)) mod m, the sizes less one sum to
+    d(x) + d(y) + d(a) + d(b) modulo m, that is to D(x) + D(a) with
+    D(e) = d(e) + d(flip[e]), and that sum must be 8k + 4.  So a candidate a
+    is tested against the residue class 8k + 4 - D(x) first, and s, t and u
+    are computed only for the candidates in it.  d is built once per call.
 
     On a torus remainder (k = g - 1) tau^(2k+1) is the identity, so flip =
     opp, D = 0 and the class holds every candidate.  There (r - 1) + (u - 1)
     = d(x) exactly, so u >= 4 caps r at d(x) - 2, and the sizes sum to
-    8k + 8 = m + 4 exactly when pos(a) runs from opos(x) forward to pos(x);
-    with s, t >= 4 that is the cyclic interval [opos(x) + 3, pos(x) - 3],
-    one compare per candidate.  That scan computes opos(x) and d(x) as it
-    goes, so the tables of both are left unbuilt.
+    8k + 8 = m + 4 exactly when pos(a) runs from pos(opp x) forward to pos(x);
+    with s, t >= 4 that is the cyclic interval [pos(opp x) + 3, pos(x) - 3],
+    one compare per candidate.  That scan computes d(x) as it goes, so the
+    census flag, which stops in it, never builds d.
     """
-    pos, opp_at, m = tables.pos, tables.opp_at, tables.m
+    pos, opp, opp_at, m = tables.pos, tables.opp, tables.opp_at, tables.m
     last = 8 * k - 4
     sizes = range(4, last + 1, 2)
     if k == tables.genus - 1:
-        opp = tables.opp
         for px, x in enumerate(tables.cycle):
             y = opp[x]
             ox = pos[y]
@@ -399,8 +354,8 @@ def _anchored_types(
                     s, t = (px - pa) % m + 1, (pa - ox) % m + 1
                     yield (x, a, y, opp[a]), (r, s, t, dx - r + 2)
         return
-    opos, d = tables.opos, tables.d
-    flip = tables.flip(k)
+    d = [(pos[o] - p) % m for p, o in zip(pos, opp)]
+    flip = _opp_tau(m // 4, 2 * k + 1)
     residue = [(de + d[f]) % m for de, f in zip(d, flip)]
     # the residue of the candidate a at each cycle position, twice round
     residue_at = list(map(residue.__getitem__, opp_at))
@@ -412,7 +367,7 @@ def _anchored_types(
         if want not in window:
             continue
         y = flip[x]
-        py, ox, oy = pos[y], opos[x], opos[y]
+        py, ox, oy = pos[y], pos[opp[x]], pos[opp[y]]
         for r, a, ra in zip(sizes, opp_at[px + 3 : px + last : 2], window):
             if ra != want:
                 continue
@@ -420,7 +375,7 @@ def _anchored_types(
             if s < 4:
                 continue
             b = flip[a]
-            t = (opos[b] - py) % m + 1
+            t = (pos[opp[b]] - py) % m + 1
             if t < 4:
                 continue
             u = (ox - pos[b]) % m + 1
@@ -436,8 +391,8 @@ def _cut_at(
     given, or None: the one check of a caller's (k, anchors), for
     `decomposition_at` and `extract` alike.
 
-    Run c holds (opos(anchor c + 1) - pos(anchor c)) mod m + 1 labels.  The
-    anchors are a candidate of `_anchored_types` exactly when y = flip[x],
+    Run c holds (pos(opp(anchor c + 1)) - pos(anchor c)) mod m + 1 labels.
+    The anchors are a candidate of `_anchored_types` exactly when y = flip[x],
     b = flip[a], the first size is even (anchors x, a of one parity give odd
     sizes), all are >= 4 and sum to 8k + 8; then `_is_witness` judges it.
     """
@@ -447,8 +402,9 @@ def _cut_at(
         if not 1 <= sym <= tables.m:
             raise SurgeryError(f"anchor {sym} out of range 1..{tables.m}")
     x, a, y, b = anchors
-    flip, pos, opos, m = tables.flip(k), tables.pos, tables.opos, tables.m
-    quad = tuple((opos[nxt] - pos[e]) % m + 1 for e, nxt in zip(anchors, (a, y, b, x)))
+    pos, opp, m = tables.pos, tables.opp, tables.m
+    flip = _opp_tau(m // 4, 2 * k + 1)
+    quad = tuple((pos[opp[nxt]] - pos[e]) % m + 1 for e, nxt in zip(anchors, (a, y, b, x)))
     if (y, b) != (flip[x], flip[a]) or quad[0] % 2 or min(quad) < 4 or sum(quad) != 8 * k + 8:
         return None
     dec = Decomposition(k, g - k, *anchors, quad)
@@ -503,7 +459,7 @@ def _decomposes(fp: FillingPermutation) -> bool:
 
     Almost every witness of a census class has a torus remainder, so
     k = g - 1 is tried first, and the flag stops in the torus scan before
-    the tables that only the other scans read are built.
+    any inner scan builds its residue tables.
     """
     tables = _CycleTables(fp)
     g = tables.genus

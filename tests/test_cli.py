@@ -347,6 +347,18 @@ def test_extract_non_separating_anchors_exits_1(tmp_path, capsys, sigma_f, zeta)
     [
         ("sigma_f6.pair", ("23", "38", "1", "16", "5"), "sigma_f6.extract_k5.json"),
         ("sigma_f.pair", ("1", "4", "11", "14", "2"), "sigma_f.extract_k2.json"),
+        # the two witnesses of sigma_F6 # zeta' at site 5 that leave a host of
+        # genus l > 1; k = 2 gives back zeta' and exactly sigma_F6
+        (
+            "sigma_f6_zeta_prime_5.pair",
+            ("5", "10", "45", "50", "2"),
+            "sigma_f6_zeta_prime_5.extract_k2.json",
+        ),
+        (
+            "sigma_f6_zeta_prime_5.pair",
+            ("55", "2", "3", "54", "5"),
+            "sigma_f6_zeta_prime_5.extract_k5.json",
+        ),
     ],
 )
 def test_extract_record_matches_pinned(capsys, pair, anchors, pinned):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import gzip
+import random
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -40,9 +42,10 @@ from fillperm.surgery import (
     _pull_back,
     _reverse_second,
 )
-from fillperm.filling import FillingPermutation, ZType, _arc_of, _label_of
+from fillperm.filling import FillingPermutation, ZType, _arc_of, _label_of, _opp_tau
 
 from conftest import SIGMA_PRIME, ChordsCross, identity, opp_shift, perm, reference_separating
+from random_pairs import random_minimal_pair
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 DATA = Path(__file__).resolve().parent / "data"
@@ -519,10 +522,15 @@ def _flip_by_label(m, k):
     return (0, *up, *down)
 
 
+def _opos(tables):
+    # pos(opp(e)) by label, index 0 unused
+    return [tables.pos[tables.opp[e]] for e in range(tables.m + 1)]
+
+
 def _window_scan(tables, k):
     # the anchor search without the residue filter: every r in the window
     # gets all three remaining sizes computed, each tested for parity too
-    cycle, pos, opp, opos, m = tables.cycle, tables.pos, tables.opp, tables.opos, tables.m
+    cycle, pos, opp, opos, m = tables.cycle, tables.pos, tables.opp, _opos(tables), tables.m
     flip = _flip_by_label(m, k)
     found = []
     for x in cycle:
@@ -561,7 +569,7 @@ def test_anchored_types_matches_window_scan(oracle_pairs):
     for fp in oracle_pairs:
         tables = _CycleTables(fp)
         for k in range(1, fp.genus()):
-            assert tables.flip(k) == _flip_by_label(tables.m, k)
+            assert _opp_tau(fp.n, 2 * k + 1) == _flip_by_label(tables.m, k)
             assert list(_anchored_types(tables, k)) == _window_scan(tables, k)
 
 
@@ -616,7 +624,7 @@ def test_cut_at_matches_anchor_scan(sigma_f, sigma_f6, f4):
         tables = _CycleTables(fp)
         m = tables.m
         for k in range(1, tables.genus):
-            flip = tables.flip(k)
+            flip = _opp_tau(fp.n, 2 * k + 1)
             for x in range(1, m + 1):
                 for a in range(1, m + 1):
                     y, b = flip[x], flip[a]
@@ -633,8 +641,8 @@ def test_cut_at_refuses_anchors_of_one_parity(sigma_f6):
     # (torus) witness
     tables = _CycleTables(sigma_f6)
     anchors = (1, 3, 23, 25)
-    assert tables.flip(5)[1] == 23 and tables.flip(5)[3] == 25
-    pos, opos, m = tables.pos, tables.opos, tables.m
+    assert _opp_tau(sigma_f6.n, 11)[1] == 23 and _opp_tau(sigma_f6.n, 11)[3] == 25
+    pos, opos, m = tables.pos, _opos(tables), tables.m
     sizes = [(opos[nxt] - pos[e]) % m + 1 for e, nxt in zip(anchors, (3, 23, 25, 1))]
     assert sizes == [5, 15, 17, 11]
     assert decomposition_at(sigma_f6, *anchors, 5) is None
@@ -652,7 +660,7 @@ def _witness_class(tables, k, g, anchors, quad):
     # the outcome a candidate should have, read off its runs as position sets
     if k == g - 1:
         return "torus"
-    pos, opos, m = tables.pos, tables.opos, tables.m
+    pos, opos, m = tables.pos, _opos(tables), tables.m
     runs = [{(pos[e] + i) % m for i in range(size)} for e, size in zip(anchors, quad)]
     inside = set().union(*runs)
     if len(inside) < sum(quad):
@@ -684,6 +692,44 @@ def test_is_witness_matches_geometric_oracle(oracle_pairs, sigma_f6, zeta_prime)
     assert set(classes) == {"torus", "witness", "overlap", "not closed"}, classes
 
 
+@pytest.fixture(scope="module")
+def random_pairs():
+    # 18 seeded minimal pairs at each genus 6 to 16: inner-scan inputs above
+    # genus 5 that are not assembled sums
+    rng = random.Random(31)
+    pairs = [random_minimal_pair(n, rng) for n in range(11, 32, 2) for _ in range(18)]
+    assert len({fp.sigma for fp in pairs}) == len(pairs) == 198
+    return pairs
+
+
+def test_anchored_types_matches_window_scan_on_random_pairs(random_pairs):
+    for fp in random_pairs:
+        tables = _CycleTables(fp)
+        for k in range(1, fp.genus()):
+            assert list(_anchored_types(tables, k)) == _window_scan(tables, k), (fp, k)
+
+
+def test_cut_at_and_is_witness_match_geometric_oracle_on_random_pairs(random_pairs):
+    # every inner candidate and every 100th torus one (each torus candidate
+    # is a witness by the tiling argument): both entry points answer as the
+    # oracle does
+    kinds = Counter()
+    for fp in random_pairs:
+        g = fp.genus()
+        tables = _CycleTables(fp)
+        for k in range(1, g):
+            candidates = _anchored_types(tables, k)
+            if k == g - 1:
+                candidates = islice(candidates, 0, None, 100)
+            for anchors, quad in candidates:
+                dec = Decomposition(k, g - k, *anchors, quad)
+                separates = _oracle_separates(fp, dec)
+                assert _is_witness(tables, dec) == separates, (fp, dec)
+                assert _cut_at(tables, k, anchors) == (dec if separates else None), (fp, dec)
+                kinds[_witness_class(tables, k, g, anchors, quad)] += 1
+    assert set(kinds) == {"torus", "witness", "overlap", "not closed"}, kinds
+
+
 def test_is_witness_rejects_overlapping_runs_that_close(sigma_f6, sigma_f):
     # no candidate seen so far has overlapping runs that are closed under
     # opp, so only this crafted input separates the two halves of the rule:
@@ -713,38 +759,30 @@ def flag_pairs(census_reps, oracle_pairs):
     return census_reps + oracle_pairs
 
 
-def test_lazy_cycle_tables_match_their_definitions(census_reps):
+def test_cycle_tables_match_their_definitions(census_reps):
     for fp in census_reps:
         tables = _CycleTables(fp)
-        lazy = ("opos", "d", "opp_at")
-        assert not set(lazy) & set(vars(tables))
-        cycle, pos, opp, m = tables.cycle, tables.pos, tables.opp, tables.m
+        n, cycle, pos, opp, m = fp.n, tables.cycle, tables.pos, tables.opp, tables.m
+        assert (tables.genus, m) == (fp.genus(), 4 * n)
         assert [pos[e] for e in cycle] == list(range(m))
-        opos = tuple(pos[opp[e]] for e in range(m + 1))
-        assert tables.opos == opos
-        assert tables.d == tuple((opos[e] - pos[e]) % m for e in range(m + 1))
+        assert opp == (0, *(opposite(e, n) for e in range(1, m + 1)))
         assert tables.opp_at == tuple(opp[cycle[p % m]] for p in range(2 * m))
-        # each is built once and then read back as stored
-        assert all(getattr(tables, name) is vars(tables)[name] for name in lazy)
 
 
-def test_decomposable_flag_leaves_inner_tables_unbuilt(census_reps, monkeypatch):
-    # every census class has a torus witness, and the torus scan reads
-    # neither opos nor d
-    built = []
+def test_decomposable_flag_never_enters_an_inner_scan(census_reps, monkeypatch):
+    # every census class has a torus witness, and the torus scan asks for no
+    # flip: only the opposite map (shift 0) that the tables are built with
+    shifts = []
 
-    class Recorded(_CycleTables):
-        def __init__(self, fp):
-            super().__init__(fp)
-            built.append(self)
+    def recorded(n, s):
+        shifts.append(s)
+        return _opp_tau(n, s)
 
-    monkeypatch.setattr("fillperm.surgery._CycleTables", Recorded)
+    monkeypatch.setattr("fillperm.surgery._opp_tau", recorded)
     for fp in census_reps:
-        built.clear()
+        shifts.clear()
         assert _decomposes(fp)
-        (tables,) = built
-        assert "opp_at" in vars(tables)
-        assert "opos" not in vars(tables) and "d" not in vars(tables), fp
+        assert shifts == [0], fp
 
 
 def test_first_witness_matches_full_search(flag_pairs, f1):
@@ -830,12 +868,12 @@ def test_region_sizes_are_even(oracle_pairs):
     for fp in oracle_pairs:
         n, g = fp.n, fp.genus()
         tables = _CycleTables(fp)
-        cycle, pos, opp, opos, m = tables.cycle, tables.pos, tables.opp, tables.opos, tables.m
+        cycle, pos, opp, opos, m = tables.cycle, tables.pos, tables.opp, _opos(tables), tables.m
         assert all((cycle[i] - cycle[i - 1]) % 2 == 1 for i in range(m))
         t = tau(n)
         assert all(opposite(e, n) % 2 == t(e) % 2 == e % 2 for e in range(1, m + 1))
         for k in range(1, g):
-            flip = tables.flip(k)
+            flip = _opp_tau(n, 2 * k + 1)
             for x in cycle:
                 for r in range(4, 8 * k - 3, 2):
                     a = opp[cycle[(pos[x] + r - 1) % m]]
@@ -845,7 +883,7 @@ def test_region_sizes_are_even(oracle_pairs):
 
 def test_residue_identity(sigma_f6, zeta):
     # (r-1) + (s-1) + (t-1) + (u-1) = D(x) + D(a) mod 4n with
-    # D(e) = d(e) + d(flip e), d(e) = opos[e] - pos[e], for every window r;
+    # D(e) = d(e) + d(flip e), d(e) = pos[opp[e]] - pos[e], for every window r;
     # on a torus remainder flip = opp, so D = 0 and (r-1) + (u-1) = d(x)
     pairs = [validate(Permutation(rec.canonical_form), rec.n)
              for rec in read_census(GOLDEN / "census_single_n7.jsonl")]
@@ -855,10 +893,10 @@ def test_residue_identity(sigma_f6, zeta):
     for fp in pairs:
         g = fp.genus()
         tables = _CycleTables(fp)
-        cycle, pos, opp, opos, m = tables.cycle, tables.pos, tables.opp, tables.opos, tables.m
+        cycle, pos, opp, opos, m = tables.cycle, tables.pos, tables.opp, _opos(tables), tables.m
         d = [opos[e] - pos[e] for e in range(m + 1)]
         for k in range(1, g):
-            flip = tables.flip(k)
+            flip = _opp_tau(fp.n, 2 * k + 1)
             D = [d[e] + d[flip[e]] for e in range(m + 1)]
             for x in cycle:
                 y, px = flip[x], pos[x]
@@ -899,7 +937,7 @@ def test_anchor_involution_property(sigma_f6, sigma_f):
         tables = _CycleTables(fp)
         for k in range(1, fp.genus()):
             flip = q_n * tau(n) ** (2 * k + 1)
-            assert tables.flip(k) == (0, *flip.one_line())
+            assert _opp_tau(n, 2 * k + 1) == (0, *flip.one_line())
         for dec in find_decompositions(fp):
             flip = q_n * tau(n) ** (2 * dec.k + 1)
             assert flip * flip == identity(4 * n)
