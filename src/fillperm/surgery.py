@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NoReturn
 
 from .filling import FillingPermutation, _arc_map, _opp_tau, validate
 from .perm import Permutation
@@ -81,15 +82,18 @@ class AssemblyMap:
     i, j, opp(i), opp(j) has two piece preimages: a decorated entry takes the
     one in {4k+3, 4k+4, 8k+7, 8k+8}, an undecorated entry the other.
 
-    The map is built once, as tables indexed by label in both directions;
-    the methods are range-checked lookups.
+    The map is plain data, built once: `host` and `piece` give the result
+    label of each host and piece label, and `host_pre`, `piece_pre` and
+    `decorated_pre` the host, piece and decorated piece label of each result
+    label, or 0 where it has none.  All are tuples indexed by label, index 0
+    unused.
     """
 
     def __init__(self, k: int, l: int, i: int, j: int):
         if k < 1 or l < 1:
             raise SurgeryError("both genera must be >= 1")
         self.k, self.l, self.i, self.j = k, l, i, j
-        self.n_host, self.n_piece = n_host, n_piece = 2 * l - 1, 2 * k + 2
+        n_host, n_piece = 2 * l - 1, 2 * k + 2
         self.n = n = n_host + n_piece - 2
         if not (i % 2 == 1 and 1 <= i < 2 * n and j % 2 == 0 and 2 <= j <= 2 * n):
             raise SurgeryError(f"({i}, {j}) is not a positive odd/even site for n={n}")
@@ -100,52 +104,20 @@ class AssemblyMap:
             for a in site_arcs
         ]
         piece_arcs = [[(a + arc - 2) % n + 1 for arc in range(1, n_piece + 1)] for a in site_arcs]
-        # result label by host or piece label, and back, index 0 unused; 0
-        # marks a result label with no preimage
-        self._host = host = _label_table(host_arcs, n, reverse=False)
-        self._piece = piece = _label_table(piece_arcs, n, reverse=True)
-        self._host_pre = _preimages(host, n, range(1, 4 * n_host + 1))
+        self.host = host = _label_table(host_arcs, n, reverse=False)
+        self.piece = piece = _label_table(piece_arcs, n, reverse=True)
+        self.host_pre = _preimages(host, n, range(1, 4 * n_host + 1))
         # descending, so that on a torus host the first arc wins the site arc
-        self._piece_pre = _preimages(piece, n, range(4 * n_piece, 0, -1))
+        self.piece_pre = _preimages(piece, n, range(4 * n_piece, 0, -1))
         last_arc = (2 * n_piece - 1, 2 * n_piece, 4 * n_piece - 1, 4 * n_piece)
-        self._decorated_pre = _preimages(piece, n, last_arc if l == 1 else ())
+        self.decorated_pre = _preimages(piece, n, last_arc if l == 1 else ())
 
     def __repr__(self) -> str:
-        k, l, i, j = self.k, self.l, self.i, self.j
-        return f"AssemblyMap({k=}, {l=}, {i=}, {j=})"
+        return f"AssemblyMap(k={self.k}, l={self.l}, i={self.i}, j={self.j})"
 
-    def _gap(self, side: str, symbol: int, problem: str) -> CaseGap:
-        return CaseGap(f"{self!r}, {side} side: symbol {symbol} {problem}")
 
-    def _check(self, label: int, n: int, side: str) -> None:
-        if not 1 <= label <= 4 * n:
-            raise self._gap(side, label, f"out of range 1..{4 * n}")
-
-    def host(self, v: int) -> int:
-        self._check(v, self.n_host, "host")
-        return self._host[v]
-
-    def piece(self, w: int) -> int:
-        self._check(w, self.n_piece, "piece")
-        return self._piece[w]
-
-    def host_preimage(self, r: int) -> int:
-        self._check(r, self.n, "host")
-        v = self._host_pre[r]
-        if not v:
-            raise self._gap("host", r, "has no preimage")
-        return v
-
-    def piece_preimage(self, r: int, decorated: bool = False) -> int:
-        self._check(r, self.n, "piece")
-        w = (self._decorated_pre if decorated else self._piece_pre)[r]
-        if w:
-            return w
-        if not self._piece_pre[r]:
-            raise self._gap("piece", r, "has no preimage")
-        if self.l > 1:
-            raise self._gap("piece", r, "is decorated, but the host is not a torus")
-        raise self._gap("piece", r, "is decorated, but is not on the site arc")
+def _no_preimage(amap: AssemblyMap, side: str, symbol: int) -> NoReturn:
+    raise CaseGap(f"{amap!r}, {side} side: symbol {symbol} has no preimage")
 
 
 def _label_table(arcs: list[list[int]], n: int, reverse: bool) -> tuple[int, ...]:
@@ -219,7 +191,7 @@ def assemble(
     if host.n > 1 and (orbit[1] == site.j) != (green[1] == 2 * piece.n):
         sigma_p = sigma_p.conjugated_by(_reverse_second(piece.n))
 
-    hmap, pmap = amap._host, amap._piece
+    hmap, pmap = amap.host, amap.piece
     merged = {hmap[e]: hmap[v] for e, v in enumerate(host.sigma.one_line(), 1) if e not in orbit}
     merged.update(
         {pmap[v]: pmap[u] for u, v in enumerate(sigma_p.one_line(), 1) if u not in green}
@@ -321,7 +293,7 @@ def _anchored_types(
     piece (their runs may overlap, or not close under opp) is for
     `_is_witness` to decide.
 
-    With d(e) = (pos(opp e) - pos(e)) mod m, the sizes less one sum to
+    With d(e) = pos(opp e) - pos(e), the sizes less one sum to
     d(x) + d(y) + d(a) + d(b) modulo m, that is to D(x) + D(a) with
     D(e) = d(e) + d(flip[e]), and that sum must be 8k + 4.  So a candidate a
     is tested against the residue class 8k + 4 - D(x) first, and s, t and u
@@ -329,11 +301,12 @@ def _anchored_types(
 
     On a torus remainder (k = g - 1) tau^(2k+1) is the identity, so flip =
     opp, D = 0 and the class holds every candidate.  There (r - 1) + (u - 1)
-    = d(x) exactly, so u >= 4 caps r at d(x) - 2, and the sizes sum to
-    8k + 8 = m + 4 exactly when pos(a) runs from pos(opp x) forward to pos(x);
-    with s, t >= 4 that is the cyclic interval [pos(opp x) + 3, pos(x) - 3],
-    one compare per candidate.  That scan computes d(x) as it goes, so the
-    census flag, which stops in it, never builds d.
+    = d(x) mod m exactly, so u >= 4 caps r at (d(x) mod m) - 2, and the sizes
+    sum to 8k + 8 = m + 4 exactly when pos(a) runs from pos(opp x) forward to
+    pos(x); with s, t >= 4 that is the cyclic interval
+    [pos(opp x) + 3, pos(x) - 3], one compare per candidate.  That scan
+    computes d(x) mod m as it goes, so the census flag, which stops in it,
+    never builds d.
     """
     pos, opp, opp_at, m = tables.pos, tables.opp, tables.opp_at, tables.m
     last = 8 * k - 4
@@ -347,14 +320,14 @@ def _anchored_types(
             span, lo = m - dx - 6, ox + 3
             if span < 0:
                 continue
-            # a for r = 4, 6, ..., min(last, d(x) - 2) sits at px + 3, px + 5, ...
+            # a for r = 4, 6, ..., min(last, dx - 2) sits at px + 3, px + 5, ...
             for r, a in zip(sizes, opp_at[px + 3 : px + min(last, dx - 2) : 2]):
                 pa = pos[a]
                 if (pa - lo) % m <= span:
                     s, t = (px - pa) % m + 1, (pa - ox) % m + 1
                     yield (x, a, y, opp[a]), (r, s, t, dx - r + 2)
         return
-    d = [(pos[o] - p) % m for p, o in zip(pos, opp)]
+    d = [pos[o] - p for p, o in zip(pos, opp)]
     flip = _opp_tau(m // 4, 2 * k + 1)
     residue = [(de + d[f]) % m for de, f in zip(d, flip)]
     # the residue of the candidate a at each cycle position, twice round
@@ -584,15 +557,15 @@ def _pull_back(
     """`disassemble` given what `extract(fp, dec)` returned."""
     k, l = dec.k, dec.l
     amap = _assembly_map(k, l, *_site_labels(dec.anchors, fp.n))
-    # a label with no preimage reads 0 and goes to the method, which raises
-    pre = (amap._piece_pre, amap._decorated_pre)
+    # a label with no preimage reads 0, and `_no_preimage` raises
+    pre = (amap.piece_pre, amap.decorated_pre)
     piece_cycles = [
-        [pre[decorated][s] or amap.piece_preimage(s, decorated) for s, decorated in cyc]
+        [pre[decorated][s] or _no_preimage(amap, "piece", s) for s, decorated in cyc]
         for cyc in cut_cycles
     ]
     if l > 1:  # a torus remainder comes back from `extract` already as [1, 2, 3, 4]
-        host_pre = amap._host_pre
-        remainder_cycle = [host_pre[v] or amap.host_preimage(v) for v in remainder_cycle]
+        host_pre = amap.host_pre
+        remainder_cycle = [host_pre[v] or _no_preimage(amap, "host", v) for v in remainder_cycle]
     remainder_perm = Permutation.from_cycles([remainder_cycle], 8 * l - 4)
     piece_perm = Permutation.from_cycles(piece_cycles, 8 * k + 8).inverse()
     try:
@@ -624,8 +597,10 @@ class RoundTripReport:
     permutation back to the original by conjugation.
 
     The cut's site fixes them.  With (i, j) the positive odd and even anchors
-    and a = (i+1)/2, b = j/2 their arcs, a genus-1 remainder (l = 1) gives
-    (p, q) = ((1 - a) mod n, (1 - b) mod n), and l > 1 gives (0, 0).
+    and a = (i+1)/2, b = j/2 their arcs, the rebuild puts the site on host
+    arcs min(a, 2l-1) and min(b, 2l-1), so (p, q) = ((min(a, 2l-1) - a) mod n,
+    (min(b, 2l-1) - b) mod n).  That is (0, 0), an exact rebuild, at every
+    site `assemble` joins at.
     """
 
     p: int
@@ -640,15 +615,12 @@ class RoundTripReport:
 def round_trip_check(fp: FillingPermutation, dec: Decomposition) -> RoundTripReport:
     """Disassemble, reassemble at the induced site, and check the conjugacy.
 
-    The site is the host preimage of the anchors (i, j) under the
-    `AssemblyMap` at the cut's site.  On a genus-1 remainder that is always
-    (1, 2), which may differ from the anchors used during disassembly; the
-    result is then only conjugate to the original by label cycling.
-
-    The powers are those that carry the cut's site arcs a = (i+1)/2 and
-    b = j/2 back to arc 1: (p, q) = ((1 - a) mod n, (1 - b) mod n) for l = 1,
-    and (0, 0) for l > 1, where the rebuild is exact.  For the k = 5 witness
-    of sigma_F6 (site (1, 16), n = 11) that is (0, 4).  Raises
+    The site is the host preimage (i', j') of the anchors (i, j) under the
+    `AssemblyMap` at the cut's site: (1, 2) on a genus-1 remainder.  When it
+    differs from (i, j) the result is only conjugate to the original by
+    label cycling, with the powers that carry the rebuild's site arcs back
+    to the cut's: (p, q) = ((i' - i)/2 mod n, (j' - j)/2 mod n).  For the
+    k = 5 witness of sigma_F6 (site (1, 16), n = 11) that is (0, 4).  Raises
     `SurgeryError` when `dec` is no decomposition of fp, as `extract` does.
     Once the cut is accepted, raises `CaseGap` unless t = kappa^p delta^q
     gives t^{-1} * sigma' * t == sigma; t^{-1} = kappa^(-p) delta^(-q) is
@@ -659,9 +631,9 @@ def round_trip_check(fp: FillingPermutation, dec: Decomposition) -> RoundTripRep
     piece, remainder = disassemble(fp, dec)
     i, j = _site_labels(dec.anchors, n)
     amap = _assembly_map(dec.k, dec.l, i, j)
-    site = AttachmentSite(amap.host_preimage(i), amap.host_preimage(j))
+    site = AttachmentSite(amap.host_pre[i], amap.host_pre[j])
     reassembled = assemble(remainder, piece, site)
-    p, q = ((1 - (i + 1) // 2) % n, (1 - j // 2) % n) if dec.l == 1 else (0, 0)
+    p, q = (site.i - i) // 2 % n, (site.j - j) // 2 % n
     back = _kappa_delta_inverse(n, p, q)
     if reassembled.sigma.conjugated_by(back) != fp.sigma:
         raise CaseGap(

@@ -261,13 +261,18 @@ def test_assemble_matches_fixture(files, tmp_path, capsys):
 
 def test_assemble_record_matches_pinned(capsys):
     # zeta's green crossing has the other chirality from every crossing of
-    # sigma_F, and site (1, 10) is the wrap-around site
-    code, out, _ = run(
-        capsys, "assemble", "--host", str(DATA / "sigma_f.pair"),
-        "--piece", str(DATA / "zeta.pair"), "--i", "1", "--format", "record",
-    )
-    assert code == 0
-    assert out == (DATA / "sigma_f_zeta_1.assemble.json").read_text()
+    # sigma_F, and site (1, 10) is the wrap-around site; a torus host has no
+    # chirality, and its piece shares the site arc at both ends
+    for host, pinned in [
+        ("sigma_f.pair", "sigma_f_zeta_1.assemble.json"),
+        ("torus.pair", "torus_zeta_1.assemble.json"),
+    ]:
+        code, out, _ = run(
+            capsys, "assemble", "--host", str(DATA / host),
+            "--piece", str(DATA / "zeta.pair"), "--i", "1", "--format", "record",
+        )
+        assert code == 0
+        assert out == (DATA / pinned).read_text(), host
 
 
 def test_assemble_unwritable_out_exits_2(files, tmp_path, capsys):

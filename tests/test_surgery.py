@@ -133,7 +133,7 @@ def test_assembly_map_on_host(sigma_f):
     amap = AssemblyMap(3, 3, 3, 2)
     expected = perm(A_SIGMA_F, 44)
     for v in range(1, 21):
-        assert expected(amap.host(v)) == amap.host(sigma_f.sigma(v))
+        assert expected(amap.host[v]) == amap.host[sigma_f.sigma(v)]
 
 
 def test_assembly_map_on_piece(sigma_z):
@@ -141,14 +141,14 @@ def test_assembly_map_on_piece(sigma_z):
     expected = perm(A_SIGMA_Z_INV, 44)
     inv = sigma_z.sigma.inverse()
     for w in range(1, 33):
-        assert expected(amap.piece(w)) == amap.piece(inv(w))
+        assert expected(amap.piece[w]) == amap.piece[inv(w)]
 
 
 def test_assembly_map_injective_off_anchor_coincidences():
     for k, l, i, j in [(3, 3, 3, 2), (2, 1, 1, 2), (2, 3, 9, 8), (1, 3, 5, 2)]:
         amap = AssemblyMap(k, l, i, j)
-        host_images = {amap.host(v) for v in range(1, 8 * l - 4 + 1)}
-        piece_images = [amap.piece(w) for w in range(1, 8 * k + 8 + 1)]
+        host_images = set(amap.host[1:])
+        piece_images = amap.piece[1:]
         assert len(host_images) == 8 * l - 4
         # total collisions (within piece and against host) is exactly eight
         collisions = len(piece_images) - len(set(piece_images))
@@ -160,13 +160,7 @@ def test_assembly_map_matches_assemble_at_every_site(sigma_f, f4, zeta, sigma_z)
     # Site (1, 10) on sigma_f is a wrap-around site (j = 4l-2): the piece's
     # last arcs wrap to the start of the result's curves and keep their
     # reversed orientation there.
-    assert AssemblyMap(3, 3, 1, 10).piece(32) == 2
-    # a symbol the map cannot take names the map, the side and the symbol
-    with pytest.raises(CaseGap, match=(
-        r"^AssemblyMap\(k=3, l=3, i=1, j=10\), host side: "
-        r"symbol 99 out of range 1\.\.20$"
-    )):
-        AssemblyMap(3, 3, 1, 10).host(99)
+    assert AssemblyMap(3, 3, 1, 10).piece[32] == 2
     # at crossings of opposite chirality the map splices the piece relabeled
     # by _reverse_second, which leaves its green labels where they were
     opposite_sites = 0
@@ -185,10 +179,10 @@ def test_assembly_map_matches_assemble_at_every_site(sigma_f, f4, zeta, sigma_z)
                 orbit = set(host.vertex_orbit(i))
                 for v in range(1, host.size + 1):
                     if v not in orbit:
-                        assert sigma(amap.host(v)) == amap.host(host.sigma(v)), (i, v)
+                        assert sigma(amap.host[v]) == amap.host[host.sigma(v)], (i, v)
                 for w in range(1, piece.size + 1):
                     if w not in green:
-                        assert sigma(amap.piece(sigma_p(w))) == amap.piece(w), (i, w)
+                        assert sigma(amap.piece[sigma_p(w)]) == amap.piece[w], (i, w)
     assert opposite_sites == 12
 
 
@@ -203,30 +197,30 @@ def test_assembly_map_preimage_is_inverse(k, l):
             amap = AssemblyMap(k, l, i, j)
             host_images = set()
             for v in range(1, 4 * n_host + 1):
-                r = amap.host(v)
-                assert amap.host_preimage(r) == v
+                r = amap.host[v]
+                assert amap.host_pre[r] == v
                 host_images.add(r)
             piece_images = set()
             for w in range(1, 4 * n_piece + 1):
-                r = amap.piece(w)
+                r = amap.piece[w]
                 decorated = l == 1 and w in last_arc
-                assert amap.piece_preimage(r, decorated) == w
+                assert (amap.decorated_pre if decorated else amap.piece_pre)[r] == w
                 piece_images.add(r)
             assert host_images | piece_images == set(range(1, 4 * n + 1))
             for r in range(1, 4 * n + 1):
                 if r in host_images:
-                    assert amap.host(amap.host_preimage(r)) == r
+                    assert amap.host[amap.host_pre[r]] == r
                 if r in piece_images:
-                    assert amap.piece(amap.piece_preimage(r)) == r
+                    assert amap.piece[amap.piece_pre[r]] == r
                     if l == 1 and r in (i, j, opposite(i, n), opposite(j, n)):
-                        assert amap.piece(amap.piece_preimage(r, True)) == r
+                        assert amap.piece[amap.decorated_pre[r]] == r
 
 
 def _arc_arithmetic(k, l, i, j):
     """AssemblyMap's relabeling as arc arithmetic, one label at a time: the
     reference its tables are checked against.  Returns host(v), piece(w),
-    host_preimage(r) and piece_preimage(r, decorated), the last two None
-    where r has no preimage."""
+    host_preimage(r) and piece_preimage(r, decorated), the last two 0 where
+    r has no preimage."""
     n_host, n_piece = 2 * l - 1, 2 * k + 2
     n = n_host + n_piece - 2
     site_arc = ((i + 1) // 2, j // 2)  # indexed by `even`
@@ -246,14 +240,14 @@ def _arc_arithmetic(k, l, i, j):
         a = site_arc[even]
         back = (a - c) % n
         if back >= n_host:
-            return None
+            return 0
         return _label_of((min(a, n_host) - back - 1) % n_host + 1, even, negative, n_host)
 
     def piece_preimage(r, decorated):
         c, even, negative = _arc_of(r, n)
         ahead = (c - site_arc[even]) % n
         if ahead >= n_piece or decorated and (l > 1 or ahead):
-            return None
+            return 0
         return _label_of(n_piece if decorated else ahead + 1, even, not negative, n_piece)
 
     return host, piece, host_preimage, piece_preimage
@@ -269,22 +263,13 @@ def test_assembly_map_matches_arc_arithmetic(k, l):
         for j in range(2, 2 * n + 1, 2):
             amap = AssemblyMap(k, l, i, j)
             host, piece, host_preimage, piece_preimage = _arc_arithmetic(k, l, i, j)
-            hosts = range(1, 4 * n_host + 1)
-            assert [amap.host(v) for v in hosts] == [host(v) for v in hosts]
-            pieces = range(1, 4 * n_piece + 1)
-            assert [amap.piece(w) for w in pieces] == [piece(w) for w in pieces]
-            for r in range(1, 4 * n + 1):
-                calls = [(amap.host_preimage, (r,), host_preimage(r))] + [
-                    (amap.piece_preimage, (r, decorated), piece_preimage(r, decorated))
-                    for decorated in (False, True)
-                ]
-                for method, args, want in calls:
-                    try:
-                        got = method(*args)
-                    except CaseGap as exc:
-                        assert want is None, (amap, args, exc)
-                    else:
-                        assert got == want, (amap, args)
+            assert amap.host == (0, *map(host, range(1, 4 * n_host + 1))), amap
+            assert amap.piece == (0, *map(piece, range(1, 4 * n_piece + 1))), amap
+            results = range(1, 4 * n + 1)
+            assert amap.host_pre == (0, *map(host_preimage, results)), amap
+            for decorated, table in [(False, amap.piece_pre), (True, amap.decorated_pre)]:
+                want = (0, *(piece_preimage(r, decorated) for r in results))
+                assert table == want, (amap, decorated)
 
 
 def test_reverse_second_is_the_involution_that_turns_a_piece_over(zeta, sigma_z, z5):
@@ -313,7 +298,7 @@ def test_reverse_second_is_the_involution_that_turns_a_piece_over(zeta, sigma_z,
 def test_arrange_piece_cycles_sigma_z(sigma_z):
     cycles = sigma_z.sigma.inverse().cycles()
     amap = AssemblyMap(3, 3, 3, 2)
-    relabeled = ["(" + ",".join(str(amap.piece(w)) for w in c) + ")" for c in cycles]
+    relabeled = ["(" + ",".join(str(amap.piece[w]) for w in c) + ")" for c in cycles]
     assert perm("".join(relabeled), 44) == perm(A_SIGMA_Z_INV, 44)
 
 
@@ -1047,22 +1032,16 @@ def test_extract_k3_remainder_is_relabeled_host(sigma_f6):
 
 def test_decorated_map_fixed_values():
     amap = AssemblyMap(5, 1, 1, 16)
-    assert amap.piece_preimage(1, decorated=True) == 8 * 5 + 7
-    assert amap.piece_preimage(16, decorated=True) == 8 * 5 + 8
-    assert amap.piece_preimage(opposite(1, 11), decorated=True) == 4 * 5 + 3
-    assert amap.piece_preimage(opposite(16, 11), decorated=True) == 4 * 5 + 4
-    prefix = r"^AssemblyMap\(k=5, l=1, i=1, j=16\), "
-    with pytest.raises(CaseGap, match=prefix + r"host side: symbol 5 has no preimage$"):
-        amap.host_preimage(5)
-    with pytest.raises(CaseGap, match=prefix + r"piece side: symbol 0 out of range 1\.\.48$"):
-        amap.piece(0)
-    with pytest.raises(CaseGap, match=r"l=3.*piece side: symbol 16 is decorated, but the host"):
-        AssemblyMap(5, 3, 1, 16).piece_preimage(16, decorated=True)
-    # on a torus host only the site arc's labels have a decorated preimage
-    with pytest.raises(
-        CaseGap, match=prefix + r"piece side: symbol 3 is decorated, but is not on the site arc$"
-    ):
-        amap.piece_preimage(3, decorated=True)
+    assert amap.decorated_pre[1] == 8 * 5 + 7
+    assert amap.decorated_pre[16] == 8 * 5 + 8
+    assert amap.decorated_pre[opposite(1, 11)] == 4 * 5 + 3
+    assert amap.decorated_pre[opposite(16, 11)] == 4 * 5 + 4
+    # 5 lies on the piece's arcs only
+    assert amap.host_pre[5] == 0
+    # on a torus host only the site arc's labels have a decorated preimage,
+    # and on any other host none has
+    assert amap.decorated_pre[3] == 0
+    assert not any(AssemblyMap(5, 3, 1, 16).decorated_pre)
 
 
 def test_disassemble_k5_bit_exact(sigma_f6, z5, f1):
@@ -1127,20 +1106,32 @@ def test_round_trip_rejects_rebuild_off_the_site_powers(sigma_f6, monkeypatch):
     (FillingPermutation, "is_minimal", r"recovered remainder is not a minimal pair"),
     (None, None, r"recovered piece or remainder is not a filling pair: "
                  r"cycle entries do not alternate parity at symbol 40$"),
+    (None, "piece", r"AssemblyMap\(k=3, l=3, i=3, j=2\), piece side: symbol 1 has no preimage$"),
+    (None, "host", r"AssemblyMap\(k=3, l=3, i=3, j=2\), host side: symbol 35 has no preimage$"),
 ])
 def test_pull_back_of_an_accepted_cut_fails_as_case_gap(
     sigma_f6, monkeypatch, cls, method, message
 ):
     # once extract has accepted the cut, a wrong piece or remainder is an
     # internal fault, not bad input
-    dec = decomposition_at(sigma_f6, 23, 38, 1, 16, 5)
-    cut_cycles, remainder_cycle = extract(sigma_f6, dec)
-    if cls is None:
-        # two entries of a cut cycle swapped pull back to no filling pair
-        first = cut_cycles[0]
-        first[1], first[2] = first[2], first[1]
+    if method in ("piece", "host"):
+        # on the k = 3 cut, 1 is a remainder label only and 35 is inside the
+        # piece only, so neither has a preimage on the other side
+        dec = decomposition_at(sigma_f6, 3, 38, 39, 2, 3)
+        cut_cycles, remainder_cycle = extract(sigma_f6, dec)
+        if method == "piece":
+            cut_cycles[0][0] = (1, False)
+        else:
+            remainder_cycle[1] = 35
     else:
-        monkeypatch.setattr(cls, method, lambda *args: False)
+        dec = decomposition_at(sigma_f6, 23, 38, 1, 16, 5)
+        cut_cycles, remainder_cycle = extract(sigma_f6, dec)
+        if cls is None:
+            # two entries of a cut cycle swapped pull back to no filling pair
+            first = cut_cycles[0]
+            first[1], first[2] = first[2], first[1]
+        else:
+            monkeypatch.setattr(cls, method, lambda *args: False)
     with pytest.raises(CaseGap, match=f"^{message}"):
         _pull_back(sigma_f6, dec, cut_cycles, remainder_cycle)
 
@@ -1176,13 +1167,13 @@ def test_kappa_delta_closed_form(sigma_f6, monkeypatch):
 
 
 def _site_powers(dec, n):
-    # the closed form round_trip_check promises: the powers that carry the
-    # cut's site arcs back to arc 1 on a torus remainder, none otherwise
-    if dec.l > 1:
-        return (0, 0)
+    # the closed form round_trip_check promises: the rebuild puts the cut's
+    # site arcs a and b at host arcs min(a, 2l - 1) and min(b, 2l - 1), so on
+    # a torus remainder at arc 1, and the powers carry them back
     (i,) = [s for s in dec.anchors if s <= 2 * n and s % 2 == 1]
     (j,) = [s for s in dec.anchors if s <= 2 * n and s % 2 == 0]
-    return ((1 - (i + 1) // 2) % n, (1 - j // 2) % n)
+    a, b, n_host = (i + 1) // 2, j // 2, 2 * dec.l - 1
+    return ((min(a, n_host) - a) % n, (min(b, n_host) - b) % n)
 
 
 def test_round_trip_all_found(sigma_f6, sigma_f, f4):
@@ -1193,6 +1184,60 @@ def test_round_trip_all_found(sigma_f6, sigma_f, f4):
             t = kappa**report.p * delta**report.q
             assert report.reassembled.sigma.conjugated_by(t.inverse()) == fp.sigma
             assert (report.p, report.q) == _site_powers(dec, fp.n), dec
+
+
+def _first_witness(fp, ks):
+    # the first candidate over the piece genera ks that is a witness, or None
+    tables = _CycleTables(fp)
+    g = tables.genus
+    for k in ks:
+        for anchors, quad in _anchored_types(tables, k):
+            dec = Decomposition(k, g - k, *anchors, quad)
+            if _is_witness(tables, dec):
+                return dec
+    return None
+
+
+def _check_round_trip(fp, dec):
+    report = round_trip_check(fp, dec)
+    assert (report.p, report.q) == _site_powers(dec, fp.n), (fp, dec)
+    kappa, delta, _, _ = generators(fp.n)
+    t = kappa**report.p * delta**report.q
+    assert report.reassembled.sigma.conjugated_by(t.inverse()) == fp.sigma, (fp, dec)
+
+
+def test_round_trips_of_random_witnesses_at_genus_6_to_32():
+    # one seeded pair per genus: its first torus witness, which pulls back
+    # through the decorated table, and its first inner witness when it has
+    # one; inner witnesses grow rare with genus, so the next test draws them
+    # at genus 6
+    rng = random.Random(32)
+    for n in range(11, 64, 2):
+        fp = random_minimal_pair(n, rng)
+        g = fp.genus()
+        _check_round_trip(fp, _first_witness(fp, [g - 1]))
+        dec = _first_witness(fp, range(g - 2, 0, -1))
+        if dec is not None:
+            _check_round_trip(fp, dec)
+
+
+def test_round_trips_of_random_inner_witnesses_at_genus_6():
+    # seeded genus-6 pairs, drawn until eight have an inner witness; a site
+    # arc past the remainder's 2l - 1 arcs puts the rebuild a few arcs away,
+    # which no assembled sum in the fixtures shows
+    rng = random.Random(32)
+    decs = []
+    for _ in range(2000):
+        fp = random_minimal_pair(11, rng)
+        dec = _first_witness(fp, range(fp.genus() - 2, 0, -1))
+        if dec is not None:
+            decs.append((fp, dec))
+            if len(decs) == 8:
+                break
+    assert len(decs) == 8
+    for fp, dec in decs:
+        _check_round_trip(fp, dec)
+    assert any(_site_powers(dec, fp.n) != (0, 0) for fp, dec in decs)
 
 
 def test_genus_4_census_decomposes_and_round_trips():

@@ -20,6 +20,7 @@ from fillperm import (
 
 from fillperm.cli import load_valid
 from fillperm.surgery import _reverse_second
+from fillperm.twist import _slice_table
 
 from conftest import (
     FIXTURE_TEXTS,
@@ -30,6 +31,7 @@ from conftest import (
     order,
     perm,
 )
+from random_pairs import random_minimal_pair
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 DATA = Path(__file__).resolve().parent / "data"
@@ -221,6 +223,26 @@ def test_equivalence_beyond_sixteen_crossings():
     canon = canonical_form(fp)
     assert canon == canonical_form(copy)
     assert canon == min((fp.sigma.conjugated_by(t) for t in group), key=Permutation.one_line)
+
+
+def test_orbit_answers_survive_random_relabelings_up_to_n_63():
+    # at each n a seeded minimal pair, a seeded kappa^a delta^b eta^c mu^d
+    # copy of it and a second pair: the copy has the pair's canonical form,
+    # the witness either way carries one onto the other, and the second pair
+    # gets the same answer from both.  The table at n = 63 holds about
+    # 20 MB, so each n's is dropped after use.
+    rng = random.Random(32)
+    for n in range(11, 64, 4):
+        fp, other = random_minimal_pair(n, rng), random_minimal_pair(n, rng)
+        kappa, delta, eta, mu = generators(n)
+        a, b, c, d = rng.randrange(n), rng.randrange(n), rng.randrange(2), rng.randrange(2)
+        copy = validate(fp.sigma.conjugated_by(kappa**a * delta**b * eta**c * mu**d), n)
+        assert canonical_form(copy) == canonical_form(fp), n
+        for one, two in ((fp, copy), (copy, fp)):
+            witness = are_equivalent(one, two)
+            assert witness is not None and one.sigma.conjugated_by(witness) == two.sigma, n
+        assert (are_equivalent(fp, other) is None) == (are_equivalent(copy, other) is None), n
+        _slice_table.cache_clear()
 
 
 def test_conjugation_preserves_validity_full_group(zeta, sigma_f, f1):
