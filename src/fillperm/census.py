@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .filling import opposite, tau, validate
+from .filling import _opp_tau, tau, validate
 from .perm import Permutation
 # perfbench/tracing.py wraps census.find_decompositions; see tests/test_perfbench_surface.py
 from .surgery import _decomposes, find_decompositions  # noqa: F401
@@ -71,16 +71,28 @@ def _crossing_blocks(n: int) -> tuple[tuple[tuple[int, tuple], ...], ...]:
     """
     m = 4 * n
     t = (0, *tau(n).one_line())
+    opp = _opp_tau(n, 0)
     rows: list[tuple] = [()]
     for e in range(1, m + 1):
         row = []
-        for f in range(2 if e % 2 else 1, m + 1, 2):
-            pairs = [(e, f)]
-            for _ in range(3):
-                x, y = pairs[-1]
-                pairs.append((opposite(y, n), t[x]))
-            if min(x for x, _ in pairs) == e:
-                row.append((sum(1 << (x - 1) for x, _ in pairs), tuple(pairs)))
+        # the block is (e, f), (opp f, tau e), (opp tau e, tau opp f),
+        # (opp tau opp f, tau opp tau e); a start stops at its first label below e
+        te = t[e]
+        e3 = opp[te]
+        if e3 > e:
+            te3 = t[e3]
+            bit = (1 << (e - 1)) | (1 << (e3 - 1))
+            for f in range(2 if e % 2 else 1, m + 1, 2):
+                e2 = opp[f]
+                if e2 < e:
+                    continue
+                e4 = opp[t[e2]]
+                if e4 < e:
+                    continue
+                row.append((
+                    bit | (1 << (e2 - 1)) | (1 << (e4 - 1)),
+                    ((e, f), (e2, te), (e3, t[e2]), (e4, te3)),
+                ))
         rows.append(tuple(row))
     return tuple(rows)
 

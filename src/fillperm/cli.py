@@ -13,14 +13,16 @@ import json
 import os
 import re
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .census import census_records, upper_bound, write_census
 from .filling import FillingError, FillingPermutation, validate
-from .perm import CycleParseError, Permutation
+from .perm import CycleParseError, Permutation, parse_cycle_text
 from .surgery import (
     AttachmentSite,
     Decomposition,
+    RoundTripReport,
     SurgeryError,
     assemble,
     attachment_site,
@@ -48,7 +50,11 @@ def _file_errors(path: str):
 
 
 def read_filling_file(path: str) -> tuple[Permutation, int]:
-    """Parse a pair file: optional leading `n=<int>`, cycle notation, `#` comments."""
+    """Parse a pair file: optional leading `n=<int>`, cycle notation, `#` comments.
+
+    The body is parsed once; its labels give n when there is no header and
+    refuse a file that cannot be a pair before anything of 4n labels is built.
+    """
     with _file_errors(path):
         text = Path(path).read_text(encoding="utf-8")
     n = None
@@ -62,7 +68,11 @@ def read_filling_file(path: str) -> tuple[Permutation, int]:
             continue
         body_parts.append(line)
     body = "".join(body_parts)
-    labels = set(map(int, re.findall(r"\d+", body)))
+    try:
+        cycles = parse_cycle_text(body, None)
+    except ValueError as exc:
+        raise CLIInputError(f"{path}: {exc}") from exc
+    labels = set().union(*cycles)
     top = max(labels, default=0)
     if not top:
         raise CLIInputError(f"{path}: no permutation found")
@@ -77,9 +87,15 @@ def read_filling_file(path: str) -> tuple[Permutation, int]:
             f"{path}: n={n} needs {4 * n} distinct labels, the body names {len(labels)}"
         )
     try:
-        sigma = Permutation.from_cycle_string(body, 4 * n)
-    except (CycleParseError, ValueError) as exc:
-        raise CLIInputError(f"{path}: {exc}") from exc
+        sigma = Permutation.from_cycles(cycles, 4 * n)
+    except ValueError:
+        # a symbol out of range or repeated in its cycle: the bounded parse
+        # raises the error with its position in the body
+        try:
+            parse_cycle_text(body, 4 * n)
+        except CycleParseError as exc:
+            raise CLIInputError(f"{path}: {exc}") from exc
+        raise
     return sigma, n
 
 
@@ -113,30 +129,38 @@ def _dec_text(dec: Decomposition) -> str:
     return f"k={dec.k} l={dec.l} x={dec.x} a={dec.a} y={dec.y} b={dec.b} type=({quad}){note}"
 
 
-def cmd_validate(args) -> tuple[int, str, dict]:
+def _roundtrip_text(dec: Decomposition, report: RoundTripReport) -> str:
+    tag = "exact" if report.exact else f"conjugate by kappa^{report.p} delta^{report.q}"
+    return f"k={dec.k} x={dec.x}: p={report.p} q={report.q} ({tag})"
+
+
+def _vertices_text(vertices: tuple[tuple[int, ...], ...]) -> str:
+    return " ".join("{" + ",".join(map(str, v)) + "}" for v in vertices)
+
+
+# Each command returns (exit code, text, record payload).  The text is a
+# function of no arguments, called only for `--format text`, so record
+# output formats no text.
+
+
+def cmd_validate(args) -> tuple[int, Callable[[], str], dict]:
     sigma, n = read_filling_file(args.file)
     try:
         fp = validate(sigma, n)
     except FillingError as exc:
-        return 1, f"invalid: {exc}", {"valid": False, "error": str(exc)}
-    text = f"valid, n={fp.n}, c={fp.region_count}, genus={fp.genus()}"
-    return 0, text, {
+        error = str(exc)
+        return 1, lambda: f"invalid: {error}", {"valid": False, "error": error}
+    payload = {
         "valid": True,
         "n": fp.n,
         "c": fp.region_count,
         "genus": fp.genus(),
     }
+    return 0, lambda: f"valid, n={fp.n}, c={fp.region_count}, genus={fp.genus()}", payload
 
 
-def cmd_info(args) -> tuple[int, str, dict]:
+def cmd_info(args) -> tuple[int, Callable[[], str], dict]:
     fp = load_valid(args.file)
-    lines = [
-        f"n={fp.n} c={fp.region_count} genus={fp.genus()} minimal={fp.is_minimal()}",
-        "regions: " + " ".join("(" + ",".join(map(str, r)) + ")" for r in fp.regions),
-        "vertices: " + " ".join("{" + ",".join(map(str, v)) + "}" for v in fp.vertices),
-        "green vertices: "
-        + (" ".join("{" + ",".join(map(str, v)) + "}" for v in fp.green_vertices) or "none"),
-    ]
     payload = {
         "n": fp.n,
         "c": fp.region_count,
@@ -147,17 +171,28 @@ def cmd_info(args) -> tuple[int, str, dict]:
         "green_vertices": [list(v) for v in fp.green_vertices],
         "green_normalized": fp.green_normalized(),
     }
-    if fp.is_z_piece(fp.genus()):
-        ztype = fp.z_type()
-        lines.append(
-            f"piece: genus {fp.genus()}, type ({','.join(map(str, ztype.quad))}),"
-            f" green-normalized={fp.green_normalized()}"
-        )
+    ztype = fp.z_type() if fp.is_z_piece(fp.genus()) else None
+    if ztype is not None:
         payload["z_piece"] = {"k": fp.genus(), "type": list(ztype.quad)}
-    return 0, "\n".join(lines), payload
+
+    def text() -> str:
+        lines = [
+            f"n={fp.n} c={fp.region_count} genus={fp.genus()} minimal={fp.is_minimal()}",
+            "regions: " + " ".join("(" + ",".join(map(str, r)) + ")" for r in fp.regions),
+            "vertices: " + _vertices_text(fp.vertices),
+            "green vertices: " + (_vertices_text(fp.green_vertices) or "none"),
+        ]
+        if ztype is not None:
+            lines.append(
+                f"piece: genus {fp.genus()}, type ({','.join(map(str, ztype.quad))}),"
+                f" green-normalized={fp.green_normalized()}"
+            )
+        return "\n".join(lines)
+
+    return 0, text, payload
 
 
-def cmd_assemble(args) -> tuple[int, str, dict]:
+def cmd_assemble(args) -> tuple[int, Callable[[], str], dict]:
     host = load_valid(args.host)
     piece = load_valid(args.piece)
     try:
@@ -170,12 +205,11 @@ def cmd_assemble(args) -> tuple[int, str, dict]:
         raise CLIInputError(str(exc)) from exc
     if args.out:
         write_filling_file(args.out, result)
-    text = f"n={result.n}\n{result.sigma.cycle_string()}"
     payload = {"n": result.n, "genus": result.genus(), **result.sigma.to_record()}
-    return 0, text, payload
+    return 0, lambda: f"n={result.n}\n{result.sigma.cycle_string()}", payload
 
 
-def cmd_decompose(args) -> tuple[int, str, dict]:
+def cmd_decompose(args) -> tuple[int, Callable[[], str], dict]:
     fp = load_valid(args.file)
     if not fp.is_minimal():
         raise CLIInputError("decomposition search requires a minimal filling permutation")
@@ -185,11 +219,11 @@ def cmd_decompose(args) -> tuple[int, str, dict]:
         raise CLIInputError(str(exc)) from exc
     payload = {"decompositions": [d.to_record() for d in decs]}
     if not decs:
-        return 1, "NO-DECOMPOSITION", payload
-    return 0, "\n".join(_dec_text(d) for d in decs), payload
+        return 1, lambda: "NO-DECOMPOSITION", payload
+    return 0, lambda: "\n".join(map(_dec_text, decs)), payload
 
 
-def cmd_extract(args) -> tuple[int, str, dict]:
+def cmd_extract(args) -> tuple[int, Callable[[], str], dict]:
     fp = load_valid(args.file)
     if not fp.is_minimal():
         raise CLIInputError("extraction requires a minimal filling permutation")
@@ -198,16 +232,9 @@ def cmd_extract(args) -> tuple[int, str, dict]:
     except SurgeryError as exc:
         raise CLIInputError(str(exc)) from exc
     if dec is None:
-        return 1, "NOT-A-DECOMPOSITION", {"valid": False}
+        return 1, lambda: "NOT-A-DECOMPOSITION", {"valid": False}
     cut_cycles, remainder_cycle = extract(fp, dec)
     piece, remainder = _pull_back(fp, dec, cut_cycles, remainder_cycle)
-    lines = [
-        f"type=({','.join(map(str, dec.type))})",
-        "cut cycles: " + _cycles_text(cut_cycles),
-        "remainder cycle: (" + ",".join(map(str, remainder_cycle)) + ")",
-        f"piece: n={piece.n}\n{piece.sigma.cycle_string()}",
-        f"remainder: n={remainder.n}\n{remainder.sigma.cycle_string()}",
-    ]
     payload = {
         "valid": True,
         "type": list(dec.type),
@@ -218,10 +245,20 @@ def cmd_extract(args) -> tuple[int, str, dict]:
         "piece": {"n": piece.n, **piece.sigma.to_record()},
         "remainder": {"n": remainder.n, **remainder.sigma.to_record()},
     }
-    return 0, "\n".join(lines), payload
+
+    def text() -> str:
+        return "\n".join([
+            f"type=({','.join(map(str, dec.type))})",
+            "cut cycles: " + _cycles_text(cut_cycles),
+            "remainder cycle: (" + ",".join(map(str, remainder_cycle)) + ")",
+            f"piece: n={piece.n}\n{piece.sigma.cycle_string()}",
+            f"remainder: n={remainder.n}\n{remainder.sigma.cycle_string()}",
+        ])
+
+    return 0, text, payload
 
 
-def cmd_roundtrip(args) -> tuple[int, str, dict]:
+def cmd_roundtrip(args) -> tuple[int, Callable[[], str], dict]:
     fp = load_valid(args.file)
     if not fp.is_minimal():
         raise CLIInputError("round trips require a minimal filling permutation")
@@ -230,18 +267,16 @@ def cmd_roundtrip(args) -> tuple[int, str, dict]:
     except SurgeryError as exc:
         raise CLIInputError(str(exc)) from exc
     if not decs:
-        return 1, "NO-DECOMPOSITION", {"roundtrips": []}
-    lines = []
-    results = []
-    for dec in decs:
-        report = round_trip_check(fp, dec)
-        tag = "exact" if report.exact else f"conjugate by kappa^{report.p} delta^{report.q}"
-        lines.append(f"k={dec.k} x={dec.x}: p={report.p} q={report.q} ({tag})")
-        results.append({**dec.to_record(), "p": report.p, "q": report.q, "exact": report.exact})
-    return 0, "\n".join(lines), {"roundtrips": results}
+        return 1, lambda: "NO-DECOMPOSITION", {"roundtrips": []}
+    reports = [round_trip_check(fp, dec) for dec in decs]
+    results = [
+        {**dec.to_record(), "p": report.p, "q": report.q, "exact": report.exact}
+        for dec, report in zip(decs, reports)
+    ]
+    return 0, lambda: "\n".join(map(_roundtrip_text, decs, reports)), {"roundtrips": results}
 
 
-def cmd_equivalent(args) -> tuple[int, str, dict]:
+def cmd_equivalent(args) -> tuple[int, Callable[[], str], dict]:
     fp1 = load_valid(args.file1)
     fp2 = load_valid(args.file2)
     if fp1.n != fp2.n:
@@ -251,21 +286,25 @@ def cmd_equivalent(args) -> tuple[int, str, dict]:
     except BoundExceeded as exc:
         raise CLIInputError(str(exc)) from exc
     if witness is None:
-        code, text, payload = 1, "NOT-EQUIVALENT", {"equivalent": False}
+        code, payload = 1, {"equivalent": False}
     else:
-        code, text = 0, witness.cycle_string()
-        payload = {"equivalent": True, "witness": witness.to_record()}
+        code, payload = 0, {"equivalent": True, "witness": witness.to_record()}
+    caveat = None
     if not (fp1.is_minimal() and fp2.is_minimal()):
         caveat = (
             "note: inputs are not minimal; a witness certifies relabeling"
             " equivalence (sufficient, not necessary)"
         )
-        text += "\n" + caveat
         payload["caveat"] = caveat
+
+    def text() -> str:
+        answer = "NOT-EQUIVALENT" if witness is None else witness.cycle_string()
+        return answer if caveat is None else answer + "\n" + caveat
+
     return code, text, payload
 
 
-def cmd_census(args) -> tuple[int, str, dict]:
+def cmd_census(args) -> tuple[int, Callable[[], str], dict]:
     # the run-length bound, checked after the byte bound: 7, 5 or FILLPERM_MAX_N
     env_max = os.environ.get("FILLPERM_MAX_N")
     max_n = 7 if args.single_cycle else 5
@@ -284,11 +323,12 @@ def cmd_census(args) -> tuple[int, str, dict]:
     if args.out:
         with _file_errors(args.out):
             write_census(records, args.out)
-        text = f"n={args.n} solutions={total} orbits={len(records)} -> {args.out}"
-    elif args.format == "text":
-        text = "\n".join(r.to_line() for r in records) or f"n={args.n} solutions=0 orbits=0"
-    else:  # record format prints the payload instead
-        text = ""
+
+    def text() -> str:
+        if args.out:
+            return f"n={args.n} solutions={total} orbits={len(records)} -> {args.out}"
+        return "\n".join(r.to_line() for r in records) or f"n={args.n} solutions=0 orbits=0"
+
     genus = (args.n + 1) // 2
     payload = {"n": args.n, "solutions": total, "orbits": len(records)}
     if args.format == "record":
@@ -367,6 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, text, payload = args.func(args)
+        output = json.dumps(payload, separators=(",", ":")) if args.format == "record" else text()
     except CLIInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -375,10 +416,7 @@ def main(argv: list[str] | None = None) -> int:
         # program; exit 1 would read as a negative answer
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    if args.format == "record":
-        print(json.dumps(payload, separators=(",", ":")))
-    elif text:
-        print(text)
+    print(output)
     return code
 
 

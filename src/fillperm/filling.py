@@ -132,15 +132,21 @@ class FillingPermutation:
         if n != m // 4:
             raise FillingError(f"n={n} inconsistent with permutation size {m}")
         imgs = self.sigma.one_line()
-        for e in range(1, m + 1):
-            if (imgs[e - 1] - e) % 2 == 0:
-                raise AlternationViolation(e)
+        # sigma is a bijection, so it alternates exactly when it sends the odd
+        # labels onto the even ones; only a failure walks for the first symbol
+        if sorted(imgs[::2]) != list(range(2, m + 1, 2)):
+            for e in range(1, m + 1):
+                if (imgs[e - 1] - e) % 2 == 0:
+                    raise AlternationViolation(e)
+        # sigma(opp(sigma(e))) = tau(e) as one gather: opp shifts labels by
+        # 2n, so sigma o opp by label is sigma's images rotated by 2n
         t = tau(n).one_line()
-        two_n = 2 * n
-        for e in range(1, m + 1):
-            opp = (imgs[e - 1] + two_n - 1) % m + 1
-            if imgs[opp - 1] != t[e - 1]:
-                raise EquationViolation(e)
+        sigma_opp = (0, *imgs[2 * n:], *imgs[:2 * n])
+        if tuple(map(sigma_opp.__getitem__, imgs)) != t:
+            opp = _opp_tau(n, 0)
+            for e in range(1, m + 1):
+                if imgs[opp[imgs[e - 1]] - 1] != t[e - 1]:
+                    raise EquationViolation(e)
 
     @property
     def size(self) -> int:
@@ -164,44 +170,43 @@ class FillingPermutation:
         return self.region_count == 1
 
     def vertex_orbit(self, e: int) -> tuple[int, ...]:
-        """The four left edges of the crossing at e, in traversal order."""
-        q_n = 2 * self.n
+        """The four left edges of the crossing at e, in traversal order.
+
+        The left turn A = opp o sigma squares to opp o tau by the crossing
+        equation, so the orbit is (e, A e, opp tau e, opp tau A e).
+        """
         m = 4 * self.n
         if not 1 <= e <= m:
             raise ValueError(f"symbol {e} out of range 1..{m}")
-        imgs = self.sigma.one_line()
-        orbit = []
-        x = e
-        while True:
-            orbit.append(x)
-            x = (imgs[x - 1] + q_n - 1) % m + 1
-            if x == e:
-                return tuple(orbit)
+        opp_tau = _opp_tau(self.n, 1)
+        a = _opp_tau(self.n, 0)[self.sigma.one_line()[e - 1]]
+        return e, a, opp_tau[e], opp_tau[a]
 
     @cached_property
     def vertices(self) -> tuple[tuple[int, ...], ...]:
-        """All crossings as 4-element left-edge orbits, sorted by minimum."""
-        seen = set()
-        out = []
-        for e in range(1, self.size + 1):
-            if e in seen:
-                continue
-            orbit = self.vertex_orbit(e)
-            seen.update(orbit)
-            out.append(tuple(sorted(orbit)))
-        return tuple(out)
+        """All crossings as 4-element left-edge orbits, sorted by minimum.
+
+        Each orbit holds one label of each parity in each half (A changes
+        parity, opp tau keeps it and swaps halves), so reading the orbit of
+        every positive odd label meets each crossing once.
+        """
+        return tuple(sorted(
+            tuple(sorted(self.vertex_orbit(e))) for e in range(1, 2 * self.n, 2)
+        ))
 
     @cached_property
     def green_vertices(self) -> tuple[tuple[int, ...], ...]:
         """Crossings adjacent to every region."""
-        region_of = {}
+        c = self.region_count
+        if c == 1:
+            return self.vertices
+        if c > 4:  # a crossing has four left edges
+            return ()
+        region_of = [0] * (self.size + 1)
         for idx, region in enumerate(self.regions):
             for sym in region:
                 region_of[sym] = idx
-        all_regions = set(range(self.region_count))
-        return tuple(
-            v for v in self.vertices if {region_of[s] for s in v} == all_regions
-        )
+        return tuple(v for v in self.vertices if len({region_of[s] for s in v}) == c)
 
     def green_normalized(self) -> bool:
         """True when the crossing at label 2n-1 has left edges {2n-1..2n+2}.
@@ -236,7 +241,7 @@ class FillingPermutation:
         n = self.n
         normalized = tuple(sorted(self.vertex_orbit(2 * n - 1)))
         anchor = normalized if normalized in self.green_vertices else self.green_vertices[0]
-        region_size = {}
+        region_size = [0] * (self.size + 1)
         for region in self.regions:
             for sym in region:
                 region_size[sym] = len(region)

@@ -154,9 +154,10 @@ class Permutation:
 
         Fixed points are included as singleton cycles.
         """
-        seen = bytearray(self.size + 1)
+        imgs = (0, *self._imgs)
+        seen = bytearray(len(imgs))
         out = []
-        for start in range(1, self.size + 1):
+        for start in range(1, len(imgs)):
             if seen[start]:
                 continue
             cyc = []
@@ -164,7 +165,7 @@ class Permutation:
             while not seen[e]:
                 seen[e] = 1
                 cyc.append(e)
-                e = self._imgs[e - 1]
+                e = imgs[e]
             out.append(cyc)
         return out
 
@@ -197,15 +198,20 @@ class Permutation:
 
 _SPACE = re.compile(r"\s*")
 # one cycle and the whitespace after it, its symbols in group 1 ("()" has
-# none); \s and \d are exactly str.isspace and str.isdecimal
-_CYCLE = re.compile(r"\(\s*(?:\)|(\d+\s*(?:,\s*\d+\s*)*)\))\s*")
+# none); \s and \d are exactly str.isspace and str.isdecimal.  Group 1 is
+# any run of digits, whitespace and commas ending in a digit: it is a list
+# of symbols exactly when each comma-separated part converts by int() after
+# strip(), which the parser checks as it converts
+_CYCLE = re.compile(r"\(\s*(?:\)|([\d\s,]*\d\s*)\))\s*")
 
 
-def parse_cycle_text(text: str, size: int) -> list[list[int]]:
+def parse_cycle_text(text: str, size: int | None) -> list[list[int]]:
     """Parse "(1,2,3)(4,5)" into [[1,2,3],[4,5]], validating symbols against size.
 
     Whitespace is tolerated anywhere.  Empty input and "()" denote the empty
-    product.  Errors report the offending position in the input text.
+    product.  Errors report the offending position in the input text.  With
+    size None only the notation is checked: symbols out of range or repeated
+    in their cycle are left to the caller.
     """
     cycles: list[list[int]] = []
     at, end = _SPACE.match(text).end(), len(text)
@@ -217,18 +223,21 @@ def parse_cycle_text(text: str, size: int) -> list[list[int]]:
         try:
             # int() keeps "\x1c".."\x1f" around a symbol, which strip() removes
             cycle = list(map(int, map(str.strip, symbols.split(",")))) if symbols else []
-        except ValueError:  # a symbol longer than int() converts
+        except ValueError:  # not a list of symbols, or one longer than int() converts
             _raise_first_error(text, at, size)
-        if cycle and (min(cycle) < 1 or max(cycle) > size or len(set(cycle)) < len(cycle)):
+        if size is not None and cycle and (
+            min(cycle) < 1 or max(cycle) > size or len(set(cycle)) < len(cycle)
+        ):
             _raise_first_error(text, at, size)
         cycles.append(cycle)
         at = match.end()
     return cycles
 
 
-def _raise_first_error(text: str, at: int, size: int) -> NoReturn:
+def _raise_first_error(text: str, at: int, size: int | None) -> NoReturn:
     """Raise the first error, in text order, of the cycle starting at `at`,
-    which `_CYCLE` refused or whose symbols failed a check.
+    which `_CYCLE` refused or whose symbols failed a check; with size None,
+    the first error of notation.
 
     A symbol is the longest run of digits (`str.isdigit`), converted by
     `int()`, so a digit that is not decimal, such as "²", raises
@@ -244,11 +253,12 @@ def _raise_first_error(text: str, at: int, size: int) -> NoReturn:
             found = text[at] if at < len(text) else "end of input"
             raise CycleParseError(f"expected a symbol but found {found!r}", at)
         sym = int(run)
-        if not 1 <= sym <= size:
-            raise CycleParseError(f"symbol {sym} out of range 1..{size}", at)
-        if sym in cycle:
-            raise CycleParseError(f"repeated symbol {sym} in cycle", at)
-        cycle.append(sym)
+        if size is not None:
+            if not 1 <= sym <= size:
+                raise CycleParseError(f"symbol {sym} out of range 1..{size}", at)
+            if sym in cycle:
+                raise CycleParseError(f"repeated symbol {sym} in cycle", at)
+            cycle.append(sym)
         at = _SPACE.match(text, at + len(run)).end()
         if not text.startswith(",", at):
             # a ")" here would close a cycle without an error

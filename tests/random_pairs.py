@@ -4,7 +4,8 @@
 n, with each row of crossing blocks tried in an order `rng` shuffles, and
 returns its first one-region solution.  The draw is not uniform over minimal
 pairs (the search favours the blocks that extend early), so the pairs serve
-properties only, never counts.
+properties only, never counts.  `random_pair(n, rng)` draws the same way
+with no cycle tracking, so it returns a pair of any region count at any n.
 """
 
 from __future__ import annotations
@@ -59,3 +60,29 @@ def random_minimal_pair(n: int, rng: random.Random) -> FillingPermutation:
     if not search(0):
         raise ValueError(f"no minimal pair with {n} crossings")
     return validate(Permutation(sigma[1:]), n)
+
+
+def random_pair(n: int, rng: random.Random) -> FillingPermutation:
+    """A filling pair with n crossings, any region count, drawn by `rng`."""
+    full = (1 << 4 * n) - 1
+    rows = _crossing_blocks(n)
+    chosen: list[tuple] = []
+
+    def search(used: int) -> bool:
+        if used == full:
+            return True
+        free = full ^ used
+        row = list(rows[(free & -free).bit_length()])
+        rng.shuffle(row)
+        for labels, arrows in row:
+            if not labels & used:
+                chosen.append(arrows)
+                if search(used | labels):
+                    return True
+                chosen.pop()
+        return False
+
+    if not search(0):
+        raise ValueError(f"no filling pair with {n} crossings")
+    sigma = dict(arrow for arrows in chosen for arrow in arrows)
+    return validate(Permutation([sigma[e] for e in range(1, 4 * n + 1)]), n)

@@ -112,13 +112,19 @@ def test_empty_body_exits_2_whatever_the_header(tmp_path, capsys):
         assert err == f"error: {path}: no permutation found\n"
 
 
-def test_header_beyond_the_body_exits_2(tmp_path, capsys, monkeypatch):
-    # labels above the body's largest would be fixed points, so the header is
-    # refused before a permutation of 4n labels is built
-    def build(cls, text, size):
+def _refuse_builds(monkeypatch):
+    # both ways from text to a permutation of `size` labels fail the test
+    def build(cls, source, size):
         raise AssertionError(f"a permutation of {size} labels was built")
 
     monkeypatch.setattr(Permutation, "from_cycle_string", classmethod(build))
+    monkeypatch.setattr(Permutation, "from_cycles", classmethod(build))
+
+
+def test_header_beyond_the_body_exits_2(tmp_path, capsys, monkeypatch):
+    # labels above the body's largest would be fixed points, so the header is
+    # refused before a permutation of 4n labels is built
+    _refuse_builds(monkeypatch)
     path = tmp_path / "huge.fp"
     path.write_text(f"n={10**12}\n(1,2)\n")
     code, out, err = run(capsys, "validate", str(path))
@@ -130,10 +136,7 @@ def test_body_naming_too_few_labels_exits_2(tmp_path, capsys, monkeypatch):
     # without a header n comes from the largest label; the labels the body
     # does not name would be fixed points, so the file is refused before a
     # permutation of 4n labels is built
-    def build(cls, text, size):
-        raise AssertionError(f"a permutation of {size} labels was built")
-
-    monkeypatch.setattr(Permutation, "from_cycle_string", classmethod(build))
+    _refuse_builds(monkeypatch)
     path = tmp_path / "sparse.fp"
     path.write_text("(1,4000000000000)\n")
     code, out, err = run(capsys, "validate", str(path))
@@ -144,6 +147,25 @@ def test_body_naming_too_few_labels_exits_2(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "validate", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: {path}: n=2 needs 8 distinct labels, the body names 7\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    # the notation is checked before the labels are counted: the largest
+    # label of "(1,2,)" is below 4n, but its missing symbol is reported
+    ("n=1\n(1,2,)\n", "expected a symbol but found ')' (at position 5)"),
+    ("(1,2)(3,4", "expected ',' or ')' but found 'end of input' (at position 9)"),
+    # well-formed: the labels are counted before the symbols are checked
+    ("n=2\n(1,99)\n", "n=2 needs 8 distinct labels, the body names 2"),
+    ("(0,1,2,3)", "symbol 0 out of range 1..4 (at position 1)"),
+    ("n=1\n(1,2)(3,4,4)\n", "repeated symbol 4 in cycle (at position 10)"),
+    ("n=2\n(1,2,3,4,5,6,7,99)\n", "symbol 99 out of range 1..8 (at position 15)"),
+])
+def test_malformed_body_reports_its_first_error(tmp_path, capsys, body, message):
+    path = tmp_path / "bad.fp"
+    path.write_text(body)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {message}\n"
 
 
 def test_missing_file_exits_2(capsys):
@@ -413,6 +435,53 @@ def test_roundtrip_record_matches_pinned(capsys, pair):
     code, out, _ = run(capsys, "roundtrip", str(DATA / f"{pair}.pair"), "--format", "record")
     assert code == 0
     assert out == (DATA / f"{pair}.roundtrip.json").read_text()
+
+
+TEXT_PINS = [
+    (("info", "sigma_f6.pair"), "sigma_f6.info.txt"),
+    (("decompose", "sigma_f6.pair"), "sigma_f6.decompose.txt"),
+    (("roundtrip", "sigma_f6.pair"), "sigma_f6.roundtrip.txt"),
+    (
+        ("extract", "sigma_f6.pair", "--x", "23", "--a", "38", "--y", "1", "--b", "16", "--k", "5"),
+        "sigma_f6.extract_k5.txt",
+    ),
+    (
+        ("assemble", "--host", "torus.pair", "--piece", "zeta.pair", "--i", "1"),
+        "torus_zeta_1.assemble.txt",
+    ),
+    (("equivalent", "g5_stab4.pair", "g5_stab4_relabeled.pair"), "g5_stab4.equivalent.txt"),
+]
+
+
+def _data_argv(argv):
+    return [str(DATA / a) if a.endswith(".pair") else a for a in argv]
+
+
+@pytest.mark.parametrize("argv, pinned", TEXT_PINS)
+def test_text_output_matches_pinned(capsys, argv, pinned):
+    code, out, err = run(capsys, *_data_argv(argv))
+    assert (code, err) == (0, "")
+    assert out == (DATA / pinned).read_text()
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in TEXT_PINS])
+def test_record_format_builds_no_text(capsys, monkeypatch, argv):
+    # the text is built only for text output, so record output never
+    # formats a cycle, a witness, a cut or a vertex list
+    def refuse(*args):
+        raise AssertionError("text was built for record output")
+
+    code, want, _ = run(capsys, *_data_argv(argv), "--format", "record")
+    assert code == 0
+    monkeypatch.setattr(Permutation, "cycle_string", refuse)
+    for name in ("_dec_text", "_cycles_text", "_vertices_text", "_roundtrip_text"):
+        monkeypatch.setattr(fillperm.cli, name, refuse)
+    code, out, err = run(capsys, *_data_argv(argv), "--format", "record")
+    assert (code, out, err) == (0, want, "")
+    # and the stubs are what text output calls
+    code, out, err = run(capsys, *_data_argv(argv))
+    assert (code, out) == (3, "")
+    assert err == "internal error: text was built for record output\n"
 
 
 def test_extract_cuts_once(capsys, monkeypatch):

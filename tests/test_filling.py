@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
 
 from fillperm import (
     AlternationViolation,
+    read_census,
     EquationViolation,
     FillingError,
     FillingPermutation,
@@ -22,8 +24,10 @@ from fillperm.cli import read_filling_file
 from fillperm.filling import _arc_of, _label_of, _opp_tau
 
 from conftest import identity, opp_shift, order, perm
+from random_pairs import random_minimal_pair, random_pair
 
 DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 
 def naive_vertex_orbit(sigma, n, e):
@@ -306,3 +310,109 @@ def test_genus_parity(name, request):
 def test_z_type_sum(zeta, sigma_z, z5):
     for fp, k in ((zeta, 2), (sigma_z, 3), (z5, 5)):
         assert sum(fp.z_type().quad) == 8 * k + 8 == 4 * fp.n
+
+
+# Label-walk oracles: the crossing checks, the vertices and the piece type as
+# they were computed before they read opp o tau off its table.
+
+
+def walked_filling_error(sigma, n):
+    """(exception class, first symbol) of the label-by-label filling check,
+    or None for a filling permutation of size 4n."""
+    m = 4 * n
+    for e in range(1, m + 1):
+        if (sigma(e) - e) % 2 == 0:
+            return AlternationViolation, e
+    t = tau(n)
+    for e in range(1, m + 1):
+        if sigma(opposite(sigma(e), n)) != t(e):
+            return EquationViolation, e
+    return None
+
+
+def walked_vertices(fp):
+    seen, out = set(), []
+    for e in range(1, 4 * fp.n + 1):
+        if e not in seen:
+            orbit = naive_vertex_orbit(fp.sigma, fp.n, e)
+            seen.update(orbit)
+            out.append(tuple(sorted(orbit)))
+    return tuple(out)
+
+
+def walked_green_vertices(fp):
+    region_of = {s: idx for idx, region in enumerate(fp.regions) for s in region}
+    return tuple(
+        v for v in walked_vertices(fp)
+        if {region_of[s] for s in v} == set(range(fp.region_count))
+    )
+
+
+def walked_z_type(fp):
+    green = walked_green_vertices(fp)
+    normalized = tuple(sorted(naive_vertex_orbit(fp.sigma, fp.n, 2 * fp.n - 1)))
+    anchor = normalized if normalized in green else green[0]
+    size_of = {s: len(region) for region in fp.regions for s in region}
+    return ZType(tuple(size_of[s] for s in naive_vertex_orbit(fp.sigma, fp.n, min(anchor))))
+
+
+def _oracle_pairs():
+    pieces = [validate(perm(line, 24))
+              for line in (DATA / "genus2_pieces.txt").read_text().splitlines()]
+    representatives = [
+        validate(Permutation(rec.canonical_form), rec.n)
+        for name in ("census_single_n5.jsonl", "census_single_n7.jsonl")
+        for rec in read_census(GOLDEN / name)
+    ]
+    rng = random.Random(33)
+    drawn = [random_minimal_pair(n, rng) for n in range(11, 64, 2)]
+    return pieces, representatives, drawn
+
+
+def test_crossing_reads_match_the_label_walk():
+    pieces, representatives, drawn = _oracle_pairs()
+    assert (len(pieces), len(representatives), len(drawn)) == (56, 173, 27)
+    for fp in [*pieces, *representatives, *drawn]:
+        for e in range(1, 4 * fp.n + 1):
+            assert list(fp.vertex_orbit(e)) == naive_vertex_orbit(fp.sigma, fp.n, e)
+        assert fp.vertices == walked_vertices(fp)
+        assert fp.green_vertices == walked_green_vertices(fp)
+        assert fp.z_type() == walked_z_type(fp)
+    assert all(fp.green_vertices != fp.vertices for fp in pieces)
+
+
+def test_green_vertices_match_the_label_walk_at_every_region_count():
+    # c = 1 (every crossing green), 2 to 4 (read off the region index) and
+    # c > 4 (no crossing touches five regions)
+    rng = random.Random(33)
+    counts = set()
+    for n in range(1, 17):
+        for _ in range(6):
+            fp = random_pair(n, rng)
+            counts.add(fp.region_count)
+            assert fp.vertices == walked_vertices(fp)
+            assert fp.green_vertices == walked_green_vertices(fp)
+    assert {1, 2, 3, 4, 5} <= counts
+
+
+def test_corrupted_pairs_fail_as_the_label_walk():
+    # swapping two images breaks alternation when the labels differ in
+    # parity and the crossing equation otherwise; either way the check names
+    # the same first symbol as the walk
+    rng = random.Random(33)
+    seen = set()
+    for n in range(1, 17):
+        for _ in range(40):
+            images = list(random_pair(n, rng).sigma.one_line())
+            a, b = rng.sample(range(4 * n), 2)
+            images[a], images[b] = images[b], images[a]
+            sigma = Permutation(images)
+            want = walked_filling_error(sigma, n)
+            if want is None:
+                validate(sigma, n)
+                continue
+            with pytest.raises(FillingError) as exc:
+                FillingPermutation(sigma, n)
+            assert (type(exc.value), exc.value.symbol) == want
+            seen.add(want[0])
+    assert seen == {AlternationViolation, EquationViolation}

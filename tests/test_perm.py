@@ -82,6 +82,9 @@ def test_from_cycles_is_the_leftmost_first_product(case):
         ("(1,9)", "out of range", 3),
         ("(0,1)", "out of range", 1),
         ("(1,,2)", "expected a symbol", 3),
+        ("(,1)", "expected a symbol but found ','", 1),
+        ("(1,2,)", "expected a symbol but found ')'", 5),
+        ("(1,2)(3\t4,5)", "expected ',' or ')' but found '4'", 8),
         ("1,2)", "expected '('", 0),
         ("(1,2", "expected ',' or ')'", 4),
         ("(1 2)", "expected ',' or ')' but found '2'", 3),
@@ -109,6 +112,25 @@ def test_parse_errors_report_position(text, message_part, position):
     assert message_part in str(exc.value)
     assert str(exc.value).endswith(f" (at position {position})")
     assert exc.value.position == position
+
+
+def test_unbounded_parse_checks_the_notation_only():
+    # a pair file's body is parsed before its size is known: symbols out of
+    # range or repeated in their cycle are left to the caller, and a
+    # notation error is reported as the bounded parse reports it
+    assert parse_cycle_text("(0,9,9)(12)", None) == [[0, 9, 9], [12]]
+    assert parse_cycle_text(" ( 1 ,2)()", None) == [[1, 2], []]
+    # the bounded parse reports a repeat before a later notation error
+    with pytest.raises(CycleParseError, match="repeated symbol 9"):
+        parse_cycle_text("(9,9", 100)
+    with pytest.raises(CycleParseError, match="expected ',' or '\\)'"):
+        parse_cycle_text("(9,9", None)
+    for text in ("(1,,2)", "(9,8", "(2 1)", "(3,4)5", "(1,2,)"):
+        with pytest.raises(CycleParseError) as bounded:
+            parse_cycle_text(text, 100)
+        with pytest.raises(CycleParseError) as unbounded:
+            parse_cycle_text(text, None)
+        assert str(unbounded.value) == str(bounded.value)
 
 
 def test_compose_identity_law():
