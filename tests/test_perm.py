@@ -82,9 +82,6 @@ def test_from_cycles_is_the_leftmost_first_product(case):
         ("(1,9)", "out of range", 3),
         ("(0,1)", "out of range", 1),
         ("(1,,2)", "expected a symbol", 3),
-        ("(,1)", "expected a symbol but found ','", 1),
-        ("(1,2,)", "expected a symbol but found ')'", 5),
-        ("(1,2)(3\t4,5)", "expected ',' or ')' but found '4'", 8),
         ("1,2)", "expected '('", 0),
         ("(1,2", "expected ',' or ')'", 4),
         ("(1 2)", "expected ',' or ')' but found '2'", 3),
@@ -97,6 +94,10 @@ def test_from_cycles_is_the_leftmost_first_product(case):
         ("(\uff11,2)", [[1, 2]], None),
         # a digit that is not decimal joins the symbol, which int() refuses
         ("(\u00b2,1)", "invalid literal for int() with base 10: '\u00b2'", None),
+        # a separator where a symbol belongs, or whitespace between symbols
+        ("(,1)", "expected a symbol but found ','", 1),
+        ("(1,2,)", "expected a symbol but found ')'", 5),
+        ("(1,2)(3\t4,5)", "expected ',' or ')' but found '4'", 8),
     ],
 )
 def test_parse_errors_report_position(text, message_part, position):
