@@ -200,8 +200,6 @@ class FillingPermutation:
         c = self.region_count
         if c == 1:
             return self.vertices
-        if c > 4:  # a crossing has four left edges
-            return ()
         region_of = [0] * (self.size + 1)
         for idx, region in enumerate(self.regions):
             for sym in region:

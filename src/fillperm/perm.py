@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import operator
 import re
-from itertools import takewhile
 from typing import Iterable, NoReturn, Sequence
 
 
@@ -198,11 +197,8 @@ class Permutation:
 
 _SPACE = re.compile(r"\s*")
 # one cycle and the whitespace after it, its symbols in group 1 ("()" has
-# none); \s and \d are exactly str.isspace and str.isdecimal.  Group 1 is
-# any run of digits, whitespace and commas ending in a digit: it is a list
-# of symbols exactly when each comma-separated part converts by int() after
-# strip(), which the parser checks as it converts
-_CYCLE = re.compile(r"\(\s*(?:\)|([\d\s,]*\d\s*)\))\s*")
+# none); \s and \d are exactly str.isspace and str.isdecimal
+_CYCLE = re.compile(r"\(\s*(?:\)|(\d+\s*(?:,\s*\d+\s*)*)\))\s*")
 
 
 def parse_cycle_text(text: str, size: int | None) -> list[list[int]]:
@@ -223,7 +219,7 @@ def parse_cycle_text(text: str, size: int | None) -> list[list[int]]:
         try:
             # int() keeps "\x1c".."\x1f" around a symbol, which strip() removes
             cycle = list(map(int, map(str.strip, symbols.split(",")))) if symbols else []
-        except ValueError:  # not a list of symbols, or one longer than int() converts
+        except ValueError:  # a symbol longer than int() converts
             _raise_first_error(text, at, size)
         if size is not None and cycle and (
             min(cycle) < 1 or max(cycle) > size or len(set(cycle)) < len(cycle)
@@ -245,21 +241,23 @@ def _raise_first_error(text: str, at: int, size: int | None) -> NoReturn:
     """
     if text[at] != "(":
         raise CycleParseError(f"expected '(' but found {text[at]!r}", at)
-    cycle: list[int] = []
+    cycle: set[int] = set()
     at = _SPACE.match(text, at + 1).end()
     while True:
-        run = "".join(takewhile(str.isdigit, text[at:]))
-        if not run:
+        stop = at
+        while stop < len(text) and text[stop].isdigit():
+            stop += 1
+        if stop == at:
             found = text[at] if at < len(text) else "end of input"
             raise CycleParseError(f"expected a symbol but found {found!r}", at)
-        sym = int(run)
+        sym = int(text[at:stop])
         if size is not None:
             if not 1 <= sym <= size:
                 raise CycleParseError(f"symbol {sym} out of range 1..{size}", at)
             if sym in cycle:
                 raise CycleParseError(f"repeated symbol {sym} in cycle", at)
-            cycle.append(sym)
-        at = _SPACE.match(text, at + len(run)).end()
+            cycle.add(sym)
+        at = _SPACE.match(text, stop).end()
         if not text.startswith(",", at):
             # a ")" here would close a cycle without an error
             found = text[at] if at < len(text) else "end of input"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, seed, strategies as st
 
@@ -132,6 +134,25 @@ def test_unbounded_parse_checks_the_notation_only():
         with pytest.raises(CycleParseError) as unbounded:
             parse_cycle_text(text, None)
         assert str(unbounded.value) == str(bounded.value)
+
+
+def test_refused_parse_is_linear_in_the_text():
+    # about 10**5 characters each: a parse that backtracks or rescans per
+    # character or symbol would take minutes, a linear one takes milliseconds
+    n = 10**5
+    run = ",".join(map(str, range(1, n // 5)))
+    cases = [  # text, its error unbounded, its error with size n
+        ("(" + " " * n + "x", "expected a symbol", "expected a symbol"),
+        ("(1" + " " * n + "x", "expected ','", "expected ','"),
+        ("(" + "1," * (n // 2) + "x", "expected a symbol", "repeated symbol 1"),
+        ("(" + run + " x", "expected ','", "expected ','"),
+    ]
+    for text, unbounded, bounded in cases:
+        for size, message in ((None, unbounded), (n, bounded)):
+            start = time.perf_counter()
+            with pytest.raises(CycleParseError, match=message):
+                parse_cycle_text(text, size)
+            assert time.perf_counter() - start < 2.0, (text[:20], size)
 
 
 def test_compose_identity_law():
