@@ -14,7 +14,7 @@ rejects any cycle that closes early.  The search joins a block's four arrows
 one at a time in straight-line code, undoing each join from the two path
 ends it saved.
 
-The census enumerates only the slice S = {sigma : sigma(1) = 2}.  The
+The census searches only the slice S = {sigma : sigma(1) = 2}.  The
 relabelings that fix label 1 form the group <delta, R> of order 8n^2 / 4n =
 2n, where R = surgery._reverse_second(n) = delta^-1 mu eta mu reverses the
 second curve.  Both generators fix every odd label; delta cycles the plain
@@ -25,6 +25,15 @@ by its element s sends the head sigma(1) to s(sigma(1)), so each orbit of
 relabeling group has 2n times as many members as it has in S, and the full
 solution set has 2n * |S|.  S holds each orbit's least conjugate, since 2 is
 the least head a conjugate can have.
+
+The census search is orderly (Read, "Every one a winner", 1978; McKay,
+"Isomorph-free exhaustive generation", 1998): it keeps a solution only when
+it is the least of its 4n slice conjugates t sigma t^-1, t the cell
+(x, sigma x) of `twist._slice_table`, and it cuts a branch as soon as a
+placed 2-path x -> sigma x -> sigma^2 x shows a conjugate whose second
+image t(sigma^2 x) is below sigma(2).  No set of solutions is built, and
+each record comes from its own sigma: |Stab| is the number of slice
+conjugates equal to sigma, and the orbit has 8n^2 / |Stab| members.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from .filling import _opp_tau, tau, validate
 from .perm import Permutation
 # perfbench/tracing.py wraps census.find_decompositions; see tests/test_perfbench_surface.py
 from .surgery import _decomposes, find_decompositions  # noqa: F401
-from .twist import _check_n, _slice_conjugates
+from .twist import _check_n, _slice_table
 
 
 def upper_bound(g: int) -> int:
@@ -121,6 +130,24 @@ def enumerate_filling(
     has 2n times as many members.
     Labels must fit a byte: n outside 1..twist.BYTE_MAX_N raises BoundExceeded.
     """
+    return _search(n, single_cycle, symmetry_reduced, orderly=False)
+
+
+def _search(n: int, single_cycle: bool, symmetry_reduced: bool, orderly: bool) -> list:
+    """The one search body behind `enumerate_filling` and `census_records`,
+    as `enumerate_filling` describes it.
+
+    Without `orderly` it returns the bytes of every solution, in increasing
+    order.  With `orderly` (and `symmetry_reduced`) it returns (bytes,
+    |Stab|) of each canonical solution, in increasing order.  The node that
+    places sigma(2) reads every placed 2-path, and each node below it the
+    2-paths through the arrows of the block just placed.  The 2-path
+    x -> sigma x -> sigma^2 x gives the slice conjugate by the cell
+    (x, sigma x) the second image t(sigma^2 x): one below sigma(2) cuts the
+    branch, and the x of one equal to it is kept in the bitmask `ties`.  At
+    a leaf every 2-path has been read, so only the tied x can give a
+    conjugate below sigma, and only theirs are built.
+    """
     _check_n(n)
     if single_cycle and n % 2 == 0:
         return []
@@ -131,14 +158,73 @@ def enumerate_filling(
         # label 1 is the lowest label, so only the root reads row 1, whose
         # first block is sigma(1) = 2
         rows = (rows[0], rows[1][:1], *rows[2:])
-    sigma = bytearray(m)
+    # sigma(e) at index e, so a leaf's conjugates translate through it; the
+    # orderly search clears a block's entries as it backtracks, and there
+    # sigma(e) = 0 means e is free
+    sigma = bytearray(256)
+    key = memoryview(sigma)[1 : m + 1]  # the one-line images
     start_of = list(range(m + 1))  # start of the open path ending at label
     end_of = list(range(m + 1))  # end of the open path starting at label
-    solutions: list[bytes] = []
+    solutions: list = []
+    if orderly:
+        cells = (None, *_slice_table(n))  # row x holds the cells (x, y)
+        opp = _opp_tau(n, 0)
+        opp_tau = _opp_tau(n, 1)  # an involution, so tau^-1 = opp tau opp
+        first = rows[1][0][1]
 
-    def search(used: int) -> None:
+    def search(used: int, arrows: tuple, bound: int, ties: int) -> None:
+        if bound:
+            # the 2-paths through each new arrow e -> f: e -> f -> sigma f,
+            # and x -> e -> f, where x = opp sigma tau^-1 e (the block of
+            # tau^-1 e holds the arrow x -> e) is placed with tau^-1 e
+            for e, f in arrows:
+                z = sigma[f]
+                if z:
+                    v = cells[e][f][1][z]
+                    if v <= bound:
+                        if v < bound:
+                            return
+                        ties |= 1 << e
+                w = sigma[opp_tau[opp[e]]]
+                if w:
+                    x = opp[w]
+                    v = cells[x][e][1][f]
+                    if v <= bound:
+                        if v < bound:
+                            return
+                        ties |= 1 << x
+        elif orderly and used & 2:
+            # sigma(2) is placed, by the first block or by this one, so every
+            # placed 2-path x -> y -> z starts on an arrow x -> y of the two
+            bound = sigma[2]
+            for x, y in arrows if arrows is first else arrows + first:
+                z = sigma[y]
+                if z:
+                    v = cells[x][y][1][z]
+                    if v <= bound:
+                        if v < bound:
+                            return
+                        ties |= 1 << x
         if used == full:
-            solutions.append(bytes(sigma))
+            one = bytes(key)
+            if not orderly:
+                solutions.append(one)
+                return
+            # every 2-path is placed and none is below sigma(2): only the x
+            # that tie it can give a smaller conjugate.  x = 1 ties, as its
+            # cell is the identity, and gives sigma itself.
+            stabilizer = 1
+            ties &= ~2
+            while ties:
+                low = ties & -ties
+                ties ^= low
+                x = low.bit_length() - 1
+                inv, t = cells[x][sigma[x]]
+                conjugate = inv.translate(sigma).translate(t)
+                if conjugate < one:
+                    return
+                stabilizer += conjugate == one
+            solutions.append((one, stabilizer))
             return
         free = full ^ used
         for labels, arrows in rows[(free & -free).bit_length()]:
@@ -146,11 +232,13 @@ def enumerate_filling(
                 continue
             (e1, f1), (e2, f2), (e3, f3), (e4, f4) = arrows
             if not single_cycle:
-                sigma[e1 - 1] = f1
-                sigma[e2 - 1] = f2
-                sigma[e3 - 1] = f3
-                sigma[e4 - 1] = f4
-                search(used | labels)
+                sigma[e1] = f1
+                sigma[e2] = f2
+                sigma[e3] = f3
+                sigma[e4] = f4
+                search(used | labels, arrows, bound, ties)
+                if orderly:
+                    sigma[e1] = sigma[e2] = sigma[e3] = sigma[e4] = 0
                 continue
             # join arrows 1 to 4 to the open paths in order; one that closes a
             # cycle prunes the branch unless it is the last arrow of all.  Each
@@ -176,19 +264,23 @@ def enumerate_filling(
                         t4 = end_of[f4]
                         end_of[s4] = t4
                         start_of[t4] = s4
-                        sigma[e1 - 1] = f1
-                        sigma[e2 - 1] = f2
-                        sigma[e3 - 1] = f3
-                        sigma[e4 - 1] = f4
-                        search(used | labels)
+                        sigma[e1] = f1
+                        sigma[e2] = f2
+                        sigma[e3] = f3
+                        sigma[e4] = f4
+                        search(used | labels, arrows, bound, ties)
+                        if orderly:
+                            sigma[e1] = sigma[e2] = sigma[e3] = sigma[e4] = 0
                         end_of[s4] = e4
                         start_of[t4] = f4
                     elif labels | used == full:
-                        sigma[e1 - 1] = f1
-                        sigma[e2 - 1] = f2
-                        sigma[e3 - 1] = f3
-                        sigma[e4 - 1] = f4
-                        search(full)
+                        sigma[e1] = f1
+                        sigma[e2] = f2
+                        sigma[e3] = f3
+                        sigma[e4] = f4
+                        search(full, arrows, bound, ties)
+                        if orderly:
+                            sigma[e1] = sigma[e2] = sigma[e3] = sigma[e4] = 0
                     end_of[s3] = e3
                     start_of[t3] = f3
                 end_of[s2] = e2
@@ -196,7 +288,7 @@ def enumerate_filling(
             end_of[s1] = e1
             start_of[t1] = f1
 
-    search(0)
+    search(0, (), 0, 0)
     # search's closure refers to itself; the cycle would keep `solutions` alive
     del search
     return solutions
@@ -225,45 +317,26 @@ class CensusRecord:
 
 
 def census_records(n: int, single_cycle: bool = True) -> tuple[int, list[CensusRecord]]:
-    """Enumerate, group into relabeling orbits, and describe each orbit.
+    """The canonical solution of each relabeling orbit, and its record.
 
     Returns (number of raw solutions, per-orbit records sorted by canonical
-    form).  Only the slice S = {sigma : sigma(1) = 2} is enumerated.  The
-    relabelings that fix label 1 form <delta, R> (R reverses the second
-    curve), of order 2n, and it permutes the 2n even labels freely and
-    transitively, so it moves a head sigma(1) onto 2 in exactly one way: S
-    holds one sigma per orbit of <delta, R>, and the raw count is 2n * |S|.
-    The enumeration's bytes are the sweep's keys, so n outside
-    1..twist.BYTE_MAX_N, the only bound on n, raises BoundExceeded from
-    `enumerate_filling` before it searches; `fillperm census` also bounds
-    the run length.
-    Each orbit is swept once, from its first unclassified member, by its
-    slice conjugates (`twist._slice_conjugates`), the conjugates t sigma
-    t^-1 that land in S.  Every such conjugate must itself be an enumerated
-    solution: a solution set not closed under relabeling raises
-    RuntimeError.  An orbit has 2n times as many members as it has in S.
-    The decomposable flag is computed on each orbit representative (only
-    minimal representatives can decompose) as a first hit: the
+    form).  One orderly search (`_search`) walks the slice
+    S = {sigma : sigma(1) = 2}, which holds each orbit's least conjugate,
+    and decides each solution from its own sigma: it is kept when none of
+    its 4n slice conjugates is smaller, and |Stab| counts those equal to it.
+    A branch is cut as soon as a placed 2-path shows a smaller conjugate.
+    An orbit has 8n^2 / |Stab| members, and the raw count is their sum.
+    n outside 1..twist.BYTE_MAX_N, the only bound on n, raises
+    BoundExceeded before the search; `fillperm census` also bounds the run
+    length.
+    Each representative is validated.  The decomposable flag is computed on
+    it (only minimal representatives can decompose) as a first hit: the
     decomposition search stops at its first witness, trying a torus
     remainder first, instead of listing them all.
     """
-    unseen = set(enumerate_filling(n, single_cycle, symmetry_reduced=True))
-    total = 2 * n * len(unseen)
-    orbits: list[tuple[bytes, int]] = []  # (least conjugate, orbit size)
-    for one in list(unseen):
-        if one not in unseen:
-            continue
-        in_slice = set(_slice_conjugates(one))
-        if not in_slice <= unseen:
-            missing = tuple(min(in_slice - unseen))
-            raise RuntimeError(
-                f"solution set for n={n} is not closed under relabeling: "
-                f"{missing} is a conjugate of the solution {tuple(one)} but was not enumerated"
-            )
-        unseen -= in_slice
-        orbits.append((min(in_slice), 2 * n * len(in_slice)))
+    order = 8 * n * n
     records = []
-    for key, size in sorted(orbits):
+    for key, stabilizer in sorted(_search(n, single_cycle, True, orderly=True)):
         canon = tuple(key)
         rep = validate(Permutation(canon), n)
         records.append(
@@ -272,11 +345,11 @@ def census_records(n: int, single_cycle: bool = True) -> tuple[int, list[CensusR
                 c=rep.region_count,
                 genus=rep.genus(),
                 canonical_form=canon,
-                orbit_size_raw=size,
+                orbit_size_raw=order // stabilizer,
                 decomposable=rep.is_minimal() and _decomposes(rep),
             )
         )
-    return total, records
+    return sum(r.orbit_size_raw for r in records), records
 
 
 def write_census(records: list[CensusRecord], path: str | Path) -> None:

@@ -138,6 +138,12 @@ def _vertices_text(vertices: tuple[tuple[int, ...], ...]) -> str:
     return " ".join("{" + ",".join(map(str, v)) + "}" for v in vertices)
 
 
+def _sigma_record(fp: FillingPermutation) -> dict:
+    """`fp.sigma.to_record()` read off the regions: sigma alternates parity,
+    so it has no fixed point and its cycles are the regions."""
+    return {"size": fp.size, "cycles": [list(r) for r in fp.regions]}
+
+
 # Each command returns (exit code, text, record payload).  The text is a
 # function of no arguments, called only for `--format text`, so record
 # output formats no text.
@@ -205,7 +211,7 @@ def cmd_assemble(args) -> tuple[int, Callable[[], str], dict]:
         raise CLIInputError(str(exc)) from exc
     if args.out:
         write_filling_file(args.out, result)
-    payload = {"n": result.n, "genus": result.genus(), **result.sigma.to_record()}
+    payload = {"n": result.n, "genus": result.genus(), **_sigma_record(result)}
     return 0, lambda: f"n={result.n}\n{result.sigma.cycle_string()}", payload
 
 
@@ -242,8 +248,8 @@ def cmd_extract(args) -> tuple[int, Callable[[], str], dict]:
             [{"symbol": s, "decorated": d} for s, d in cyc] for cyc in cut_cycles
         ],
         "remainder_cycle": list(remainder_cycle),
-        "piece": {"n": piece.n, **piece.sigma.to_record()},
-        "remainder": {"n": remainder.n, **remainder.sigma.to_record()},
+        "piece": {"n": piece.n, **_sigma_record(piece)},
+        "remainder": {"n": remainder.n, **_sigma_record(remainder)},
     }
 
     def text() -> str:

@@ -55,7 +55,9 @@ def generators(n: int) -> tuple[Permutation, Permutation, Permutation, Permutati
     return kappa, delta, eta, mu
 
 
-@lru_cache(maxsize=None)
+# One table holds 8n^2 translate tables of 256 bytes (about 20 MB at n = 63);
+# 16 covers the crossing counts of a query stream and of a census run.
+@lru_cache(maxsize=16)
 def _slice_table(n: int) -> tuple[tuple[tuple[bytes, bytes] | None, ...], ...]:
     """The relabeling group as cells: cell [x - 1][y] holds the one t with
     t^-1(1) = x and t^-1(2) = y, as the pair (one-line bytes of t^-1, t as

@@ -537,17 +537,117 @@ def test_orbit_size_times_stabilizer_is_group_order(path, stabilizers):
         assert found == stabilizers
 
 
-def test_census_rejects_solutions_not_closed_under_relabeling(monkeypatch):
-    # drop each of the slice's solutions in turn
+def sweep_census(n, single_cycle, slice_solutions=None):
+    """Oracle: the unpruned route the orderly search replaced.  It enumerates
+    the whole slice S = {sigma : sigma(1) = 2} (or takes `slice_solutions`)
+    and sweeps it by orbits, each from its first unclassified member through
+    its slice conjugates.  A conjugate that was not enumerated raises
+    RuntimeError.
+
+    Sum 8n^2 / |Stab| = 2n |S| must hold: missing a class's canonical member
+    (but not all of the class) lowers the left side more than the right, and
+    missing any other member lowers only the right."""
+    if slice_solutions is None:
+        slice_solutions = enumerate_filling(n, single_cycle, symmetry_reduced=True)
+    unseen = set(slice_solutions)
+    orbits = []  # (least conjugate, |orbit in S|, |Stab|)
+    for one in list(unseen):
+        if one not in unseen:
+            continue
+        conjugates = _slice_conjugates(one)
+        in_slice = set(conjugates)
+        if not in_slice <= unseen:
+            missing = tuple(min(in_slice - unseen))
+            raise RuntimeError(
+                f"solution set for n={n} is not closed under relabeling: "
+                f"{missing} is a conjugate of the solution {tuple(one)} but was not enumerated"
+            )
+        unseen -= in_slice
+        least = min(in_slice)
+        orbits.append((least, len(in_slice), _slice_conjugates(least).count(least)))
+    assert sum(8 * n * n // stabilizer for _, _, stabilizer in orbits) == 2 * n * len(slice_solutions)
+    records = []
+    for key, members, stabilizer in sorted(orbits):
+        assert 2 * n * members * stabilizer == 8 * n * n
+        canon = tuple(key)
+        rep = validate(Permutation(canon), n)
+        records.append(
+            CensusRecord(
+                n=n,
+                c=rep.region_count,
+                genus=rep.genus(),
+                canonical_form=canon,
+                orbit_size_raw=2 * n * members,
+                decomposable=rep.is_minimal() and bool(find_decompositions(rep)),
+            )
+        )
+    return 2 * n * len(slice_solutions), records
+
+
+@pytest.mark.parametrize(
+    "n,single_cycle",
+    [(n, False) for n in range(1, 7)] + [(n, True) for n in (1, 3, 5, 7)],
+)
+def test_orderly_census_matches_the_slice_sweep(n, single_cycle):
+    assert census_records(n, single_cycle) == sweep_census(n, single_cycle)
+
+
+def test_census_rejects_solutions_not_closed_under_relabeling():
+    # drop each of the slice's solutions in turn from the sweep oracle; the
+    # orderly census decides each solution alone and has no set to check
     reduced = enumerate_filling(5, single_cycle=True, symmetry_reduced=True)
     assert len(reduced) == 60
     for i in range(len(reduced)):
         kept = reduced[:i] + reduced[i + 1:]
-        monkeypatch.setattr(fillperm.census, "enumerate_filling", lambda *a, **kw: kept)
         # an internal error, not a ValueError the CLI would report as bad input
         with pytest.raises(RuntimeError, match="not closed under relabeling") as info:
-            census_records(5)
+            sweep_census(5, True, kept)
         assert not isinstance(info.value, ValueError)
+
+
+def test_census_search_calls_no_enumeration(monkeypatch):
+    # the census builds no slice set: the orderly search decides each record
+    def enumerate_all(*args, **kwargs):
+        raise AssertionError("census_records enumerated the slice")
+
+    monkeypatch.setattr(fillperm.census, "enumerate_filling", enumerate_all)
+    total, records = census_records(5)
+    assert (total, len(records)) == (600, 5)
+
+
+@pytest.mark.parametrize(
+    "n,single_cycle",
+    [(n, False) for n in range(1, 6)] + [(5, True), (7, True)],
+)
+def test_orderly_search_keeps_the_least_slice_conjugates(n, single_cycle):
+    # the search keeps sigma exactly when no slice conjugate is smaller, with
+    # |Stab| the number equal to it, in increasing order
+    expected = []
+    for one in enumerate_filling(n, single_cycle, symmetry_reduced=True):
+        conjugates = _slice_conjugates(one)
+        if min(conjugates) == one:
+            expected.append((one, conjugates.count(one)))
+    assert fillperm.census._search(n, single_cycle, True, orderly=True) == expected
+
+
+@pytest.mark.parametrize(
+    "n,single_cycle",
+    [(n, False) for n in range(1, 6)] + [(5, True), (7, True)],
+)
+def test_two_paths_below_sigma_2_doom_sigma(n, single_cycle):
+    # the cut: the 2-path x -> sigma x -> sigma^2 x is the second image of the
+    # slice conjugate by the cell (x, sigma x), so one below sigma(2) gives a
+    # smaller conjugate; the cell of x = 1 is the identity
+    table = _slice_table(n)
+    cut = 0
+    for one in enumerate_filling(n, single_cycle, symmetry_reduced=True):
+        seconds = [table[x - 1][y][1][one[y - 1]] for x, y in enumerate(one, 1)]
+        assert seconds[0] == one[1]
+        assert seconds == [c[1] for c in _slice_conjugates(one)]
+        if min(seconds) < one[1]:
+            assert min(_slice_conjugates(one)) < one
+            cut += 1
+    assert cut or n < 3
 
 
 def full_sweep_census(n, single_cycle):

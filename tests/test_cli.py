@@ -297,6 +297,27 @@ def test_assemble_record_matches_pinned(capsys):
         assert out == (DATA / pinned).read_text(), host
 
 
+def test_assemble_and_extract_records_read_cycles_off_regions(capsys, monkeypatch):
+    # the payload's cycles are the regions the genus and piece checks walked;
+    # a second walk through Permutation.to_record is not needed
+    def to_record(self):
+        raise AssertionError("walked the cycles a second time")
+
+    monkeypatch.setattr(fillperm.Permutation, "to_record", to_record)
+    code, out, _ = run(
+        capsys, "assemble", "--host", str(DATA / "sigma_f.pair"),
+        "--piece", str(DATA / "zeta.pair"), "--i", "1", "--format", "record",
+    )
+    assert code == 0
+    assert out == (DATA / "sigma_f_zeta_1.assemble.json").read_text()
+    code, out, _ = run(
+        capsys, "extract", str(DATA / "sigma_f6.pair"), "--format", "record",
+        "--x", "23", "--a", "38", "--y", "1", "--b", "16", "--k", "5",
+    )
+    assert code == 0
+    assert out == (DATA / "sigma_f6.extract_k5.json").read_text()
+
+
 def test_assemble_unwritable_out_exits_2(files, tmp_path, capsys):
     out_path = tmp_path / "missing" / "f6.fp"
     code, out, err = run(
@@ -663,14 +684,18 @@ def test_unexpected_exception_exits_3(files, capsys, monkeypatch):
 
 
 def test_census_closure_failure_exits_3(capsys, monkeypatch):
-    enumerate_all = fillperm.census.enumerate_filling
-    monkeypatch.setattr(
-        fillperm.census, "enumerate_filling", lambda *a, **kw: enumerate_all(*a, **kw)[1:]
-    )
+    # a search that hands back a key which is not a solution (sigma(1) and
+    # sigma(2) swapped): each representative is validated, so it is a fault
+    search = fillperm.census._search
+
+    def broken(*args, **kwargs):
+        (one, stabilizer), *rest = search(*args, **kwargs)
+        return [(one[1::-1] + one[2:], stabilizer), *rest]
+
+    monkeypatch.setattr(fillperm.census, "_search", broken)
     code, out, err = run(capsys, "census", "--n", "5", "--single-cycle")
     assert code == 3 and out == ""
-    assert err.startswith("internal error: solution set for n=5 is not closed under relabeling")
-    assert err.count("\n") == 1
+    assert err == "internal error: cycle entries do not alternate parity at symbol 1\n"
 
 
 def test_census_decomposition_failure_exits_3(capsys, monkeypatch):
