@@ -106,11 +106,10 @@ def _crossing_blocks(n: int) -> tuple[tuple[tuple[int, tuple], ...], ...]:
     return tuple(rows)
 
 
-def enumerate_filling(
-    n: int, single_cycle: bool = True, symmetry_reduced: bool = False
-) -> list[bytes]:
+def enumerate_filling(n: int, single_cycle: bool = True) -> list[bytes]:
     """All alternating solutions of the crossing equation on 4n symbols,
-    as the bytes of their one-line images (sigma(1), ..., sigma(4n)).
+    as the bytes of their one-line images (sigma(1), ..., sigma(4n)), in
+    increasing order.
 
     The search is an exact cover of the 4n labels by crossing blocks: it
     takes the lowest unassigned label e, tries the blocks of row e (those
@@ -121,27 +120,27 @@ def enumerate_filling(
     solutions are produced: the block's arrows e_i -> f_i are joined in
     order to the open paths of the partial permutation, each join saving
     the path ends s_i, t_i it rewrote and undone in reverse from them, and
-    an arrow that closes a cycle prunes the branch, except the 4th arrow of
-    the block that covers the last labels, which is kept without its join.
-    One region means n = 2g - 1, so with `single_cycle` an even n returns
-    [] before any block is built.
-    `symmetry_reduced` restricts the first image of 1 to 2: one sigma per
-    orbit of <delta, R>, the relabelings that fix label 1, and the full set
-    has 2n times as many members.
+    an arrow that closes a cycle prunes the branch, unless it is the last
+    arrow of all.  One region means n = 2g - 1, so with `single_cycle` an
+    even n returns [] before any block is built.
+    The slice S = {sigma : sigma(1) = 2}, one sigma per orbit of <delta, R>
+    (the relabelings that fix label 1), is the solutions whose first byte
+    is 2; the full set has 2n times as many members.
     Labels must fit a byte: n outside 1..twist.BYTE_MAX_N raises BoundExceeded.
     """
-    return _search(n, single_cycle, symmetry_reduced, orderly=False)
+    return _search(n, single_cycle, orderly=False)
 
 
-def _search(n: int, single_cycle: bool, symmetry_reduced: bool, orderly: bool) -> list:
+def _search(n: int, single_cycle: bool, orderly: bool) -> list:
     """The one search body behind `enumerate_filling` and `census_records`,
     as `enumerate_filling` describes it.
 
-    Without `orderly` it returns the bytes of every solution, in increasing
-    order.  With `orderly` (and `symmetry_reduced`) it returns (bytes,
-    |Stab|) of each canonical solution, in increasing order.  The node that
-    places sigma(2) reads every placed 2-path, and each node below it the
-    2-paths through the arrows of the block just placed.  The 2-path
+    Without `orderly` it returns the bytes of every solution.  With
+    `orderly` it searches the slice S (the root keeps only the block of
+    sigma(1) = 2) and returns (bytes, |Stab|) of each canonical solution.
+    Either way the depth-first order is increasing.  The node that places
+    sigma(2) reads every placed 2-path, and each node below it the 2-paths
+    through the arrows of the block just placed.  The 2-path
     x -> sigma x -> sigma^2 x gives the slice conjugate by the cell
     (x, sigma x) the second image t(sigma^2 x): one below sigma(2) cuts the
     branch, and the x of one equal to it is kept in the bitmask `ties`.  At
@@ -154,19 +153,19 @@ def _search(n: int, single_cycle: bool, symmetry_reduced: bool, orderly: bool) -
     m = 4 * n
     full = (1 << m) - 1
     rows = _crossing_blocks(n)
-    if symmetry_reduced:
+    # sigma(e) at index e, so a leaf's conjugates translate through it; each
+    # block's entries are cleared as the search backtracks, so sigma(e) = 0
+    # means e is free
+    sigma = bytearray(256)
+    key = memoryview(sigma)[1 : m + 1]  # the one-line images
+    # the other end of the open path that starts or ends at a label (a lone
+    # label is its own mate); no label is one path's start and another's end
+    mate = list(range(m + 1))
+    solutions: list = []
+    if orderly:
         # label 1 is the lowest label, so only the root reads row 1, whose
         # first block is sigma(1) = 2
         rows = (rows[0], rows[1][:1], *rows[2:])
-    # sigma(e) at index e, so a leaf's conjugates translate through it; the
-    # orderly search clears a block's entries as it backtracks, and there
-    # sigma(e) = 0 means e is free
-    sigma = bytearray(256)
-    key = memoryview(sigma)[1 : m + 1]  # the one-line images
-    start_of = list(range(m + 1))  # start of the open path ending at label
-    end_of = list(range(m + 1))  # end of the open path starting at label
-    solutions: list = []
-    if orderly:
         cells = (None, *_slice_table(n))  # row x holds the cells (x, y)
         opp = _opp_tau(n, 0)
         opp_tau = _opp_tau(n, 1)  # an involution, so tau^-1 = opp tau opp
@@ -237,56 +236,47 @@ def _search(n: int, single_cycle: bool, symmetry_reduced: bool, orderly: bool) -
                 sigma[e3] = f3
                 sigma[e4] = f4
                 search(used | labels, arrows, bound, ties)
-                if orderly:
-                    sigma[e1] = sigma[e2] = sigma[e3] = sigma[e4] = 0
+                sigma[e1] = sigma[e2] = sigma[e3] = sigma[e4] = 0
                 continue
             # join arrows 1 to 4 to the open paths in order; one that closes a
-            # cycle prunes the branch unless it is the last arrow of all.  Each
-            # join is undone from its saved ends s_i, t_i, in reverse order.
-            s1 = start_of[e1]
+            # cycle prunes the branch unless it is the last arrow of all, whose
+            # join then rewrites nothing (s4 = f4 gives t4 = e4).  Each join is
+            # undone from its saved ends s_i, t_i, in reverse order.
+            s1 = mate[e1]
             if s1 == f1:
                 continue
-            t1 = end_of[f1]
-            end_of[s1] = t1
-            start_of[t1] = s1
-            s2 = start_of[e2]
+            t1 = mate[f1]
+            mate[s1] = t1
+            mate[t1] = s1
+            s2 = mate[e2]
             if s2 != f2:
-                t2 = end_of[f2]
-                end_of[s2] = t2
-                start_of[t2] = s2
-                s3 = start_of[e3]
+                t2 = mate[f2]
+                mate[s2] = t2
+                mate[t2] = s2
+                s3 = mate[e3]
                 if s3 != f3:
-                    t3 = end_of[f3]
-                    end_of[s3] = t3
-                    start_of[t3] = s3
-                    s4 = start_of[e4]
-                    if s4 != f4:
-                        t4 = end_of[f4]
-                        end_of[s4] = t4
-                        start_of[t4] = s4
+                    t3 = mate[f3]
+                    mate[s3] = t3
+                    mate[t3] = s3
+                    s4 = mate[e4]
+                    if s4 != f4 or labels | used == full:
+                        t4 = mate[f4]
+                        mate[s4] = t4
+                        mate[t4] = s4
                         sigma[e1] = f1
                         sigma[e2] = f2
                         sigma[e3] = f3
                         sigma[e4] = f4
                         search(used | labels, arrows, bound, ties)
-                        if orderly:
-                            sigma[e1] = sigma[e2] = sigma[e3] = sigma[e4] = 0
-                        end_of[s4] = e4
-                        start_of[t4] = f4
-                    elif labels | used == full:
-                        sigma[e1] = f1
-                        sigma[e2] = f2
-                        sigma[e3] = f3
-                        sigma[e4] = f4
-                        search(full, arrows, bound, ties)
-                        if orderly:
-                            sigma[e1] = sigma[e2] = sigma[e3] = sigma[e4] = 0
-                    end_of[s3] = e3
-                    start_of[t3] = f3
-                end_of[s2] = e2
-                start_of[t2] = f2
-            end_of[s1] = e1
-            start_of[t1] = f1
+                        sigma[e1] = sigma[e2] = sigma[e3] = sigma[e4] = 0
+                        mate[s4] = e4
+                        mate[t4] = f4
+                    mate[s3] = e3
+                    mate[t3] = f3
+                mate[s2] = e2
+                mate[t2] = f2
+            mate[s1] = e1
+            mate[t1] = f1
 
     search(0, (), 0, 0)
     # search's closure refers to itself; the cycle would keep `solutions` alive
@@ -320,11 +310,12 @@ def census_records(n: int, single_cycle: bool = True) -> tuple[int, list[CensusR
     """The canonical solution of each relabeling orbit, and its record.
 
     Returns (number of raw solutions, per-orbit records sorted by canonical
-    form).  One orderly search (`_search`) walks the slice
-    S = {sigma : sigma(1) = 2}, which holds each orbit's least conjugate,
-    and decides each solution from its own sigma: it is kept when none of
-    its 4n slice conjugates is smaller, and |Stab| counts those equal to it.
-    A branch is cut as soon as a placed 2-path shows a smaller conjugate.
+    form, the search's depth-first order).  One orderly search (`_search`)
+    walks the slice S = {sigma : sigma(1) = 2}, which holds each orbit's
+    least conjugate, and decides each solution from its own sigma: it is
+    kept when none of its 4n slice conjugates is smaller, and |Stab| counts
+    those equal to it.  A branch is cut as soon as a placed 2-path shows a
+    smaller conjugate.
     An orbit has 8n^2 / |Stab| members, and the raw count is their sum.
     n outside 1..twist.BYTE_MAX_N, the only bound on n, raises
     BoundExceeded before the search; `fillperm census` also bounds the run
@@ -336,7 +327,7 @@ def census_records(n: int, single_cycle: bool = True) -> tuple[int, list[CensusR
     """
     order = 8 * n * n
     records = []
-    for key, stabilizer in sorted(_search(n, single_cycle, True, orderly=True)):
+    for key, stabilizer in _search(n, single_cycle, orderly=True):
         canon = tuple(key)
         rep = validate(Permutation(canon), n)
         records.append(

@@ -67,15 +67,20 @@ def test_enumerate_n1_against_brute_force():
     assert single == oracle
 
 
+def slice_of(n, single_cycle):
+    """The slice S = {sigma : sigma(1) = 2} of `enumerate_filling`."""
+    return [s for s in enumerate_filling(n, single_cycle) if s[0] == 2]
+
+
 def test_enumerate_n3_single_cycle_empty():
     assert enumerate_filling(3, single_cycle=True) == []
 
 
-@pytest.mark.parametrize("symmetry_reduced", [False, True])
+@pytest.mark.parametrize("orderly", [False, True])
 @pytest.mark.parametrize("n", [2, 4, 6])
-def test_single_cycle_is_empty_at_even_n(n, symmetry_reduced):
+def test_single_cycle_is_empty_at_even_n(n, orderly):
     # n - c is even, so one region needs odd n
-    assert enumerate_filling(n, single_cycle=True, symmetry_reduced=symmetry_reduced) == []
+    assert fillperm.census._search(n, True, orderly) == []
 
 
 def test_single_cycle_returns_before_any_block_at_even_n(monkeypatch):
@@ -84,8 +89,8 @@ def test_single_cycle_returns_before_any_block_at_even_n(monkeypatch):
 
     monkeypatch.setattr(fillperm.census, "_crossing_blocks", blocks)
     for n in (2, 4, 10, 62):
-        for symmetry_reduced in (False, True):
-            assert enumerate_filling(n, True, symmetry_reduced) == []
+        assert enumerate_filling(n, True) == []
+        assert fillperm.census._search(n, True, orderly=True) == []
 
 
 def test_enumerate_n3_general_solutions_are_genus_one():
@@ -125,7 +130,7 @@ def test_enumeration_closed_under_relabeling():
 
 def test_symmetry_reduced_meets_every_orbit():
     full = enumerate_filling(5, single_cycle=True)
-    reduced = enumerate_filling(5, single_cycle=True, symmetry_reduced=True)
+    reduced = slice_of(5, True)
     assert len(reduced) < len(full)
     group = [t.one_line() for t in twist_group(5)]
     reduced_canon = {min(conjugate_oneline(p, t) for t in group) for p in reduced}
@@ -133,11 +138,12 @@ def test_symmetry_reduced_meets_every_orbit():
     assert reduced_canon == full_canon
 
 
-def propagation_enumeration(n, single_cycle, symmetry_reduced):
+def propagation_enumeration(n, single_cycle, slice_only):
     """Oracle: the search by unit propagation that the crossing-block kernel
     replaced.  Each choice sigma(e) = f queues the forced assignments
     sigma(opp f) = tau e and sigma(tau^-1 f) = opp e, which are propagated
-    to a fixpoint; single-cycle mode rejects a cycle that closes early."""
+    to a fixpoint; single-cycle mode rejects a cycle that closes early, and
+    `slice_only` restricts the root to sigma(1) = 2."""
     m = 4 * n
     # 1-based arrays; index 0 unused
     tau_arr = [0, *tau(n).one_line()]
@@ -200,7 +206,7 @@ def propagation_enumeration(n, single_cycle, symmetry_reduced):
             solutions.append(tuple(sigma[1:]))
             return
         e = next(e for e in range(1, m + 1) if not sigma[e])
-        if symmetry_reduced and assigned == 0 and e == 1:
+        if slice_only and assigned == 0 and e == 1:
             candidates = [2]
         else:
             first = 2 if e % 2 == 1 else 1
@@ -216,21 +222,21 @@ def propagation_enumeration(n, single_cycle, symmetry_reduced):
     return solutions
 
 
-@pytest.mark.parametrize("symmetry_reduced", [False, True])
+@pytest.mark.parametrize("slice_only", [False, True])
 @pytest.mark.parametrize(
     "n,single_cycle",
     [(n, False) for n in range(1, 6)] + [(n, True) for n in (1, 3, 5, 7)],
 )
-def test_crossing_blocks_match_propagation(n, single_cycle, symmetry_reduced):
-    got = enumerate_filling(n, single_cycle=single_cycle, symmetry_reduced=symmetry_reduced)
-    assert list(map(tuple, got)) == propagation_enumeration(n, single_cycle, symmetry_reduced)
+def test_crossing_blocks_match_propagation(n, single_cycle, slice_only):
+    got = slice_of(n, single_cycle) if slice_only else enumerate_filling(n, single_cycle)
+    assert list(map(tuple, got)) == propagation_enumeration(n, single_cycle, slice_only)
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_propagation_finds_no_single_cycle_at_even_n(n):
     # the oracle searches even n in full, where enumerate_filling returns early
-    for symmetry_reduced in (False, True):
-        assert propagation_enumeration(n, True, symmetry_reduced) == []
+    for slice_only in (False, True):
+        assert propagation_enumeration(n, True, slice_only) == []
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -286,10 +292,10 @@ def test_bound_exceeded(capsys, monkeypatch):
         assert out == "" and err == message
 
 
-@pytest.mark.parametrize("symmetry_reduced", [False, True])
+@pytest.mark.parametrize("slice_only", [False, True])
 @pytest.mark.parametrize("n,single_cycle", [(5, True), (3, False)])
-def test_enumeration_emits_bytes_keys(n, single_cycle, symmetry_reduced):
-    sols = enumerate_filling(n, single_cycle=single_cycle, symmetry_reduced=symmetry_reduced)
+def test_enumeration_emits_bytes_keys(n, single_cycle, slice_only):
+    sols = slice_of(n, single_cycle) if slice_only else enumerate_filling(n, single_cycle)
     assert sols
     assert all(type(s) is bytes and len(s) == 4 * n for s in sols)
     assert sols == sorted(set(sols))
@@ -363,7 +369,7 @@ def test_sweep_conjugates_by_two_translates():
     ]
     assert len(kernels) == 8 * n * n
     pad = bytes(255 - 4 * n)
-    for sigma in enumerate_filling(n, single_cycle=False, symmetry_reduced=True):
+    for sigma in slice_of(n, False):
         at = b"\0" + bytes(sigma) + pad
         in_slice = []
         for inv, t0, t in kernels:
@@ -548,7 +554,7 @@ def sweep_census(n, single_cycle, slice_solutions=None):
     (but not all of the class) lowers the left side more than the right, and
     missing any other member lowers only the right."""
     if slice_solutions is None:
-        slice_solutions = enumerate_filling(n, single_cycle, symmetry_reduced=True)
+        slice_solutions = slice_of(n, single_cycle)
     unseen = set(slice_solutions)
     orbits = []  # (least conjugate, |orbit in S|, |Stab|)
     for one in list(unseen):
@@ -595,7 +601,7 @@ def test_orderly_census_matches_the_slice_sweep(n, single_cycle):
 def test_census_rejects_solutions_not_closed_under_relabeling():
     # drop each of the slice's solutions in turn from the sweep oracle; the
     # orderly census decides each solution alone and has no set to check
-    reduced = enumerate_filling(5, single_cycle=True, symmetry_reduced=True)
+    reduced = slice_of(5, True)
     assert len(reduced) == 60
     for i in range(len(reduced)):
         kept = reduced[:i] + reduced[i + 1:]
@@ -623,11 +629,11 @@ def test_orderly_search_keeps_the_least_slice_conjugates(n, single_cycle):
     # the search keeps sigma exactly when no slice conjugate is smaller, with
     # |Stab| the number equal to it, in increasing order
     expected = []
-    for one in enumerate_filling(n, single_cycle, symmetry_reduced=True):
+    for one in slice_of(n, single_cycle):
         conjugates = _slice_conjugates(one)
         if min(conjugates) == one:
             expected.append((one, conjugates.count(one)))
-    assert fillperm.census._search(n, single_cycle, True, orderly=True) == expected
+    assert fillperm.census._search(n, single_cycle, orderly=True) == expected
 
 
 @pytest.mark.parametrize(
@@ -640,7 +646,7 @@ def test_two_paths_below_sigma_2_doom_sigma(n, single_cycle):
     # smaller conjugate; the cell of x = 1 is the identity
     table = _slice_table(n)
     cut = 0
-    for one in enumerate_filling(n, single_cycle, symmetry_reduced=True):
+    for one in slice_of(n, single_cycle):
         seconds = [table[x - 1][y][1][one[y - 1]] for x, y in enumerate(one, 1)]
         assert seconds[0] == one[1]
         assert seconds == [c[1] for c in _slice_conjugates(one)]
@@ -694,7 +700,7 @@ def test_delta_saturation_of_slice_is_full_set(n, single_cycle):
     # saturated by the 2n relabelings that fix label 1: <delta, R>, where R
     # reverses the second curve
     full = enumerate_filling(n, single_cycle=single_cycle)
-    reduced = enumerate_filling(n, single_cycle=single_cycle, symmetry_reduced=True)
+    reduced = slice_of(n, single_cycle)
     delta, r = generators(n)[1], _reverse_second(n)
     stabilizer = {(delta**k * h).one_line() for k in range(n) for h in (delta**0, r)}
     assert len(stabilizer) == 2 * n

@@ -541,6 +541,50 @@ def test_piece_genus_out_of_range_exits_2(files, capsys, command):
         assert err == f"error: piece genus 9 out of range for genus {genus}\n"
 
 
+def test_info_on_a_non_filling_permutation_exits_2(tmp_path, capsys):
+    p = tmp_path / "bad.pair"
+    p.write_text("n=2\n(1,2)(3,4)(5,6)(7,8)\n")
+    code, out, err = run(capsys, "info", str(p))
+    assert code == 2 and out == ""
+    assert err == f"error: {p}: not a filling permutation: crossing equation fails at symbol 1\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decompose"], "decomposition search requires a minimal filling permutation"),
+    (["extract", "--x", "1", "--a", "4", "--y", "11", "--b", "14", "--k", "2"],
+     "extraction requires a minimal filling permutation"),
+    (["roundtrip"], "round trips require a minimal filling permutation"),
+])
+def test_surgery_commands_refuse_a_non_minimal_pair(capsys, argv, message):
+    # zeta has four regions
+    code, out, err = run(capsys, argv[0], str(DATA / "zeta.pair"), *argv[1:])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_roundtrip_none_exits_1(capsys):
+    torus = str(DATA / "torus.pair")
+    assert run(capsys, "roundtrip", torus) == (1, "NO-DECOMPOSITION\n", "")
+    assert run(capsys, "roundtrip", torus, "--format", "record") == (1, '{"roundtrips":[]}\n', "")
+
+
+def test_extract_piece_genus_out_of_range_exits_2(capsys):
+    code, out, err = run(
+        capsys, "extract", str(DATA / "sigma_f6.pair"),
+        "--x", "23", "--a", "38", "--y", "1", "--b", "16", "--k", "0",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: piece genus 0 out of range for genus 6\n"
+
+
+def test_equivalent_different_crossing_counts_exits_2(capsys):
+    code, out, err = run(
+        capsys, "equivalent", str(DATA / "sigma_f.pair"), str(DATA / "sigma_f6.pair")
+    )
+    assert code == 2 and out == ""
+    assert err == "error: crossing counts differ: 5 vs 11\n"
+
+
 def test_census_stdout(files, capsys):
     code, out, _ = run(capsys, "census", "--n", "1", "--single-cycle")
     assert code == 0

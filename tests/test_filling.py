@@ -200,6 +200,12 @@ def test_vertex_orbit_sigma_f(sigma_f):
     assert set(sigma_f.vertex_orbit(3)) == {2, 3, 14, 15}
 
 
+def test_vertex_orbit_rejects_labels_out_of_range(zeta):
+    for e in (0, 4 * 6 + 1):
+        with pytest.raises(ValueError, match=f"^symbol {e} out of range 1..24$"):
+            zeta.vertex_orbit(e)
+
+
 def test_vertices_partition(zeta, sigma_f, f4):
     for fp in (zeta, sigma_f, f4):
         symbols = sorted(s for v in fp.vertices for s in v)

@@ -335,6 +335,47 @@ def test_assemble_rejects_bad_piece(sigma_f, f1):
         assemble(sigma_f, f1, AttachmentSite(3, 2))
 
 
+def test_assemble_rejects_a_non_minimal_host_at_an_explicit_site(zeta):
+    with pytest.raises(SurgeryError, match="^host must be minimal$"):
+        assemble(zeta, zeta, AttachmentSite(1, 2))
+
+
+def test_assembly_map_rejects_bad_genera_and_sites():
+    with pytest.raises(SurgeryError, match="^both genera must be >= 1$"):
+        AssemblyMap(0, 1, 1, 2)
+    # k = l = 1 gives n = 3: the site needs odd i in 1..5 and even j in 2..6
+    for i, j in ((2, 2), (7, 2), (1, 1), (1, 8)):
+        with pytest.raises(SurgeryError, match=rf"^\({i}, {j}\) is not a positive odd/even site for n=3$"):
+            AssemblyMap(1, 1, i, j)
+
+
+def test_no_genus_one_piece_exists():
+    # a genus-1 Z piece would have n = 4 and four regions, each of at least
+    # 4 labels, and a crossing that touches all four; of the 384 pairs at
+    # n = 4, the 176 of genus 1 have four regions, but none has such a crossing
+    pairs = [validate(Permutation(one), 4) for one in enumerate_filling(4, single_cycle=False)]
+    assert len(pairs) == 384
+    genus_one = [fp for fp in pairs if fp.genus() == 1]
+    assert len(genus_one) == 176 and {fp.region_count for fp in genus_one} == {4}
+    assert not any(fp.green_vertices for fp in genus_one)
+    assert not any(fp.is_z_piece(1) for fp in pairs)
+    # so no census class cuts off a genus-1 piece: the genus-3
+    # representatives give no genus-1 candidate, and the 8 of the genus-4
+    # representatives are not witnesses
+    found = {}
+    for name in ("census_single_n5.jsonl", "census_single_n7.jsonl"):
+        candidates = 0
+        for rec in read_census(GOLDEN / name):
+            fp = validate(Permutation(rec.canonical_form), rec.n)
+            tables = _CycleTables(fp)
+            for anchors, quad in _anchored_types(tables, 1):
+                assert not _is_witness(tables, Decomposition(1, fp.genus() - 1, *anchors, quad))
+                candidates += 1
+            assert find_decompositions(fp, k=1) == []
+        found[name] = candidates
+    assert found == {"census_single_n5.jsonl": 0, "census_single_n7.jsonl": 8}
+
+
 def test_assemble_wraparound_site(sigma_f, zeta):
     # last positive odd/even edges of the host exercise the label wraparound
     i = 4 * 3 - 3
