@@ -15,7 +15,6 @@ from .filling import (
 from .twist import (
     BoundExceeded,
     are_equivalent,
-    canonical_form,
     generators,
     twist_group,
 )

@@ -31,7 +31,8 @@ The census search is orderly (Read, "Every one a winner", 1978; McKay,
 it is the least of its 4n slice conjugates t sigma t^-1, t the cell
 (x, sigma x) of `twist._slice_table`, and it cuts a branch as soon as a
 placed 2-path x -> sigma x -> sigma^2 x shows a conjugate whose second
-image t(sigma^2 x) is below sigma(2).  No set of solutions is built, and
+image t(sigma^2 x) is below sigma(2); each node reads the 2-paths through
+its new block's arrows.  No set of solutions is built, and
 each record comes from its own sigma: |Stab| is the number of slice
 conjugates equal to sigma, and the orbit has 8n^2 / |Stab| members.
 """
@@ -138,9 +139,12 @@ def _search(n: int, single_cycle: bool, orderly: bool) -> list:
     Without `orderly` it returns the bytes of every solution.  With
     `orderly` it searches the slice S (the root keeps only the block of
     sigma(1) = 2) and returns (bytes, |Stab|) of each canonical solution.
-    Either way the depth-first order is increasing.  The node that places
-    sigma(2) reads every placed 2-path, and each node below it the 2-paths
-    through the arrows of the block just placed.  The 2-path
+    Either way the depth-first order is increasing.  Each node reads the
+    2-paths through the arrows of its new block against sigma(2), which
+    reads 0, and cuts nothing, until it is placed.  The root block is the
+    only block above the one that places sigma(2), and at n >= 2 none of
+    its images is one of its labels (at n = 1 it places sigma(2)), so that
+    node reads every 2-path placed so far.  The 2-path
     x -> sigma x -> sigma^2 x gives the slice conjugate by the cell
     (x, sigma x) the second image t(sigma^2 x): one below sigma(2) cuts the
     branch, and the x of one equal to it is kept in the bitmask `ties`.  At
@@ -169,9 +173,12 @@ def _search(n: int, single_cycle: bool, orderly: bool) -> list:
         cells = (None, *_slice_table(n))  # row x holds the cells (x, y)
         opp = _opp_tau(n, 0)
         opp_tau = _opp_tau(n, 1)  # an involution, so tau^-1 = opp tau opp
-        first = rows[1][0][1]
+    # the cut's bound sigma(2) is 0 until it is placed; sigma(0) is never
+    # written, so the unordered search reads 0 and never cuts
+    two = 2 if orderly else 0
 
-    def search(used: int, arrows: tuple, bound: int, ties: int) -> None:
+    def search(used: int, arrows: tuple, ties: int) -> None:
+        bound = sigma[two]
         if bound:
             # the 2-paths through each new arrow e -> f: e -> f -> sigma f,
             # and x -> e -> f, where x = opp sigma tau^-1 e (the block of
@@ -188,18 +195,6 @@ def _search(n: int, single_cycle: bool, orderly: bool) -> list:
                 if w:
                     x = opp[w]
                     v = cells[x][e][1][f]
-                    if v <= bound:
-                        if v < bound:
-                            return
-                        ties |= 1 << x
-        elif orderly and used & 2:
-            # sigma(2) is placed, by the first block or by this one, so every
-            # placed 2-path x -> y -> z starts on an arrow x -> y of the two
-            bound = sigma[2]
-            for x, y in arrows if arrows is first else arrows + first:
-                z = sigma[y]
-                if z:
-                    v = cells[x][y][1][z]
                     if v <= bound:
                         if v < bound:
                             return
@@ -235,7 +230,7 @@ def _search(n: int, single_cycle: bool, orderly: bool) -> list:
                 sigma[e2] = f2
                 sigma[e3] = f3
                 sigma[e4] = f4
-                search(used | labels, arrows, bound, ties)
+                search(used | labels, arrows, ties)
                 sigma[e1] = sigma[e2] = sigma[e3] = sigma[e4] = 0
                 continue
             # join arrows 1 to 4 to the open paths in order; one that closes a
@@ -267,7 +262,7 @@ def _search(n: int, single_cycle: bool, orderly: bool) -> list:
                         sigma[e2] = f2
                         sigma[e3] = f3
                         sigma[e4] = f4
-                        search(used | labels, arrows, bound, ties)
+                        search(used | labels, arrows, ties)
                         sigma[e1] = sigma[e2] = sigma[e3] = sigma[e4] = 0
                         mate[s4] = e4
                         mate[t4] = f4
@@ -278,7 +273,7 @@ def _search(n: int, single_cycle: bool, orderly: bool) -> list:
             mate[s1] = e1
             mate[t1] = f1
 
-    search(0, (), 0, 0)
+    search(0, (), 0)
     # search's closure refers to itself; the cycle would keep `solutions` alive
     del search
     return solutions
@@ -344,8 +339,9 @@ def census_records(n: int, single_cycle: bool = True) -> tuple[int, list[CensusR
 
 
 def write_census(records: list[CensusRecord], path: str | Path) -> None:
-    """One JSON record per line, sorted by canonical form for stable diffs;
-    a path ending in `.gz` is gzipped, with mtime 0 so the bytes are stable."""
+    """One JSON record per line, in the order given (`census_records`'
+    order, increasing canonical form, keeps diffs stable); a path ending in
+    `.gz` is gzipped, with mtime 0 so the bytes are stable."""
     data = "".join(r.to_line() + "\n" for r in records).encode("utf-8")
     path = Path(path)
     path.write_bytes(gzip.compress(data, mtime=0) if path.suffix == ".gz" else data)

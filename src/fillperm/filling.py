@@ -219,14 +219,14 @@ class FillingPermutation:
 
     def is_z_piece(self, k: int) -> bool:
         """True for an attachable genus-k piece: n = 2k+2, four regions, each
-        of at least 4 labels, and a green vertex.
+        of at least 4 labels, and a green vertex.  The genus is then
+        1 + (n - 4)/2 = k.
 
         A piece is a filling pair in minimal position, so it has no bigon
         (a region of 2 labels); the size rule is the one `ZType` enforces.
         """
         return (
             self.n == 2 * k + 2
-            and self.genus() == k
             and self.region_count == 4
             and all(len(r) >= 4 for r in self.regions)
             and len(self.green_vertices) > 0

@@ -26,8 +26,8 @@ class Permutation:
     `Permutation(images)` checks every image.  The builders whose output is
     a bijection because their inputs are skip that check through `_built`:
     `__mul__`, `inverse`, `conjugated_by`, `__pow__`, `from_cycles` after
-    its own symbol checks, and, in `twist`, the relabeling group, the
-    `are_equivalent` witness and `canonical_form`.
+    its own symbol checks, and, in `twist`, the relabeling group and the
+    `are_equivalent` witness.
     Images that nothing proves a bijection keep the checked constructor:
     `surgery.assemble`'s splice, whose refusal is a `CaseGap` guard;
     `filling._arc_map`, whose moves are arbitrary callables; census

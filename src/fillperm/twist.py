@@ -5,10 +5,10 @@ reversing an orientation, or swapping the two curves) conjugates its filling
 permutation by an element of the group G generated by kappa, delta, eta, mu
 below.  G is written in closed form, G = {kappa^p delta^q h : 0 <= p, q < n,
 h in <eta, mu>}, with <eta, mu> of order 8, so |G| = 8n^2.  It is built once
-per n as one table of byte gathers, from which canonical forms, equivalence
-witnesses and the census sweep all read.  For minimally-intersecting pairs,
-conjugacy under G is exactly homeomorphism equivalence; for non-minimal pairs
-it is sufficient but not known to be necessary.
+per n as one table of byte gathers, from which least conjugates, equivalence
+witnesses and the orderly census search all read.  For minimally-intersecting
+pairs, conjugacy under G is exactly homeomorphism equivalence; for non-minimal
+pairs it is sufficient but not known to be necessary.
 """
 
 from __future__ import annotations
@@ -153,11 +153,3 @@ def are_equivalent(fp1: FillingPermutation, fp2: FillingPermutation) -> Permutat
     back = bytes.maketrans(to_least2[0], _IDENT)
     witness = min(u.translate(back) for u in to_least1)
     return Permutation._built(tuple(witness[1 : 4 * fp1.n + 1]))
-
-
-def canonical_form(fp: FillingPermutation) -> Permutation:
-    """Lexicographically least conjugate of sigma under the relabeling group.
-
-    Equal for two filling permutations exactly when `are_equivalent` succeeds.
-    """
-    return Permutation._built(tuple(_least(fp)[0]))

@@ -6,6 +6,7 @@ import gc
 import gzip
 import itertools
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -18,7 +19,6 @@ from fillperm import (
     BoundExceeded,
     CensusRecord,
     Permutation,
-    canonical_form,
     census_records,
     enumerate_filling,
     generators,
@@ -32,7 +32,7 @@ from fillperm import (
 )
 from fillperm.census import _crossing_blocks
 from fillperm.surgery import _reverse_second, find_decompositions
-from fillperm.twist import _slice_conjugates, _slice_table
+from fillperm.twist import _least, _slice_conjugates, _slice_table
 
 from conftest import conjugate_oneline, is_valid, opp_shift
 
@@ -504,7 +504,7 @@ def test_genus_5_census_golden():
     # 141,264 = 2 x 9 x 7,848: the [1,1] origamis (Aougab-Menasco-Nieland), both signs
     assert (len(coherent), sum(r.orbit_size_raw for r in coherent)) == (236, 141_264)
     for rec, fp in random.Random(9).sample(pairs, 200):
-        assert canonical_form(fp).one_line() == rec.canonical_form
+        assert tuple(_least(fp)[0]) == rec.canonical_form
         assert find_decompositions(fp), rec.canonical_form
 
 
@@ -654,6 +654,53 @@ def test_two_paths_below_sigma_2_doom_sigma(n, single_cycle):
             assert min(_slice_conjugates(one)) < one
             cut += 1
     assert cut or n < 3
+
+
+@pytest.mark.parametrize("n", range(1, 64))
+def test_root_block_holds_no_two_path(n):
+    # the orderly root keeps the block of sigma(1) = 2.  At n >= 2 none of
+    # its images is one of its labels, so it holds no 2-path of its own and
+    # every 2-path placed by the time sigma(2) is runs through an arrow of
+    # the block that places sigma(2); at n = 1 the root is that block.
+    # Built uncached: 63 tables would stay alive otherwise.
+    labels, arrows = _crossing_blocks.__wrapped__(n)[1][0]
+    assert arrows[0] == (1, 2)
+    assert labels == sum(1 << (x - 1) for x, _ in arrows)
+    if n == 1:
+        assert labels & 2
+    else:
+        assert not labels & 2
+        assert not {f for _, f in arrows} & {e for e, _ in arrows}
+
+
+def search_calls(n, single_cycle):
+    """The calls of `_search`'s inner `search` in one orderly run, cut ones
+    included, counted by a profile hook on its code object."""
+    (code,) = [
+        c for c in fillperm.census._search.__code__.co_consts if getattr(c, "co_name", "") == "search"
+    ]
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fillperm.census._search(n, single_cycle, orderly=True)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "n,single_cycle,calls",
+    [(5, True, 61), (7, True, 2_185), (4, False, 40), (5, False, 190), (6, False, 1_300)],
+)
+def test_orderly_search_node_counts(n, single_cycle, calls):
+    # the cut's reach, pinned: a weaker cut visits more nodes
+    assert search_calls(n, single_cycle) == calls
 
 
 def full_sweep_census(n, single_cycle):

@@ -60,9 +60,9 @@ def test_public_names():
         "CaseGap", "CensusRecord", "CycleParseError", "Decomposition",
         "EquationViolation", "FillingError", "FillingPermutation", "Permutation",
         "RoundTripReport", "SizeNotMultipleOf4", "SurgeryError", "ZType",
-        "are_equivalent", "assemble", "attachment_site", "canonical_form",
-        "census_records", "decomposition_at", "disassemble", "enumerate_filling",
-        "extract", "find_decompositions", "generators", "opposite", "read_census",
+        "are_equivalent", "assemble", "attachment_site", "census_records",
+        "decomposition_at", "disassemble", "enumerate_filling", "extract",
+        "find_decompositions", "generators", "opposite", "read_census",
         "round_trip_check", "tau", "twist_group", "upper_bound", "validate",
         "write_census",
     ]

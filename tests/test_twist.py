@@ -1,4 +1,4 @@
-"""Relabeling group: generators, closed form, equivalence, canonical forms."""
+"""Relabeling group: generators, closed form, equivalence, least conjugates."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from fillperm import (
     BoundExceeded,
     Permutation,
     are_equivalent,
-    canonical_form,
     generators,
     read_census,
     twist_group,
@@ -20,7 +19,7 @@ from fillperm import (
 
 from fillperm.cli import load_valid
 from fillperm.surgery import _reverse_second
-from fillperm.twist import _slice_table
+from fillperm.twist import _least, _slice_table
 
 from conftest import (
     FIXTURE_TEXTS,
@@ -35,6 +34,11 @@ from random_pairs import random_minimal_pair
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 DATA = Path(__file__).resolve().parent / "data"
+
+
+def canonical_form(fp):
+    """The one-line images of sigma's least conjugate under the group."""
+    return tuple(_least(fp)[0])
 
 
 def test_generators_n1():
@@ -192,7 +196,8 @@ def test_twist_group_elements_hold_checked_images(n):
 @pytest.mark.parametrize("name", sorted(FIXTURE_TEXTS))
 def test_canonical_form_and_witness_hold_checked_images(name, request):
     fp = request.getfixturevalue(name)
-    assert_as_if_checked(canonical_form(fp))
+    canon = validate(Permutation(canonical_form(fp)), fp.n)
+    assert canon.region_count == fp.region_count
     group = twist_group(fp.n)
     for t in (group[0], group[len(group) // 2], group[-1]):
         relabeled = validate(fp.sigma.conjugated_by(t), fp.n)
@@ -222,7 +227,7 @@ def test_equivalence_beyond_sixteen_crossings():
     assert are_equivalent(fp, copy) == scan[0]
     canon = canonical_form(fp)
     assert canon == canonical_form(copy)
-    assert canon == min((fp.sigma.conjugated_by(t) for t in group), key=Permutation.one_line)
+    assert canon == min(fp.sigma.conjugated_by(t).one_line() for t in group)
 
 
 def test_orbit_answers_survive_random_relabelings_up_to_n_63():
@@ -296,7 +301,7 @@ def test_canonical_form_constant_on_orbit(f1, zeta, zeta_prime):
 def test_canonical_form_idempotent_and_valid(zeta, sigma_f):
     for fp in (zeta, sigma_f):
         canon = canonical_form(fp)
-        wrapped = validate(canon, fp.n)
+        wrapped = validate(Permutation(canon), fp.n)
         assert wrapped.region_count == fp.region_count
         assert canonical_form(wrapped) == canon
 
@@ -325,7 +330,7 @@ def check_against_brute_force(forms, n, rng):
     ]
     for idx, (a, b) in enumerate(copies):
         fa, fb = validate(Permutation(a), n), validate(Permutation(b), n)
-        assert canonical_form(fa).one_line() == brute_canonical(a, group)
+        assert canonical_form(fa) == brute_canonical(a, group)
         witness = are_equivalent(fa, fb)
         assert witness is not None and witness.one_line() == brute_witness(a, b, group)
         other = copies[(idx + 1) % len(copies)][1]
