@@ -4,17 +4,17 @@ The crossing equation, read as a functional constraint, makes each free choice
 sigma(e) = f force sigma(opposite(f)) = tau(e), and so on around the crossing:
 the map (e, f) -> (opposite(f), tau(e)) has order 4, so one choice forces
 exactly the four left edges of one crossing, a block that never conflicts with
-itself.  Enumeration is an exact cover of the 4n labels by blocks (Knuth,
-"Dancing Links", 2000) that always extends at the lowest free label, so every
-label below it is covered and a block holding one could never be kept: the
-blocks are tabulated once per n, each once, under its least label.  One
-region needs odd n = 2g - 1, so single-cycle mode returns at once for even
-n; otherwise it tracks the open paths of the partial permutation and
-rejects any cycle that closes early.  The search joins a block's four arrows
-one at a time in straight-line code, undoing each join from the two path
-ends it saved.
+itself.  The one search, `_search`, is an exact cover of the 4n labels by
+blocks (Knuth, "Dancing Links", 2000) that always extends at the lowest free
+label, so every label below it is covered and a block holding one could never
+be kept: the blocks are tabulated once per n, each once, under its least
+label.  One region needs odd n = 2g - 1, so single-cycle mode returns at once
+for even n; otherwise it tracks the open paths of the partial permutation and
+rejects any cycle that closes early, joining a block's four arrows one at a
+time in straight-line code and undoing each join from the two path ends it
+saved.
 
-The census searches only the slice S = {sigma : sigma(1) = 2}.  The
+The search walks only the slice S = {sigma : sigma(1) = 2}.  The
 relabelings that fix label 1 form the group <delta, R> of order 8n^2 / 4n =
 2n, where R = surgery._reverse_second(n) = delta^-1 mu eta mu reverses the
 second curve.  Both generators fix every odd label; delta cycles the plain
@@ -26,15 +26,16 @@ relabeling group has 2n times as many members as it has in S, and the full
 solution set has 2n * |S|.  S holds each orbit's least conjugate, since 2 is
 the least head a conjugate can have.
 
-The census search is orderly (Read, "Every one a winner", 1978; McKay,
+The search is orderly (Read, "Every one a winner", 1978; McKay,
 "Isomorph-free exhaustive generation", 1998): it keeps a solution only when
 it is the least of its 4n slice conjugates t sigma t^-1, t the cell
 (x, sigma x) of `twist._slice_table`, and it cuts a branch as soon as a
 placed 2-path x -> sigma x -> sigma^2 x shows a conjugate whose second
 image t(sigma^2 x) is below sigma(2); each node reads the 2-paths through
-its new block's arrows.  No set of solutions is built, and
-each record comes from its own sigma: |Stab| is the number of slice
-conjugates equal to sigma, and the orbit has 8n^2 / |Stab| members.
+its new block's arrows.  No set of solutions is built, and each record
+comes from its own sigma: |Stab| is the number of slice conjugates equal
+to sigma, and the orbit has 8n^2 / |Stab| members.  `enumerate_filling`
+lists every solution as the union of these orbits.
 """
 
 from __future__ import annotations
@@ -112,51 +113,61 @@ def enumerate_filling(n: int, single_cycle: bool = True) -> list[bytes]:
     as the bytes of their one-line images (sigma(1), ..., sigma(4n)), in
     increasing order.
 
-    The search is an exact cover of the 4n labels by crossing blocks: it
-    takes the lowest unassigned label e, tries the blocks of row e (those
-    whose least label is e, so every other block sigma(e) = f forces holds
-    an assigned label) in increasing f, and keeps one when none of its
-    labels is assigned yet (its images are then free too); only then are
-    its four arrows unpacked.  With `single_cycle` only one-region (minimal)
-    solutions are produced: the block's arrows e_i -> f_i are joined in
-    order to the open paths of the partial permutation, each join saving
-    the path ends s_i, t_i it rewrote and undone in reverse from them, and
-    an arrow that closes a cycle prunes the branch, unless it is the last
-    arrow of all.  One region means n = 2g - 1, so with `single_cycle` an
-    even n returns [] before any block is built.
+    Every solution is a relabeling t sigma t^-1 of its class's least member,
+    so the set is the union of the census's classes: each canonical sigma of
+    `_search` is conjugated by the 8n^2 cells (t^-1, t) of
+    `twist._slice_table`, as two `translate` gathers, and the conjugates are
+    deduplicated.  With `single_cycle` only one-region (minimal) solutions
+    are produced; one region means n = 2g - 1, so an even n returns []
+    before any crossing block or relabeling table is built.
     The slice S = {sigma : sigma(1) = 2}, one sigma per orbit of <delta, R>
     (the relabelings that fix label 1), is the solutions whose first byte
     is 2; the full set has 2n times as many members.
     Labels must fit a byte: n outside 1..twist.BYTE_MAX_N raises BoundExceeded.
     """
-    return _search(n, single_cycle, orderly=False)
+    classes = _search(n, single_cycle)
+    if not classes:  # an even single-cycle n stops here, before the table
+        return []
+    cells = [cell for row in _slice_table(n) for cell in row if cell is not None]
+    pad = bytes(255 - 4 * n)
+    solutions: set[bytes] = set()
+    for one, _ in classes:
+        sigma = b"\0" + one + pad  # sigma(e) at index e
+        solutions.update(inv.translate(sigma).translate(t) for inv, t in cells)
+    return sorted(solutions)
 
 
-def _search(n: int, single_cycle: bool, orderly: bool) -> list:
-    """The one search body behind `enumerate_filling` and `census_records`,
-    as `enumerate_filling` describes it.
+def _search(n: int, single_cycle: bool) -> list[tuple[bytes, int]]:
+    """The census search, as the module docstring describes it: (bytes,
+    |Stab|) of each solution in the slice S that is the least of its 4n
+    slice conjugates, in increasing (depth-first) order.
 
-    Without `orderly` it returns the bytes of every solution.  With
-    `orderly` it searches the slice S (the root keeps only the block of
-    sigma(1) = 2) and returns (bytes, |Stab|) of each canonical solution.
-    Either way the depth-first order is increasing.  Each node reads the
-    2-paths through the arrows of its new block against sigma(2), which
-    reads 0, and cuts nothing, until it is placed.  The root block is the
-    only block above the one that places sigma(2), and at n >= 2 none of
-    its images is one of its labels (at n = 1 it places sigma(2)), so that
-    node reads every 2-path placed so far.  The 2-path
-    x -> sigma x -> sigma^2 x gives the slice conjugate by the cell
-    (x, sigma x) the second image t(sigma^2 x): one below sigma(2) cuts the
-    branch, and the x of one equal to it is kept in the bitmask `ties`.  At
-    a leaf every 2-path has been read, so only the tied x can give a
-    conjugate below sigma, and only theirs are built.
+    It takes the lowest free label e and tries the blocks of row e in
+    increasing f, keeping one when none of its labels is assigned yet (its
+    images are then free too); the root keeps only the block of
+    sigma(1) = 2.  Each node reads the 2-paths through the arrows of its new
+    block against sigma(2), which reads 0, and cuts nothing, until it is
+    placed.  The root block is the only block above the one that places
+    sigma(2), and at n >= 2 none of its images is one of its labels (at
+    n = 1 it places sigma(2)), so that node reads every 2-path placed so
+    far.  The 2-path x -> sigma x -> sigma^2 x gives the slice conjugate by
+    the cell (x, sigma x) the second image t(sigma^2 x): one below sigma(2)
+    cuts the branch, and the x of one equal to it is kept in the bitmask
+    `ties`.  At a leaf every 2-path has been read, so only the tied x can
+    give a conjugate below sigma, and only theirs are built.
     """
     _check_n(n)
     if single_cycle and n % 2 == 0:
         return []
     m = 4 * n
     full = (1 << m) - 1
-    rows = _crossing_blocks(n)
+    blocks = _crossing_blocks(n)
+    # label 1 is the lowest label, so only the root reads row 1, whose first
+    # block is sigma(1) = 2
+    rows = (blocks[0], blocks[1][:1], *blocks[2:])
+    cells = (None, *_slice_table(n))  # row x holds the cells (x, y)
+    opp = _opp_tau(n, 0)
+    opp_tau = _opp_tau(n, 1)  # an involution, so tau^-1 = opp tau opp
     # sigma(e) at index e, so a leaf's conjugates translate through it; each
     # block's entries are cleared as the search backtracks, so sigma(e) = 0
     # means e is free
@@ -165,20 +176,10 @@ def _search(n: int, single_cycle: bool, orderly: bool) -> list:
     # the other end of the open path that starts or ends at a label (a lone
     # label is its own mate); no label is one path's start and another's end
     mate = list(range(m + 1))
-    solutions: list = []
-    if orderly:
-        # label 1 is the lowest label, so only the root reads row 1, whose
-        # first block is sigma(1) = 2
-        rows = (rows[0], rows[1][:1], *rows[2:])
-        cells = (None, *_slice_table(n))  # row x holds the cells (x, y)
-        opp = _opp_tau(n, 0)
-        opp_tau = _opp_tau(n, 1)  # an involution, so tau^-1 = opp tau opp
-    # the cut's bound sigma(2) is 0 until it is placed; sigma(0) is never
-    # written, so the unordered search reads 0 and never cuts
-    two = 2 if orderly else 0
+    solutions: list[tuple[bytes, int]] = []
 
     def search(used: int, arrows: tuple, ties: int) -> None:
-        bound = sigma[two]
+        bound = sigma[2]  # 0 until sigma(2) is placed
         if bound:
             # the 2-paths through each new arrow e -> f: e -> f -> sigma f,
             # and x -> e -> f, where x = opp sigma tau^-1 e (the block of
@@ -201,9 +202,6 @@ def _search(n: int, single_cycle: bool, orderly: bool) -> list:
                         ties |= 1 << x
         if used == full:
             one = bytes(key)
-            if not orderly:
-                solutions.append(one)
-                return
             # every 2-path is placed and none is below sigma(2): only the x
             # that tie it can give a smaller conjugate.  x = 1 ties, as its
             # cell is the identity, and gives sigma itself.
@@ -322,7 +320,7 @@ def census_records(n: int, single_cycle: bool = True) -> tuple[int, list[CensusR
     """
     order = 8 * n * n
     records = []
-    for key, stabilizer in _search(n, single_cycle, orderly=True):
+    for key, stabilizer in _search(n, single_cycle):
         canon = tuple(key)
         rep = validate(Permutation(canon), n)
         records.append(

@@ -177,7 +177,7 @@ def cmd_info(args) -> tuple[int, Callable[[], str], dict]:
         "green_vertices": [list(v) for v in fp.green_vertices],
         "green_normalized": fp.green_normalized(),
     }
-    ztype = fp.z_type() if fp.is_z_piece(fp.genus()) else None
+    ztype = fp.z_type() if fp.is_z_piece() else None
     if ztype is not None:
         payload["z_piece"] = {"k": fp.genus(), "type": list(ztype.quad)}
 

@@ -217,17 +217,16 @@ class FillingPermutation:
         orbit = set(self.vertex_orbit(2 * n - 1))
         return orbit == want and tuple(sorted(orbit)) in self.green_vertices
 
-    def is_z_piece(self, k: int) -> bool:
-        """True for an attachable genus-k piece: n = 2k+2, four regions, each
-        of at least 4 labels, and a green vertex.  The genus is then
-        1 + (n - 4)/2 = k.
+    def is_z_piece(self) -> bool:
+        """True for an attachable piece: four regions, each of at least 4
+        labels, and a green vertex.  With c = 4 the genus k is (n - 2)/2, so
+        n = 2k + 2 needs no check of its own.
 
         A piece is a filling pair in minimal position, so it has no bigon
         (a region of 2 labels); the size rule is the one `ZType` enforces.
         """
         return (
-            self.n == 2 * k + 2
-            and self.region_count == 4
+            self.region_count == 4
             and all(len(r) >= 4 for r in self.regions)
             and len(self.green_vertices) > 0
         )

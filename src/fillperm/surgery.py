@@ -171,7 +171,7 @@ def assemble(
     k = piece.genus()
     if not host.is_minimal():
         raise SurgeryError("host must be minimal")
-    if not piece.is_z_piece(k):
+    if not piece.is_z_piece():
         raise SurgeryError("piece is not an attachable (Z) piece")
     if not piece.green_normalized():
         raise SurgeryError("piece labeling is not green-normalized")
@@ -573,7 +573,7 @@ def _pull_back(
         remainder = validate(remainder_perm, 2 * l - 1)
     except ValueError as exc:
         raise CaseGap(f"recovered piece or remainder is not a filling pair: {exc}") from exc
-    if not piece.is_z_piece(k):
+    if not piece.is_z_piece():
         raise CaseGap("recovered piece is not an attachable piece")
     if not piece.z_type().matches(dec.type):
         raise CaseGap(

@@ -68,29 +68,34 @@ def test_enumerate_n1_against_brute_force():
 
 
 def slice_of(n, single_cycle):
-    """The slice S = {sigma : sigma(1) = 2} of `enumerate_filling`."""
-    return [s for s in enumerate_filling(n, single_cycle) if s[0] == 2]
+    """The slice S = {sigma : sigma(1) = 2}, as bytes keys, from the
+    unit-propagation oracle, which shares no code with the census search."""
+    return [bytes(s) for s in propagation_enumeration(n, single_cycle, slice_only=True)]
 
 
 def test_enumerate_n3_single_cycle_empty():
     assert enumerate_filling(3, single_cycle=True) == []
 
 
-@pytest.mark.parametrize("orderly", [False, True])
 @pytest.mark.parametrize("n", [2, 4, 6])
-def test_single_cycle_is_empty_at_even_n(n, orderly):
+def test_single_cycle_is_empty_at_even_n(n):
     # n - c is even, so one region needs odd n
-    assert fillperm.census._search(n, True, orderly) == []
+    assert fillperm.census._search(n, True) == []
+    assert enumerate_filling(n, True) == []
 
 
 def test_single_cycle_returns_before_any_block_at_even_n(monkeypatch):
     def blocks(n):
         raise AssertionError("built crossing blocks for an even single-cycle n")
 
+    def table(n):
+        raise AssertionError("built the relabeling table for an even single-cycle n")
+
     monkeypatch.setattr(fillperm.census, "_crossing_blocks", blocks)
+    monkeypatch.setattr(fillperm.census, "_slice_table", table)
     for n in (2, 4, 10, 62):
         assert enumerate_filling(n, True) == []
-        assert fillperm.census._search(n, True, orderly=True) == []
+        assert fillperm.census._search(n, True) == []
 
 
 def test_enumerate_n3_general_solutions_are_genus_one():
@@ -225,11 +230,27 @@ def propagation_enumeration(n, single_cycle, slice_only):
 @pytest.mark.parametrize("slice_only", [False, True])
 @pytest.mark.parametrize(
     "n,single_cycle",
-    [(n, False) for n in range(1, 6)] + [(n, True) for n in (1, 3, 5, 7)],
+    [(n, False) for n in range(1, 7)] + [(n, True) for n in (1, 3, 5, 7)],
 )
 def test_crossing_blocks_match_propagation(n, single_cycle, slice_only):
-    got = slice_of(n, single_cycle) if slice_only else enumerate_filling(n, single_cycle)
+    got = enumerate_filling(n, single_cycle)
+    if slice_only:
+        got = [s for s in got if s[0] == 2]
     assert list(map(tuple, got)) == propagation_enumeration(n, single_cycle, slice_only)
+
+
+def test_enumeration_misses_exactly_a_dropped_class(monkeypatch):
+    # enumerate_filling is the union of the census search's classes, so a
+    # class the search loses is lost whole: its 8n^2 / |Stab| members
+    search = fillperm.census._search
+    (dropped, stabilizer), *rest = search(5, True)
+    monkeypatch.setattr(fillperm.census, "_search", lambda n, single_cycle: rest)
+    got = set(map(tuple, enumerate_filling(5)))
+    want = set(propagation_enumeration(5, True, False))
+    assert got <= want
+    missing = want - got
+    assert len(missing) == 8 * 5 * 5 // stabilizer
+    assert missing == {conjugate_oneline(dropped, t.one_line()) for t in twist_group(5)}
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -295,7 +316,9 @@ def test_bound_exceeded(capsys, monkeypatch):
 @pytest.mark.parametrize("slice_only", [False, True])
 @pytest.mark.parametrize("n,single_cycle", [(5, True), (3, False)])
 def test_enumeration_emits_bytes_keys(n, single_cycle, slice_only):
-    sols = slice_of(n, single_cycle) if slice_only else enumerate_filling(n, single_cycle)
+    sols = enumerate_filling(n, single_cycle)
+    if slice_only:
+        sols = [s for s in sols if s[0] == 2]
     assert sols
     assert all(type(s) is bytes and len(s) == 4 * n for s in sols)
     assert sols == sorted(set(sols))
@@ -633,7 +656,7 @@ def test_orderly_search_keeps_the_least_slice_conjugates(n, single_cycle):
         conjugates = _slice_conjugates(one)
         if min(conjugates) == one:
             expected.append((one, conjugates.count(one)))
-    assert fillperm.census._search(n, single_cycle, orderly=True) == expected
+    assert fillperm.census._search(n, single_cycle) == expected
 
 
 @pytest.mark.parametrize(
@@ -674,7 +697,7 @@ def test_root_block_holds_no_two_path(n):
 
 
 def search_calls(n, single_cycle):
-    """The calls of `_search`'s inner `search` in one orderly run, cut ones
+    """The calls of `_search`'s inner `search` in one run, cut ones
     included, counted by a profile hook on its code object."""
     (code,) = [
         c for c in fillperm.census._search.__code__.co_consts if getattr(c, "co_name", "") == "search"
@@ -688,7 +711,7 @@ def search_calls(n, single_cycle):
 
     sys.setprofile(profile)
     try:
-        fillperm.census._search(n, single_cycle, orderly=True)
+        fillperm.census._search(n, single_cycle)
     finally:
         sys.setprofile(None)
     return calls
@@ -704,9 +727,10 @@ def test_orderly_search_node_counts(n, single_cycle, calls):
 
 
 def full_sweep_census(n, single_cycle):
-    """Oracle: the orbit sweep over the full enumeration, conjugating one
-    unclassified solution of each orbit by all 8n^2 relabelings."""
-    unseen = set(map(tuple, enumerate_filling(n, single_cycle=single_cycle)))
+    """Oracle: the orbit sweep over the propagation oracle's solutions,
+    conjugating one unclassified solution of each orbit by all 8n^2
+    relabelings."""
+    unseen = set(propagation_enumeration(n, single_cycle, slice_only=False))
     total = len(unseen)
     orbits = []
     while unseen:

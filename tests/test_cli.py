@@ -782,7 +782,7 @@ def test_case_gap_exits_3(files, capsys, monkeypatch):
 
 def test_disassembly_failure_after_extract_accepts_exits_3(files, capsys, monkeypatch):
     # the anchors pass decomposition_at; the recovered piece then fails its check
-    monkeypatch.setattr(FillingPermutation, "is_z_piece", lambda self, k: False)
+    monkeypatch.setattr(FillingPermutation, "is_z_piece", lambda self: False)
     code, out, err = run(
         capsys, "extract", files["sigma_f6"],
         "--x", "23", "--a", "38", "--y", "1", "--b", "16", "--k", "5",

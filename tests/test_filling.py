@@ -233,10 +233,9 @@ def test_is_minimal(zeta, f1, sigma_f6):
 
 
 def test_is_z_piece(zeta, sigma_z, sigma_f):
-    assert zeta.is_z_piece(2)
-    assert sigma_z.is_z_piece(3)
-    assert not zeta.is_z_piece(3)
-    assert not sigma_f.is_z_piece(3)
+    assert zeta.is_z_piece()
+    assert sigma_z.is_z_piece()
+    assert not sigma_f.is_z_piece()
 
 
 def test_bigon_piece_is_not_a_z_piece():
@@ -247,7 +246,7 @@ def test_bigon_piece_is_not_a_z_piece():
     )
     assert (bigon.genus(), bigon.region_count) == (2, 4)
     assert bigon.green_vertices == ((11, 12, 13, 14),)
-    assert not bigon.is_z_piece(2)
+    assert not bigon.is_z_piece()
 
 
 def test_z_type_of_bigon_piece_raises_filling_error():

@@ -288,7 +288,7 @@ def test_reverse_second_is_the_involution_that_turns_a_piece_over(zeta, sigma_z,
     for piece in [*pieces, zeta, sigma_z, z5]:
         n = piece.n
         turned = validate(piece.sigma.conjugated_by(_reverse_second(n)))
-        assert turned.green_normalized() and turned.is_z_piece(piece.genus())
+        assert turned.green_normalized() and turned.is_z_piece()
         assert turned.z_type() == piece.z_type()
         assert set(turned.vertex_orbit(2 * n - 1)) == set(piece.vertex_orbit(2 * n - 1))
         turns = [fp.vertex_orbit(2 * n - 1)[1] == 2 * n for fp in (piece, turned)]
@@ -358,7 +358,7 @@ def test_no_genus_one_piece_exists():
     genus_one = [fp for fp in pairs if fp.genus() == 1]
     assert len(genus_one) == 176 and {fp.region_count for fp in genus_one} == {4}
     assert not any(fp.green_vertices for fp in genus_one)
-    assert not any(fp.is_z_piece(1) for fp in pairs)
+    assert not any(fp.is_z_piece() for fp in pairs)
     # so no census class cuts off a genus-1 piece: the genus-3
     # representatives give no genus-1 candidate, and the 8 of the genus-4
     # representatives are not witnesses
@@ -951,7 +951,7 @@ def test_decomposition_soundness(sigma_f6, sigma_f):
             assert decomposition_at(fp, *dec.anchors, dec.k) == dec
             assert reference_separating(fp, dec)
             piece, remainder = disassemble(fp, dec)
-            assert piece.is_z_piece(dec.k)
+            assert piece.is_z_piece() and piece.genus() == dec.k
             assert piece.z_type().matches(dec.type)
             assert remainder.is_minimal() and remainder.genus() == dec.l
 
