@@ -8,7 +8,6 @@ from .filling import (
     FillingPermutation,
     SizeNotMultipleOf4,
     ZType,
-    opposite,
     tau,
     validate,
 )

@@ -42,7 +42,7 @@ class CLIInputError(Exception):
 
 @contextlib.contextmanager
 def _file_errors(path: str):
-    """A file the user named that cannot be read or written is bad input."""
+    """A file the user named that cannot be written is bad input."""
     try:
         yield
     except OSError as exc:
@@ -55,21 +55,24 @@ def read_filling_file(path: str) -> tuple[Permutation, int]:
     The body is parsed once; its labels give n when there is no header and
     refuse a file that cannot be a pair before anything of 4n labels is built.
     """
-    with _file_errors(path):
-        text = Path(path).read_text(encoding="utf-8")
-    n = None
-    body_parts: list[str] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if n is None and not body_parts and re.fullmatch(r"n\s*=\s*\d+", line):
-            n = int(line.split("=", 1)[1])
-            continue
-        body_parts.append(line)
-    body = "".join(body_parts)
+    # a file that is not UTF-8, or whose header is too long for int(), is as
+    # bad as a malformed cycle
     try:
+        text = Path(path).read_text(encoding="utf-8")
+        n = None
+        body_parts: list[str] = []
+        for raw in text.splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if n is None and not body_parts and re.fullmatch(r"n\s*=\s*\d+", line):
+                n = int(line.split("=", 1)[1])
+                continue
+            body_parts.append(line)
+        body = "".join(body_parts)
         cycles = parse_cycle_text(body, None)
+    except OSError as exc:
+        raise CLIInputError(f"{path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise CLIInputError(f"{path}: {exc}") from exc
     labels = set().union(*cycles)
@@ -422,7 +425,14 @@ def main(argv: list[str] | None = None) -> int:
         # program; exit 1 would read as a negative answer
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    print(output)
+    try:
+        print(output, flush=True)
+    except OSError as exc:
+        # a closed pipe or a full disk is an unwritable output, as for --out;
+        # devnull takes what the interpreter's last flush would write
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: stdout: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -53,16 +53,23 @@ def _label_of(arc: int, even: bool, negative: bool, n: int) -> int:
     return label + 2 * n if negative else label
 
 
-def _arc_map(
-    n: int, move: Callable[[int, bool, bool], tuple[int, bool, bool]]
-) -> Permutation:
-    """The relabeling that sends the label with arc coordinates (arc, even,
-    negative) to the label at move(arc, even, negative), arcs taken mod n."""
-    images = []
-    for label in range(1, 4 * n + 1):
-        arc, even, negative = move(*_arc_of(label, n))
-        images.append(_label_of((arc - 1) % n + 1, even, negative, n))
-    return Permutation(images)
+ArcMove = Callable[[int, bool, bool], tuple[int, bool, bool]]
+
+
+def _arc_table(n_from: int, n: int, move: ArcMove) -> tuple[int, ...]:
+    """The labels, among 4n, of an arc move from n_from crossings, indexed by
+    label (index 0 unused): the label at arc coordinates (arc, even, negative)
+    goes to the one at move(arc, even, negative), arcs taken mod n."""
+    table = [0]
+    for label in range(1, 4 * n_from + 1):
+        arc, even, negative = move(*_arc_of(label, n_from))
+        table.append(_label_of((arc - 1) % n + 1, even, negative, n))
+    return tuple(table)
+
+
+def _arc_map(n: int, move: ArcMove) -> Permutation:
+    """The relabeling `_arc_table(n, n, move)`, checked to be a bijection."""
+    return Permutation(_arc_table(n, n, move)[1:])
 
 
 @lru_cache(maxsize=None)
@@ -74,14 +81,6 @@ def tau(n: int) -> Permutation:
     if n < 1:
         raise ValueError("n must be >= 1")
     return _arc_map(n, lambda arc, even, neg: (arc - 1 if neg else arc + 1, even, neg))
-
-
-def opposite(e: int, n: int) -> int:
-    """The reversed copy of the same arc: shift by 2n mod 4n.  An involution."""
-    m = 4 * n
-    if not 1 <= e <= m:
-        raise ValueError(f"symbol {e} out of range 1..{m}")
-    return (e + 2 * n - 1) % m + 1
 
 
 @lru_cache(maxsize=None)
@@ -97,7 +96,8 @@ def _opp_tau(n: int, s: int) -> tuple[int, ...]:
 class ZType:
     """Region sizes of an attachable piece, in cyclic order around its green vertex.
 
-    Stored in the lexicographically least rotation; reflections are distinct.
+    Stored in the lexicographically least rotation, so two types are equal
+    exactly when one is a rotation of the other; reflections are distinct.
     """
 
     quad: tuple[int, int, int, int]
@@ -107,10 +107,6 @@ class ZType:
         if len(q) != 4 or any(r % 2 or r < 4 for r in q):
             raise ValueError(f"type entries must be even and >= 4: {q}")
         object.__setattr__(self, "quad", min(q[i:] + q[:i] for i in range(4)))
-
-    def matches(self, quad: tuple[int, int, int, int]) -> bool:
-        """True if `quad` is a cyclic rotation of this type."""
-        return ZType(tuple(quad)).quad == self.quad
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ curve through them cuts off the piece.  One rule decides that last clause
 wherever a witness is judged: the four runs of the region cycle that become
 the piece's regions must be pairwise disjoint and closed under the opposite
 shift.  The search judges the candidates one anchor scan proposes; a
-caller's anchors are found in that scan and judged by the same rule before
+caller's anchors are read directly, by a check that accepts exactly that
+scan's candidates (a test ties the two), and judged by the same rule before
 anything is cut.  Both directions work purely on labels, through one arc-shift
 relabeling, `AssemblyMap`: on each curve the piece's inner arcs form one
 cyclic block right after the site arc and the host's arcs fill the rest in
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NoReturn
 
-from .filling import FillingPermutation, _arc_map, _opp_tau, validate
+from .filling import FillingPermutation, ZType, _arc_map, _arc_table, _opp_tau, validate
 from .perm import Permutation
 
 Entry = tuple[int, bool]  # (symbol, decorated); decoration marks duplicate anchor copies
@@ -69,14 +70,14 @@ class AssemblyMap:
     """The relabeling that splices a genus-k piece into a genus-l host, and its
     preimage.
 
-    Odd label 2c-1 is arc c of the first curve, even label 2c arc c of the
-    second; adding 2n reverses the arc.  Each result curve has n = n_h + n_p - 2
-    arcs (host n_h = 2l-1, piece n_p = 2k+2).  The site (i, j) is in result
-    labels, with site arcs a = (i+1)/2 and b = j/2.  On each curve the piece's
-    arcs run cyclically forward from the site arc, so its n_p - 2 inner arcs
-    form one block right after it; the host's arcs fill the rest in order,
-    ending at the site arc, so host arc 1 lands on result arc max(1, a-n_h+1).
-    Host orientations are kept and piece orientations reversed.
+    Both sides are arc moves in `filling`'s label layout (`_arc_table`).
+    Each result curve has n = n_h + n_p - 2 arcs (host n_h = 2l-1, piece
+    n_p = 2k+2).  The site (i, j) is in result labels, with site arcs
+    a = (i+1)/2 and b = j/2; on each curve, with a the curve's site arc, the
+    piece's arc c goes to result arc a + c - 1, so its n_p - 2 inner arcs
+    form one block right after the site arc, and the host's arc c goes to
+    a - (min(a, n_h) - c) mod n_h, filling the rest in order and ending at
+    the site arc.  Host orientations are kept and piece orientations reversed.
 
     When l = 1 the piece's first and last arcs share the site arc, so each of
     i, j, opp(i), opp(j) has two piece preimages: a decorated entry takes the
@@ -97,15 +98,14 @@ class AssemblyMap:
         self.n = n = n_host + n_piece - 2
         if not (i % 2 == 1 and 1 <= i < 2 * n and j % 2 == 0 and 2 <= j <= 2 * n):
             raise SurgeryError(f"({i}, {j}) is not a positive odd/even site for n={n}")
-        site_arcs = ((i + 1) // 2, j // 2)
-        # the result arc of each host and each piece arc, odd curve then even
-        host_arcs = [
-            [(a - (min(a, n_host) - arc) % n_host - 1) % n + 1 for arc in range(1, n_host + 1)]
-            for a in site_arcs
-        ]
-        piece_arcs = [[(a + arc - 2) % n + 1 for arc in range(1, n_piece + 1)] for a in site_arcs]
-        self.host = host = _label_table(host_arcs, n, reverse=False)
-        self.piece = piece = _label_table(piece_arcs, n, reverse=True)
+        site_arc = ((i + 1) // 2, j // 2)  # indexed by `even`
+        top = [min(a, n_host) for a in site_arc]  # the host arc on each site arc
+        self.host = host = _arc_table(
+            n_host, n, lambda c, even, neg: (site_arc[even] - (top[even] - c) % n_host, even, neg)
+        )
+        self.piece = piece = _arc_table(
+            n_piece, n, lambda c, even, neg: (site_arc[even] + c - 1, even, not neg)
+        )
         self.host_pre = _preimages(host, n, range(1, 4 * n_host + 1))
         # descending, so that on a torus host the first arc wins the site arc
         self.piece_pre = _preimages(piece, n, range(4 * n_piece, 0, -1))
@@ -118,14 +118,6 @@ class AssemblyMap:
 
 def _no_preimage(amap: AssemblyMap, side: str, symbol: int) -> NoReturn:
     raise CaseGap(f"{amap!r}, {side} side: symbol {symbol} has no preimage")
-
-
-def _label_table(arcs: list[list[int]], n: int, reverse: bool) -> tuple[int, ...]:
-    """Result labels by source label, index 0 unused, from the result arcs of
-    the source's odd and even arcs; `reverse` turns every arc around."""
-    positive = [label for odd, even in zip(*arcs) for label in (2 * odd - 1, 2 * even)]
-    negative = [label + 2 * n for label in positive]
-    return (0, *negative, *positive) if reverse else (0, *positive, *negative)
 
 
 def _preimages(table: tuple[int, ...], n: int, labels: Iterable[int]) -> tuple[int, ...]:
@@ -575,7 +567,7 @@ def _pull_back(
         raise CaseGap(f"recovered piece or remainder is not a filling pair: {exc}") from exc
     if not piece.is_z_piece():
         raise CaseGap("recovered piece is not an attachable piece")
-    if not piece.z_type().matches(dec.type):
+    if piece.z_type() != ZType(dec.type):
         raise CaseGap(
             f"recovered piece type {piece.z_type().quad} does not match {dec.type}"
         )

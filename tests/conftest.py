@@ -9,7 +9,7 @@ from bisect import bisect_right
 
 import pytest
 
-from fillperm import FillingError, Permutation, opposite, validate
+from fillperm import FillingError, Permutation, validate
 
 # genus-2 piece with 6 crossings (two octagons, two rectangles)
 ZETA = "(1,10,15,20,17,22,3,12)(24,5,18,11)(23,16,9,6,7,4,21,14)(2,19,8,13)"
@@ -61,6 +61,15 @@ def opp_shift(n: int) -> Permutation:
     forward by one; Q^N sends each label to the reversed copy of its arc."""
     m = 4 * n
     return Permutation([e % m + 1 for e in range(1, m + 1)]) ** (2 * n)
+
+
+def opposite(e: int, n: int) -> int:
+    """Oracle: the reversed copy of the same arc, one label at a time: a
+    shift by 2n mod 4n.  An involution."""
+    m = 4 * n
+    if not 1 <= e <= m:
+        raise ValueError(f"symbol {e} out of range 1..{m}")
+    return (e + 2 * n - 1) % m + 1
 
 
 def is_valid(sigma: Permutation, n: int | None = None) -> bool:

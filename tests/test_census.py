@@ -22,7 +22,6 @@ from fillperm import (
     census_records,
     enumerate_filling,
     generators,
-    opposite,
     read_census,
     tau,
     twist_group,
@@ -34,7 +33,7 @@ from fillperm.census import _crossing_blocks
 from fillperm.surgery import _reverse_second, find_decompositions
 from fillperm.twist import _least, _slice_conjugates, _slice_table
 
-from conftest import conjugate_oneline, is_valid, opp_shift
+from conftest import conjugate_oneline, is_valid, opp_shift, opposite
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 DATA = Path(__file__).resolve().parent / "data"

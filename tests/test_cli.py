@@ -62,7 +62,7 @@ def test_public_names():
         "RoundTripReport", "SizeNotMultipleOf4", "SurgeryError", "ZType",
         "are_equivalent", "assemble", "attachment_site", "census_records",
         "decomposition_at", "disassemble", "enumerate_filling", "extract",
-        "find_decompositions", "generators", "opposite", "read_census",
+        "find_decompositions", "generators", "read_census",
         "round_trip_check", "tau", "twist_group", "upper_bound", "validate",
         "write_census",
     ]
@@ -171,6 +171,22 @@ def test_malformed_body_reports_its_first_error(tmp_path, capsys, body, message)
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/file.fp")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff",  # not UTF-8
+    b"n=" + b"1" * 5000 + b"\n(1,2,3,4)\n",  # a header beyond int()'s digit limit
+], ids=["not-utf8", "long-header"])
+@pytest.mark.parametrize("command", ["info", "equivalent"])
+def test_unreadable_pair_file_exits_2(files, tmp_path, capsys, command, content):
+    # decoding and the header are part of reading the file: bad input, not a
+    # fault of the program
+    path = tmp_path / "bad.fp"
+    path.write_bytes(content)
+    argv = [command, str(path)] if command == "info" else [command, files["zeta"], str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 def test_info_reports_piece(files, capsys):
@@ -699,17 +715,33 @@ def test_cached_parser_keeps_no_state_between_calls(files, capsys):
     assert cached[0] != cached[1]
 
 
-def test_subprocess_entry_point(files):
+def run_child(*argv, **kwargs) -> subprocess.CompletedProcess:
     # the child imports the same fillperm as this process, installed or not
     src = str(Path(fillperm.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    result = subprocess.run(
-        [sys.executable, "-m", "fillperm.cli", "validate", files["zeta"]],
-        capture_output=True, text=True, env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "fillperm.cli", *argv],
+        text=True, env={**os.environ, "PYTHONPATH": path}, **kwargs,
     )
+
+
+def test_subprocess_entry_point(files):
+    result = run_child("validate", files["zeta"], capture_output=True)
     assert result.returncode == 0
     assert result.stdout.strip() == "valid, n=6, c=4, genus=2"
+
+
+def test_unwritable_stdout_exits_2(files):
+    # a reader that has gone away is not a negative answer: one error line,
+    # and no traceback from the interpreter's last flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = run_child("validate", files["zeta"], stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr == "error: stdout: Broken pipe\n"
 
 
 # Internal errors exit 3 with one line on stderr: exit 1 would read as a
@@ -789,6 +821,23 @@ def test_disassembly_failure_after_extract_accepts_exits_3(files, capsys, monkey
     )
     assert code == 3 and out == ""
     assert err == "internal error: recovered piece is not an attachable piece\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["roundtrip", "--k", "3"], "round_trip_check"),
+    (["extract", "--x", "23", "--a", "38", "--y", "1", "--b", "16", "--k", "5"], "_pull_back"),
+], ids=["roundtrip", "extract"])
+def test_surgery_error_after_the_input_is_taken_exits_3(files, capsys, monkeypatch, argv, name):
+    # only the call that takes the user's pair and anchors turns a
+    # SurgeryError into bad input; one raised after it is a fault
+    def fail(*args):
+        raise fillperm.SurgeryError("decomposition requires a minimal filling permutation")
+
+    monkeypatch.setattr(fillperm.cli, name, fail)
+    command, *flags = argv
+    code, out, err = run(capsys, command, files["sigma_f6"], *flags)
+    assert code == 3 and out == ""
+    assert err == "internal error: decomposition requires a minimal filling permutation\n"
 
 
 def test_round_trip_failure_exits_3(files, capsys, monkeypatch):

@@ -16,14 +16,13 @@ from fillperm import (
     Permutation,
     SizeNotMultipleOf4,
     ZType,
-    opposite,
     tau,
     validate,
 )
 from fillperm.cli import read_filling_file
 from fillperm.filling import _arc_of, _label_of, _opp_tau
 
-from conftest import identity, opp_shift, order, perm
+from conftest import identity, opp_shift, opposite, order, perm
 from random_pairs import random_minimal_pair, random_pair
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -99,11 +98,14 @@ def test_tau_anticommutes_with_opposite_shift(n):
 
 
 def test_opposite_values():
+    # the tests' label-at-a-time opp, which `_opp_tau(n, 0)` is checked against
     assert opposite(23, 11) == 1
     assert opposite(1, 6) == 13
     for n in (1, 3, 6, 11):
+        q_n = opp_shift(n)
         for e in range(1, 4 * n + 1):
             assert opposite(opposite(e, n), n) == e
+            assert opposite(e, n) == q_n(e)
     with pytest.raises(ValueError):
         opposite(25, 6)
 
@@ -260,7 +262,7 @@ def test_z_type(zeta, sigma_z, z5):
     assert zeta.z_type() == ZType((8, 4, 8, 4))
     assert zeta.z_type().quad == (4, 8, 4, 8)
     assert sigma_z.z_type().quad == (4, 12, 4, 12)
-    assert z5.z_type().matches((28, 6, 10, 4))
+    assert z5.z_type() == ZType((28, 6, 10, 4))
 
 
 def test_z_type_rejects_odd_or_small():
